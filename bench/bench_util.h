@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,16 +25,25 @@
 namespace osbench {
 
 // Benches ported onto the multi-trial runner accept `--trials=N` and
-// `--jobs=J` (defaults 1/1 keep the single-run figure output).
+// `--jobs=J` (defaults 1/1 keep the single-run figure output).  A value
+// that is not an integer, or a non-positive trial count, ends the bench
+// with exit code 1 before any BENCH JSON is written.
 inline osrunner::RunOptions ParseRunCli(int argc, char** argv) {
   osrunner::RunOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--trials=", 0) == 0) {
-      options.trials = std::atoi(arg.c_str() + 9);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      options.jobs = std::atoi(arg.c_str() + 7);
+    const bool trials = arg.rfind("--trials=", 0) == 0;
+    if (!trials && arg.rfind("--jobs=", 0) != 0) {
+      continue;
     }
+    const std::string value = arg.substr(arg.find('=') + 1);
+    const std::optional<int> n = osrunner::ParseInt(value);
+    if (!n || (trials && *n <= 0)) {
+      std::fprintf(stderr, "bad %s value '%s'\n",
+                   trials ? "--trials" : "--jobs", value.c_str());
+      std::exit(1);
+    }
+    (trials ? options.trials : options.jobs) = *n;
   }
   return options;
 }

@@ -5,35 +5,16 @@
 // bucket 16's exact mid-latency, so the prediction is free of
 // bucket-rounding error and the tolerance can stay tight.
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <variant>
 
 #include "bench/bench_util.h"
-#include "src/core/histogram.h"
 #include "src/core/preemption.h"
 #include "src/profilers/noise_profiler.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
 #include "src/sim/kernel.h"
-
-namespace {
-
-double PredictedPreemptions(const osrunner::Scenario& scenario,
-                            const osrunner::NoiseSpec& spec, int trials) {
-  if (spec.tasks <= scenario.kernel.num_cpus) {
-    return 0.0;  // No oversubscription, no waiting competitor (Eq. 3).
-  }
-  osprof::Histogram samples;
-  samples.set_bucket(osprof::BucketIndex(spec.burst),
-                     static_cast<std::uint64_t>(spec.tasks) * spec.samples *
-                         static_cast<std::uint64_t>(trials));
-  return osprof::ExpectedPreemptedRequests(
-      samples, static_cast<double>(scenario.kernel.quantum));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   osbench::Header("OS-noise profiling mode: Equation 3 validation (§3.3)");
@@ -70,24 +51,19 @@ int main(int argc, char** argv) {
   const osrunner::RunResult result = osrunner::RunScenario(*scenario, options);
   report.RecordRun(result);
   osbench::ShowRunSummary(result);
-  const double predicted =
-      PredictedPreemptions(*scenario, *spec, result.options.trials);
-  const double measured =
-      static_cast<double>(result.TotalCounter("noise_preemptions"));
-  const double rel_err =
-      predicted > 0.0 ? std::abs(measured - predicted) / predicted
-                      : (measured > 0.0 ? 1.0 : 0.0);
+  const osrunner::Equation3Check eq3 = osrunner::CheckEquation3(
+      *scenario, *spec, result.options.trials,
+      result.TotalCounter("noise_preemptions"));
   std::printf("  predicted %.1f forced preemptions, measured %.0f\n"
               "  rel err %.4f (tolerance %.2f); preempted samples surface "
               "near bucket %d\n",
-              predicted, measured, rel_err, spec->eq3_tolerance,
+              eq3.predicted, eq3.measured, eq3.rel_err, eq3.tolerance,
               osprof::PreemptionBucket(
                   static_cast<double>(scenario->kernel.quantum)));
-  report.Metric("eq3_predicted_preemptions", predicted);
-  report.Metric("eq3_measured_preemptions", measured);
-  report.Metric("eq3_rel_err", rel_err);
-  report.Check("eq3_agreement_within_tolerance",
-               rel_err <= spec->eq3_tolerance);
+  report.Metric("eq3_predicted_preemptions", eq3.predicted);
+  report.Metric("eq3_measured_preemptions", eq3.measured);
+  report.Metric("eq3_rel_err", eq3.rel_err);
+  report.Check("eq3_agreement_within_tolerance", eq3.pass());
 
   osbench::Section("Idle baseline (noise_idle: 1 task, 1 CPU)");
   const osrunner::Scenario* idle =

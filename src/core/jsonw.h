@@ -56,6 +56,14 @@ class Value {
     return v;
   }
   static Value Array() { return Value(Kind::kArray); }
+  // An array of strings, in order.
+  static Value Strings(const std::vector<std::string>& items) {
+    Value v(Kind::kArray);
+    for (const std::string& item : items) {
+      v.Append(Str(item));
+    }
+    return v;
+  }
   static Value Object() { return Value(Kind::kObject); }
 
   Kind kind() const { return kind_; }

@@ -1,5 +1,6 @@
 #include "src/core/sampling.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -73,7 +74,9 @@ std::string SampledProfileSet::RenderGrid(const std::string& op,
   for (int e = 0; e < p->num_epochs(); ++e) {
     os << "  epoch " << e << " |";
     const Histogram& h = p->epoch(e);
-    for (int b = first_bucket; b <= last_bucket; ++b) {
+    // The bounds come from the command line: clip them to the histogram.
+    const int last = std::min(last_bucket, h.num_buckets() - 1);
+    for (int b = std::max(first_bucket, 0); b <= last; ++b) {
       const std::uint64_t c = h.bucket(b);
       char cell = '.';
       if (c > 100) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -11,9 +13,12 @@
 #include <stdexcept>
 #include <thread>
 #include <utility>
+#include <variant>
 
 #include "src/core/clock.h"
+#include "src/core/histogram.h"
 #include "src/core/peaks.h"
+#include "src/core/preemption.h"
 #include "src/net/fabric.h"
 #include "src/profilers/callgraph_profiler.h"
 #include "src/profilers/noise_profiler.h"
@@ -95,6 +100,16 @@ std::vector<OpDispersion> ComputeDispersion(
 
 }  // namespace
 
+std::optional<int> ParseInt(std::string_view token) {
+  int value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (token.empty() || ec != std::errc() || ptr != end) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 std::uint64_t RunResult::TotalCounter(const std::string& name) const {
   std::uint64_t sum = 0;
   for (const TrialResult& t : trials) {
@@ -122,246 +137,88 @@ std::vector<std::string> RunResult::RaceReports() const {
   return {unique.begin(), unique.end()};
 }
 
-TrialResult RunTrial(const Scenario& scenario, int trial) {
-  const osprof::WallTimer timer;
+namespace {
+
+// One trial's fully private simulated machine: the part every workload
+// shares.  Trials share nothing, so they can run on concurrent host
+// threads.  Each workload's Drive() builds its own state in its own scope,
+// calls Run() once, then writes its counters while that state is alive.
+struct Trial {
+  Trial(const Scenario& spec, int trial);
+
+  std::uint64_t& counter(const char* name) { return result.counters[name]; }
+
+  // Records through the SimProfiler under the workload's own layer tag
+  // (its syscall boundary, or a client-side mount).
+  void ProfileAs(const char* layer) {
+    profiler.set_layer(layer);
+    sinks.push_back(&profiler);
+  }
+
+  // In-FS instrumentation: the call-graph profiler takes precedence over
+  // the flat SimProfiler, mirroring Ext2SimFs::Profiled.
+  void AttachFsInstrumentation() {
+    if (callgraph.has_value()) {
+      fs.SetCallGraphProfiler(&*callgraph);
+      sinks.push_back(&*callgraph);
+    } else if (scenario.profilers.fs) {
+      fs.SetProfiler(&profiler);
+      sinks.push_back(&profiler);
+    }
+  }
+
+  // The step every workload shares: runs the machine until its threads
+  // finish, then collects every sink plus the kernel and race counters.
+  void Run();
+
+  const Scenario& scenario;
   TrialResult result;
+  osim::Kernel kernel;
+  osim::SimDisk disk;
+  osfs::Ext2SimFs fs;
+  osprofilers::SimProfiler profiler;
+  std::optional<osprofilers::CallGraphProfiler> callgraph;
+  std::optional<osprofilers::DriverProfiler> driver;
+  std::vector<osprofilers::ProfilerSink*> sinks;
+};
+
+osim::KernelConfig TrialKernel(const Scenario& spec, int trial) {
+  osim::KernelConfig config = spec.kernel;
+  config.seed += static_cast<std::uint64_t>(trial);
+  return config;
+}
+
+Trial::Trial(const Scenario& spec, int trial)
+    : scenario(spec),
+      kernel(TrialKernel(spec, trial)),
+      disk(&kernel, spec.disk),
+      fs(&kernel, &disk, spec.fs),
+      profiler(&kernel, spec.profilers.resolution) {
   result.trial = trial;
-
-  osim::KernelConfig kcfg = scenario.kernel;
-  kcfg.seed = scenario.kernel.seed + static_cast<std::uint64_t>(trial);
-  result.seed = kcfg.seed;
-
-  // A fully private simulated machine per trial: trials share nothing, so
-  // they can run on concurrent host threads.
-  osim::Kernel kernel(kcfg);
+  result.seed = kernel.config().seed;
   // Lock-order analysis rides along on every trial: tracking consumes no
   // simulated time, so profiles are byte-identical with it on.
   kernel.lock_order().set_enabled(true);
   // SimRace happens-before tracking: same zero-simulated-time contract
   // (src/sim/race_tracker.h); scale scenarios opt out via the spec.
-  kernel.races().set_enabled(scenario.track_races);
-  osim::SimDisk disk(&kernel, scenario.disk);
-  osfs::Ext2SimFs fs(&kernel, &disk, scenario.fs);
-
-  const int resolution = scenario.profilers.resolution;
-  osprofilers::SimProfiler sim_profiler(&kernel, resolution);
-  std::optional<osprofilers::CallGraphProfiler> callgraph;
-  if (scenario.profilers.callgraph) {
-    callgraph.emplace(&kernel, resolution);
+  kernel.races().set_enabled(spec.track_races);
+  if (spec.profilers.callgraph) {
+    callgraph.emplace(&kernel, spec.profilers.resolution);
   }
-  std::optional<osprofilers::DriverProfiler> driver;
-  if (scenario.profilers.driver) {
-    driver.emplace(&kernel, &disk, resolution);
+  if (spec.profilers.driver) {
+    driver.emplace(&kernel, &disk, spec.profilers.resolution);
   }
-  std::optional<osprofilers::NoiseProfiler> noise;
+}
 
-  std::vector<osprofilers::ProfilerSink*> sinks;
-  // In-FS instrumentation: the call-graph profiler takes precedence over
-  // the flat SimProfiler, mirroring Ext2SimFs::Profiled.
-  auto attach_fs_instrumentation = [&] {
-    if (callgraph.has_value()) {
-      fs.SetCallGraphProfiler(&*callgraph);
-      sinks.push_back(&*callgraph);
-    } else if (scenario.profilers.fs) {
-      fs.SetProfiler(&sim_profiler);
-      sinks.push_back(&sim_profiler);
-    }
-  };
-
-  // Long-lived workload state; must survive until the simulation finishes.
-  std::optional<osnet::CifsMount> cifs;
-  std::optional<osim::SimSemaphore> clone_lock;
-  std::optional<osim::Shared<std::uint64_t>> race_cell;
-  std::vector<osworkloads::GrepStats> grep_stats;
-  osworkloads::PostmarkStats postmark_stats;
-  osworkloads::TrafficStats traffic_stats;
-  std::optional<osnet::Fabric> fabric;
-  std::optional<osnet::Dlm> dlm;
-  std::optional<osfs::ClusterVolume> cluster_volume;
-  std::vector<std::unique_ptr<osfs::ClusterFsNode>> cluster_mounts;
-  std::vector<osworkloads::ClusterClientStats> cluster_stats;
-  int cluster_remaining = 0;
-  std::optional<osim::WaitQueue> cluster_done;
-
-  if (const auto* grep = std::get_if<GrepSpec>(&scenario.workload)) {
-    osworkloads::BuildSourceTree(&fs, grep->root, grep->tree);
-    osfs::Vfs* target = &fs;
-    if (grep->over_cifs) {
-      cifs.emplace(&kernel, &fs, grep->cifs);
-      target = &*cifs;
-      if (scenario.profilers.fs) {
-        // Client-side CIFS layer (what Figure 10 profiles).
-        sim_profiler.set_layer("cifs");
-        cifs->SetProfiler(&sim_profiler);
-        sinks.push_back(&sim_profiler);
-      }
-    } else {
-      attach_fs_instrumentation();
-    }
-    grep_stats.resize(static_cast<std::size_t>(grep->processes));
-    for (int p = 0; p < grep->processes; ++p) {
-      kernel.Spawn("grep" + std::to_string(p),
-                   osworkloads::GrepWorkload(
-                       &kernel, target, grep->root, grep->per_byte_cpu,
-                       &grep_stats[static_cast<std::size_t>(p)]));
-    }
-  } else if (const auto* probe =
-                 std::get_if<ZeroByteReadSpec>(&scenario.workload)) {
-    fs.AddFile(probe->path, probe->file_bytes);
-    attach_fs_instrumentation();
-    for (int p = 0; p < probe->processes; ++p) {
-      kernel.Spawn("proc" + std::to_string(p),
-                   osworkloads::ZeroByteReadWorkload(&kernel, &fs, probe->path,
-                                                     probe->requests,
-                                                     probe->user_cycles));
-    }
-  } else if (const auto* rr = std::get_if<RandomReadSpec>(&scenario.workload)) {
-    fs.AddFile(rr->path, rr->file_bytes);
-    attach_fs_instrumentation();
-    for (int p = 0; p < rr->processes; ++p) {
-      kernel.Spawn("proc" + std::to_string(p),
-                   osworkloads::RandomReadWorkload(
-                       &kernel, &fs, rr->path, rr->iterations,
-                       kcfg.seed + 1'000'003u * static_cast<std::uint64_t>(p)));
-    }
-  } else if (const auto* clone = std::get_if<CloneSpec>(&scenario.workload)) {
-    // Syscall-boundary recording, like the paper's user-level profiler.
-    sim_profiler.set_layer("user");
-    sinks.push_back(&sim_profiler);
-    clone_lock.emplace(&kernel, 1, "proc_table");
-    for (int p = 0; p < clone->processes; ++p) {
-      kernel.Spawn("proc" + std::to_string(p),
-                   osworkloads::CloneWorkload(
-                       &kernel, &*clone_lock, &sim_profiler, clone->iterations,
-                       clone->lock_free_cpu, clone->locked_cpu,
-                       clone->user_think_cpu));
-    }
-  } else if (const auto* pm = std::get_if<PostmarkSpec>(&scenario.workload)) {
-    osworkloads::PostmarkConfig pcfg = pm->config;
-    pcfg.seed += static_cast<std::uint64_t>(trial);
-    fs.AddDir(pcfg.directory);
-    attach_fs_instrumentation();
-    kernel.Spawn("postmark", osworkloads::PostmarkWorkload(&kernel, &fs, pcfg,
-                                                           &postmark_stats));
-  } else if (const auto* traffic = std::get_if<TrafficSpec>(&scenario.workload)) {
-    osworkloads::TrafficConfig tcfg = traffic->config;
-    tcfg.seed += static_cast<std::uint64_t>(trial);
-    osworkloads::CreateTrafficFiles(&fs, tcfg);
-    attach_fs_instrumentation();
-    kernel.Spawn("traffic", osworkloads::OpenLoopTraffic(&kernel, &fs, tcfg,
-                                                         &traffic_stats));
-  } else if (const auto* race =
-                 std::get_if<RaceFixtureSpec>(&scenario.workload)) {
-    // Syscall-boundary recording so the race reports carry op names.
-    sim_profiler.set_layer("user");
-    sinks.push_back(&sim_profiler);
-    race_cell.emplace(kernel, "fixture.cell");
-    if (race->kind == RaceFixtureSpec::Kind::kLockedControl) {
-      clone_lock.emplace(&kernel, 1, "fixture_lock");
-    }
-    for (int p = 0; p < race->tasks; ++p) {
-      osim::Task<void> body = [&]() -> osim::Task<void> {
-        switch (race->kind) {
-          case RaceFixtureSpec::Kind::kReaders:
-            // Task 0 publishes; the rest scan.
-            if (p == 0) {
-              return osworkloads::RacePublishWorkload(
-                  &kernel, &sim_profiler, &*race_cell, race->rounds,
-                  race->stride);
-            }
-            return osworkloads::RaceScanWorkload(&kernel, &sim_profiler,
-                                                 &*race_cell, race->rounds,
-                                                 race->stride);
-          case RaceFixtureSpec::Kind::kLockedControl:
-            return osworkloads::RaceLockedWorkload(
-                &kernel, &sim_profiler, &*race_cell, &*clone_lock,
-                race->rounds, race->stride);
-          case RaceFixtureSpec::Kind::kCounter:
-            break;
-        }
-        return osworkloads::RaceCounterWorkload(&kernel, &sim_profiler,
-                                                &*race_cell, race->rounds,
-                                                race->stride);
-      }();
-      kernel.Spawn("racer" + std::to_string(p), std::move(body));
-    }
-  } else if (const auto* cl = std::get_if<ClusterSpec>(&scenario.workload)) {
-    if (kernel.num_nodes() != cl->nodes) {
-      throw std::invalid_argument(
-          "RunTrial: ClusterSpec.nodes must match kernel.num_nodes");
-    }
-    fabric.emplace(&kernel, cl->net);
-    dlm.emplace(&kernel, &*fabric, cl->dlm);
-    cluster_volume.emplace(&kernel, &disk);
-    // mkfs: every parent directory of the shared path, then the file.
-    std::string prefix;
-    std::size_t pos = 1;
-    for (std::size_t slash = cl->path.find('/', pos);
-         slash != std::string::npos; slash = cl->path.find('/', pos)) {
-      prefix = cl->path.substr(0, slash);
-      cluster_volume->AddDir(prefix);
-      pos = slash + 1;
-    }
-    cluster_volume->AddFile(cl->path, cl->file_bytes);
-    if (scenario.profilers.fs) {
-      // One profiler across all mounts: the cluster-wide view, with each
-      // op still node-tagged through the interference channel.
-      sim_profiler.set_layer("cluster");
-      sinks.push_back(&sim_profiler);
-    }
-    // Mounts after the DLM exists: the ctor registers the node's
-    // downgrade hook (the pre-grant flush that makes revokes coherent).
-    for (int n = 0; n < cl->nodes; ++n) {
-      cluster_mounts.push_back(std::make_unique<osfs::ClusterFsNode>(
-          &*cluster_volume, &*dlm, n, cl->cfs));
-      if (scenario.profilers.fs) {
-        cluster_mounts.back()->SetProfiler(&sim_profiler);
-      }
-    }
-    dlm->Start();
-    cluster_remaining = cl->nodes * cl->clients_per_node;
-    cluster_done.emplace(&kernel);
-    cluster_stats.resize(static_cast<std::size_t>(cluster_remaining));
-    for (int n = 0; n < cl->nodes; ++n) {
-      for (int c = 0; c < cl->clients_per_node; ++c) {
-        const int index = n * cl->clients_per_node + c;
-        kernel.SpawnOn(
-            n, "client" + std::to_string(n) + "." + std::to_string(c),
-            osworkloads::ClusterClientWorkload(
-                &kernel, cluster_mounts[static_cast<std::size_t>(n)].get(),
-                cl->path, cl->iterations, cl->write_ratio, cl->io_bytes,
-                cl->file_bytes, cl->think_cycles,
-                kcfg.seed + 7'919u * static_cast<std::uint64_t>(index),
-                &cluster_stats[static_cast<std::size_t>(index)],
-                &cluster_remaining, &*cluster_done));
-      }
-    }
-    kernel.Spawn("cluster_ctl",
-                 osworkloads::ClusterControl(&kernel, &*dlm,
-                                             &cluster_remaining,
-                                             &*cluster_done));
-  } else if (const auto* ns = std::get_if<NoiseSpec>(&scenario.workload)) {
-    // The noise profiler subscribes to the kernel's interference channel;
-    // its tasks are the workload.
-    noise.emplace(&kernel, resolution);
-    for (int i = 0; i < ns->tasks; ++i) {
-      kernel.Spawn("noise" + std::to_string(i),
-                   noise->NoiseTask(i, ns->samples, ns->burst));
-    }
-    sinks.push_back(&*noise);
-  } else {
-    throw std::logic_error("RunTrial: unhandled workload variant");
-  }
-
+void Trial::Run() {
   if (driver.has_value()) {
     sinks.push_back(&*driver);
   }
-
   // Per-CPU sharded recording: enabling after all probes attach is fine --
   // existing ops are replayed into the shards and later Resolve() calls
   // propagate, so the order is immaterial to the serialized output.
   if (scenario.profilers.per_cpu_shards) {
-    sim_profiler.EnableSharding(scenario.profilers.shard_epoch);
+    profiler.EnableSharding(scenario.profilers.shard_epoch);
   }
 
   kernel.RunUntilThreadsFinish();
@@ -376,91 +233,284 @@ TrialResult RunTrial(const Scenario& scenario, int trial) {
     }
   }
 
-  result.counters["context_switches"] = kernel.context_switches();
-  result.counters["timer_interrupts"] = kernel.timer_interrupts_delivered();
-  result.counters["forced_preemptions"] = kernel.total_forced_preemptions();
-  if (!grep_stats.empty()) {
-    for (const osworkloads::GrepStats& s : grep_stats) {
-      result.counters["files_read"] += s.files_read;
-      result.counters["directories_visited"] += s.directories_visited;
-      result.counters["bytes_read"] += s.bytes_read;
-    }
-  }
-  if (clone_lock.has_value()) {
-    result.counters["acquisitions"] = clone_lock->acquisitions();
-    result.counters["contended_acquisitions"] =
-        clone_lock->contended_acquisitions();
-  }
-  if (std::holds_alternative<PostmarkSpec>(scenario.workload)) {
-    result.counters["creates"] = postmark_stats.creates;
-    result.counters["deletes"] = postmark_stats.deletes;
-    result.counters["reads"] = postmark_stats.reads;
-    result.counters["appends"] = postmark_stats.appends;
-  }
-  if (std::holds_alternative<ClusterSpec>(scenario.workload)) {
-    for (const osworkloads::ClusterClientStats& s : cluster_stats) {
-      result.counters["reads"] += s.reads;
-      result.counters["writes"] += s.writes;
-      result.counters["bytes_read"] += s.bytes_read;
-      result.counters["bytes_written"] += s.bytes_written;
-    }
-    result.counters["dlm_acquires"] = dlm->acquires();
-    result.counters["dlm_cache_hits"] = dlm->cache_hits();
-    result.counters["dlm_remote_requests"] = dlm->remote_requests();
-    result.counters["dlm_queued_waits"] = dlm->queued_waits();
-    result.counters["dlm_basts"] = dlm->basts_sent();
-    result.counters["dlm_downgrades"] = dlm->downgrades();
-    result.counters["net_messages"] = fabric->messages_sent();
-    result.counters["net_bytes"] = fabric->bytes_sent();
-    for (const auto& mount : cluster_mounts) {
-      result.counters["cache_invalidations"] += mount->invalidations();
-      result.counters["pages_flushed"] += mount->pages_flushed();
-    }
-  }
-  if (noise.has_value()) {
-    result.counters["noise_samples"] = noise->TotalSamples();
-    result.counters["noise_runtime_cycles"] = noise->TotalRuntime();
-    result.counters["noise_cycles"] = noise->TotalNoise();
-    result.counters["noise_max_single"] = noise->MaxSingle();
-    result.counters["noise_preemptions"] = noise->TotalPreemptions();
-    result.counters["noise_migrations"] = noise->TotalMigrations();
-    result.counters["noise_timer_ticks"] = noise->TotalTimerTicks();
-    result.counters["noise_stolen_cycles"] = noise->TotalStolen();
-    result.counters["noise_runq_cycles"] = noise->TotalRunQueue();
-    result.counters["noise_lock_handoffs"] = noise->TotalLockHandoffs();
-  }
-  if (std::holds_alternative<TrafficSpec>(scenario.workload)) {
-    result.counters["sessions"] = traffic_stats.sessions_finished;
-    result.counters["requests"] = traffic_stats.requests_completed;
-    result.counters["reads"] = traffic_stats.reads;
-    result.counters["writes"] = traffic_stats.writes;
-    result.counters["bytes_read"] = traffic_stats.bytes_read;
-    result.counters["bytes_written"] = traffic_stats.bytes_written;
-    result.counters["peak_live_sessions"] = traffic_stats.peak_live_sessions;
-    // The kernel's own memory accounting, so scale benches can check the
-    // simulator heap without host RSS noise.
-    const osim::KernelMemoryStats mem = kernel.MemoryStats();
-    result.counters["spawned_threads"] = mem.spawned_threads;
-    result.counters["reaped_threads"] = mem.reaped_threads;
-    result.counters["run_queue_peak"] = mem.run_queue_peak_depth;
-    result.counters["sim_heap_bytes"] = mem.TotalBytes();
-    if (scenario.profilers.per_cpu_shards && sim_profiler.shards() != nullptr) {
-      result.counters["shard_flushes"] = sim_profiler.shards()->flushes();
-    }
-  }
-
+  counter("context_switches") = kernel.context_switches();
+  counter("timer_interrupts") = kernel.timer_interrupts_delivered();
+  counter("forced_preemptions") = kernel.total_forced_preemptions();
   result.lock_cycles = kernel.lock_order().CycleDescriptions();
   if (scenario.track_races) {
     const osim::RaceTracker& races = kernel.races();
     result.race_reports = races.ReportDescriptions();
-    result.counters["race_reports"] = races.report_count();
-    result.counters["race_racy_accesses"] = races.racy_accesses();
-    result.counters["race_accesses_checked"] = races.accesses_checked();
-    result.counters["race_cells_tracked"] = races.cells_tracked();
+    counter("race_reports") = races.report_count();
+    counter("race_racy_accesses") = races.racy_accesses();
+    counter("race_accesses_checked") = races.accesses_checked();
+    counter("race_cells_tracked") = races.cells_tracked();
   }
+}
 
-  result.wall_seconds = timer.Seconds();
-  return result;
+void CountLock(Trial& t, const osim::SimSemaphore& lock) {
+  t.counter("acquisitions") = lock.acquisitions();
+  t.counter("contended_acquisitions") = lock.contended_acquisitions();
+}
+
+void Drive(Trial& t, const GrepSpec& grep) {
+  osworkloads::BuildSourceTree(&t.fs, grep.root, grep.tree);
+  std::vector<osworkloads::GrepStats> stats(
+      static_cast<std::size_t>(grep.processes));
+  const auto run_greps = [&](osfs::Vfs* target) {
+    for (int p = 0; p < grep.processes; ++p) {
+      t.kernel.Spawn("grep" + std::to_string(p),
+                     osworkloads::GrepWorkload(
+                         &t.kernel, target, grep.root, grep.per_byte_cpu,
+                         &stats[static_cast<std::size_t>(p)]));
+    }
+    t.Run();
+  };
+  if (grep.over_cifs) {
+    osnet::CifsMount cifs(&t.kernel, &t.fs, grep.cifs);
+    if (t.scenario.profilers.fs) {
+      // Client-side CIFS layer (what Figure 10 profiles).
+      t.ProfileAs("cifs");
+      cifs.SetProfiler(&t.profiler);
+    }
+    run_greps(&cifs);
+  } else {
+    t.AttachFsInstrumentation();
+    run_greps(&t.fs);
+  }
+  for (const osworkloads::GrepStats& s : stats) {
+    t.counter("files_read") += s.files_read;
+    t.counter("directories_visited") += s.directories_visited;
+    t.counter("bytes_read") += s.bytes_read;
+  }
+}
+
+void Drive(Trial& t, const ZeroByteReadSpec& probe) {
+  t.fs.AddFile(probe.path, probe.file_bytes);
+  t.AttachFsInstrumentation();
+  for (int p = 0; p < probe.processes; ++p) {
+    t.kernel.Spawn("proc" + std::to_string(p),
+                   osworkloads::ZeroByteReadWorkload(
+                       &t.kernel, &t.fs, probe.path, probe.requests,
+                       probe.user_cycles));
+  }
+  t.Run();
+}
+
+void Drive(Trial& t, const RandomReadSpec& rr) {
+  t.fs.AddFile(rr.path, rr.file_bytes);
+  t.AttachFsInstrumentation();
+  for (int p = 0; p < rr.processes; ++p) {
+    t.kernel.Spawn("proc" + std::to_string(p),
+                   osworkloads::RandomReadWorkload(
+                       &t.kernel, &t.fs, rr.path, rr.iterations,
+                       t.result.seed +
+                           1'000'003u * static_cast<std::uint64_t>(p)));
+  }
+  t.Run();
+}
+
+void Drive(Trial& t, const CloneSpec& clone) {
+  // Syscall-boundary recording, like the paper's user-level profiler.
+  t.ProfileAs("user");
+  osim::SimSemaphore proc_table(&t.kernel, 1, "proc_table");
+  for (int p = 0; p < clone.processes; ++p) {
+    t.kernel.Spawn("proc" + std::to_string(p),
+                   osworkloads::CloneWorkload(
+                       &t.kernel, &proc_table, &t.profiler, clone.iterations,
+                       clone.lock_free_cpu, clone.locked_cpu,
+                       clone.user_think_cpu));
+  }
+  t.Run();
+  CountLock(t, proc_table);
+}
+
+void Drive(Trial& t, const PostmarkSpec& pm) {
+  osworkloads::PostmarkConfig config = pm.config;
+  config.seed += static_cast<std::uint64_t>(t.result.trial);
+  t.fs.AddDir(config.directory);
+  t.AttachFsInstrumentation();
+  osworkloads::PostmarkStats stats;
+  t.kernel.Spawn("postmark", osworkloads::PostmarkWorkload(&t.kernel, &t.fs,
+                                                           config, &stats));
+  t.Run();
+  t.counter("creates") = stats.creates;
+  t.counter("deletes") = stats.deletes;
+  t.counter("reads") = stats.reads;
+  t.counter("appends") = stats.appends;
+}
+
+void Drive(Trial& t, const TrafficSpec& traffic) {
+  osworkloads::TrafficConfig config = traffic.config;
+  config.seed += static_cast<std::uint64_t>(t.result.trial);
+  osworkloads::CreateTrafficFiles(&t.fs, config);
+  t.AttachFsInstrumentation();
+  osworkloads::TrafficStats stats;
+  t.kernel.Spawn("traffic", osworkloads::OpenLoopTraffic(&t.kernel, &t.fs,
+                                                         config, &stats));
+  t.Run();
+  t.counter("sessions") = stats.sessions_finished;
+  t.counter("requests") = stats.requests_completed;
+  t.counter("reads") = stats.reads;
+  t.counter("writes") = stats.writes;
+  t.counter("bytes_read") = stats.bytes_read;
+  t.counter("bytes_written") = stats.bytes_written;
+  t.counter("peak_live_sessions") = stats.peak_live_sessions;
+  // The kernel's own memory accounting, so scale benches can check the
+  // simulator heap without host RSS noise.
+  const osim::KernelMemoryStats mem = t.kernel.MemoryStats();
+  t.counter("spawned_threads") = mem.spawned_threads;
+  t.counter("reaped_threads") = mem.reaped_threads;
+  t.counter("run_queue_peak") = mem.run_queue_peak_depth;
+  t.counter("sim_heap_bytes") = mem.TotalBytes();
+  if (t.scenario.profilers.per_cpu_shards && t.profiler.shards() != nullptr) {
+    t.counter("shard_flushes") = t.profiler.shards()->flushes();
+  }
+}
+
+void Drive(Trial& t, const NoiseSpec& ns) {
+  // The noise profiler subscribes to the kernel's interference channel;
+  // its tasks are the workload.
+  osprofilers::NoiseProfiler noise(&t.kernel, t.scenario.profilers.resolution);
+  for (int i = 0; i < ns.tasks; ++i) {
+    t.kernel.Spawn("noise" + std::to_string(i),
+                   noise.NoiseTask(i, ns.samples, ns.burst));
+  }
+  t.sinks.push_back(&noise);
+  t.Run();
+  t.counter("noise_samples") = noise.TotalSamples();
+  t.counter("noise_runtime_cycles") = noise.TotalRuntime();
+  t.counter("noise_cycles") = noise.TotalNoise();
+  t.counter("noise_max_single") = noise.MaxSingle();
+  t.counter("noise_preemptions") = noise.TotalPreemptions();
+  t.counter("noise_migrations") = noise.TotalMigrations();
+  t.counter("noise_timer_ticks") = noise.TotalTimerTicks();
+  t.counter("noise_stolen_cycles") = noise.TotalStolen();
+  t.counter("noise_runq_cycles") = noise.TotalRunQueue();
+  t.counter("noise_lock_handoffs") = noise.TotalLockHandoffs();
+}
+
+void Drive(Trial& t, const RaceFixtureSpec& race) {
+  // Syscall-boundary recording so the race reports carry op names.
+  t.ProfileAs("user");
+  osim::Shared<std::uint64_t> cell(t.kernel, "fixture.cell");
+  // Spawns one racer per task from body(task index), then runs.
+  const auto race_with = [&](const auto& body) {
+    for (int p = 0; p < race.tasks; ++p) {
+      t.kernel.Spawn("racer" + std::to_string(p), body(p));
+    }
+    t.Run();
+  };
+  switch (race.kind) {
+    case RaceFixtureSpec::Kind::kCounter:
+      race_with([&](int) {
+        return osworkloads::RaceCounterWorkload(&t.kernel, &t.profiler, &cell,
+                                                race.rounds, race.stride);
+      });
+      return;
+    case RaceFixtureSpec::Kind::kReaders:
+      // Task 0 publishes; the rest scan.
+      race_with([&](int p) {
+        return p == 0 ? osworkloads::RacePublishWorkload(
+                            &t.kernel, &t.profiler, &cell, race.rounds,
+                            race.stride)
+                      : osworkloads::RaceScanWorkload(&t.kernel, &t.profiler,
+                                                      &cell, race.rounds,
+                                                      race.stride);
+      });
+      return;
+    case RaceFixtureSpec::Kind::kLockedControl: {
+      osim::SimSemaphore lock(&t.kernel, 1, "fixture_lock");
+      race_with([&](int) {
+        return osworkloads::RaceLockedWorkload(&t.kernel, &t.profiler, &cell,
+                                               &lock, race.rounds,
+                                               race.stride);
+      });
+      CountLock(t, lock);
+      return;
+    }
+  }
+}
+
+void Drive(Trial& t, const ClusterSpec& cl) {
+  if (t.kernel.num_nodes() != cl.nodes) {
+    throw std::invalid_argument(
+        "RunTrial: ClusterSpec.nodes must match kernel.num_nodes");
+  }
+  osnet::Fabric fabric(&t.kernel, cl.net);
+  osnet::Dlm dlm(&t.kernel, &fabric, cl.dlm);
+  osfs::ClusterVolume volume(&t.kernel, &t.disk);
+  // mkfs: every parent directory of the shared path, then the file.
+  std::size_t pos = 1;
+  for (std::size_t slash = cl.path.find('/', pos); slash != std::string::npos;
+       slash = cl.path.find('/', pos)) {
+    volume.AddDir(cl.path.substr(0, slash));
+    pos = slash + 1;
+  }
+  volume.AddFile(cl.path, cl.file_bytes);
+  if (t.scenario.profilers.fs) {
+    // One profiler across all mounts: the cluster-wide view, with each
+    // op still node-tagged through the interference channel.
+    t.ProfileAs("cluster");
+  }
+  // Mounts after the DLM exists: the ctor registers the node's downgrade
+  // hook (the pre-grant flush that makes revokes coherent).
+  std::vector<std::unique_ptr<osfs::ClusterFsNode>> mounts;
+  for (int n = 0; n < cl.nodes; ++n) {
+    mounts.push_back(
+        std::make_unique<osfs::ClusterFsNode>(&volume, &dlm, n, cl.cfs));
+    if (t.scenario.profilers.fs) {
+      mounts.back()->SetProfiler(&t.profiler);
+    }
+  }
+  dlm.Start();
+  int remaining = cl.nodes * cl.clients_per_node;
+  osim::WaitQueue done(&t.kernel);
+  std::vector<osworkloads::ClusterClientStats> stats(
+      static_cast<std::size_t>(remaining));
+  for (int n = 0; n < cl.nodes; ++n) {
+    for (int c = 0; c < cl.clients_per_node; ++c) {
+      const int index = n * cl.clients_per_node + c;
+      t.kernel.SpawnOn(
+          n, "client" + std::to_string(n) + "." + std::to_string(c),
+          osworkloads::ClusterClientWorkload(
+              &t.kernel, mounts[static_cast<std::size_t>(n)].get(), cl.path,
+              cl.iterations, cl.write_ratio, cl.io_bytes, cl.file_bytes,
+              cl.think_cycles,
+              t.result.seed + 7'919u * static_cast<std::uint64_t>(index),
+              &stats[static_cast<std::size_t>(index)], &remaining, &done));
+    }
+  }
+  t.kernel.Spawn("cluster_ctl", osworkloads::ClusterControl(
+                                    &t.kernel, &dlm, &remaining, &done));
+  t.Run();
+  for (const osworkloads::ClusterClientStats& s : stats) {
+    t.counter("reads") += s.reads;
+    t.counter("writes") += s.writes;
+    t.counter("bytes_read") += s.bytes_read;
+    t.counter("bytes_written") += s.bytes_written;
+  }
+  t.counter("dlm_acquires") = dlm.acquires();
+  t.counter("dlm_cache_hits") = dlm.cache_hits();
+  t.counter("dlm_remote_requests") = dlm.remote_requests();
+  t.counter("dlm_queued_waits") = dlm.queued_waits();
+  t.counter("dlm_basts") = dlm.basts_sent();
+  t.counter("dlm_downgrades") = dlm.downgrades();
+  t.counter("net_messages") = fabric.messages_sent();
+  t.counter("net_bytes") = fabric.bytes_sent();
+  for (const auto& mount : mounts) {
+    t.counter("cache_invalidations") += mount->invalidations();
+    t.counter("pages_flushed") += mount->pages_flushed();
+  }
+}
+
+}  // namespace
+
+TrialResult RunTrial(const Scenario& scenario, int trial) {
+  const osprof::WallTimer timer;
+  Trial t(scenario, trial);
+  std::visit([&t](const auto& spec) { Drive(t, spec); }, scenario.workload);
+  t.result.wall_seconds = timer.Seconds();
+  return std::move(t.result);
 }
 
 RunResult RunScenario(const Scenario& scenario, const RunOptions& options) {
@@ -547,6 +597,33 @@ RunResult RunScenario(const Scenario& scenario, const RunOptions& options) {
 
   result.wall_seconds = timer.Seconds();
   return result;
+}
+
+Equation3Check CheckEquation3(const Scenario& scenario, const NoiseSpec& spec,
+                              int trials,
+                              std::uint64_t measured_preemptions) {
+  Equation3Check check;
+  check.tolerance = spec.eq3_tolerance;
+  // Equation 3's preemption term assumes a competitor is waiting; the sim
+  // (like a real scheduler) re-dispatches a quantum-expired thread when
+  // the run queue is empty.  With no CPU oversubscription the model
+  // therefore predicts zero forced preemptions.
+  if (spec.tasks > scenario.kernel.num_cpus) {
+    osprof::Histogram samples;
+    samples.set_bucket(osprof::BucketIndex(spec.burst),
+                       static_cast<std::uint64_t>(spec.tasks) * spec.samples *
+                           static_cast<std::uint64_t>(trials));
+    check.predicted = osprof::ExpectedPreemptedRequests(
+        samples, static_cast<double>(scenario.kernel.quantum));
+  }
+  check.measured = static_cast<double>(measured_preemptions);
+  if (check.predicted > 0.0) {
+    check.rel_err =
+        std::abs(check.measured - check.predicted) / check.predicted;
+  } else if (check.measured > 0.0) {
+    check.rel_err = 1.0;  // Preemptions where the model predicts none.
+  }
+  return check;
 }
 
 std::string RenderDispersion(const LayerResult& layer, int trials) {

@@ -25,7 +25,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/layered.h"
@@ -39,6 +41,11 @@ struct RunOptions {
   // Worker threads; <= 0 selects std::thread::hardware_concurrency().
   int jobs = 1;
 };
+
+// The one strict parser for integer command-line values (--trials,
+// --jobs, grid bounds): the whole token must be a decimal integer that
+// fits an int ("2x", "", "+2" and " 2" are rejected).
+std::optional<int> ParseInt(std::string_view token);
 
 // One trial's complete output.
 struct TrialResult {
@@ -113,6 +120,24 @@ TrialResult RunTrial(const Scenario& scenario, int trial);
 // Throws std::invalid_argument on a non-positive trial count; workload
 // exceptions propagate (the first one raised, by trial order).
 RunResult RunScenario(const Scenario& scenario, const RunOptions& options);
+
+// §3.3 Equation 3 on a noise scenario: every sample is one burst of
+// `spec.burst` CPU cycles, so a histogram holding tasks * samples * trials
+// records in the burst's bucket feeds Equation 3's sum n_b * mid(b) / Q
+// directly.  The default burst is bucket 16's exact mid-latency, which
+// keeps the prediction free of bucket-rounding error.
+struct Equation3Check {
+  double predicted = 0.0;  // Forced preemptions the model expects.
+  double measured = 0.0;
+  // |measured - predicted| / predicted; 1 when the model predicts none
+  // but some were measured.
+  double rel_err = 0.0;
+  double tolerance = 0.0;  // The spec's eq3_tolerance.
+  bool pass() const { return rel_err <= tolerance; }
+};
+Equation3Check CheckEquation3(const Scenario& scenario, const NoiseSpec& spec,
+                              int trials,
+                              std::uint64_t measured_preemptions);
 
 // Human-readable dispersion table for one layer (the runner's report
 // counterpart to RenderAscii for single profiles).

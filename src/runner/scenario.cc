@@ -89,18 +89,6 @@ Scenario Fig07() {
   return s;
 }
 
-// The fig07 workload under its layered-decomposition name: identical
-// machine and seed, so profiles match fig07's byte for byte, but the name
-// advertises what `osprof_tool layers` shows -- which components each of
-// the four readdir peaks is made of.
-Scenario Fig07ReaddirPeaks() {
-  Scenario s = Fig07();
-  s.name = "fig07_readdir_peaks";
-  s.description =
-      "Figure 7's readdir peaks decomposed by layer (self vs driver)";
-  return s;
-}
-
 Scenario Fig07Driver() {
   Scenario s = Fig07();
   s.name = "fig07_driver";
@@ -183,7 +171,7 @@ Scenario Scale1M() {
 // validate §3.3 Equation 3 tightly.  Per task: samples * burst cycles of
 // CPU under quantum Q = 2^20 predicts samples * burst / Q forced
 // preemptions (375 at the defaults); the gate's noise rater checks the
-// measured total against that via ExpectedPreemptedRequests.
+// measured total against that via CheckEquation3 (runner.h).
 Scenario Noise() {
   Scenario s;
   s.name = "noise";
@@ -286,7 +274,6 @@ ScenarioRegistry& BuiltinScenarios() {
     r->Register(Fig03(false, "fig03_nonpreempt"));
     r->Register(Fig06());
     r->Register(Fig07());
-    r->Register(Fig07ReaddirPeaks());
     r->Register(Fig07Driver());
     r->Register(Fig07Cifs());
     r->Register(Postmark());

@@ -1,7 +1,6 @@
 #include "src/tools/gate_command.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -15,13 +14,12 @@
 
 #include "src/core/analysis.h"
 #include "src/core/compare.h"
-#include "src/core/histogram.h"
 #include "src/core/jsonw.h"
 #include "src/core/layered.h"
-#include "src/core/preemption.h"
 #include "src/core/profile.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
+#include "src/tools/scenario_front_end.h"
 
 namespace ostools {
 namespace {
@@ -47,123 +45,56 @@ constexpr const char* kGateUsage =
     "                     [races] verdict)\n"
     "  --update           regenerate the golden files from this run\n";
 
-// The §5.3 raters the gate scores with, in their CLI spelling.
+// The §5.3 raters the gate scores with, by their CLI spelling, in the
+// default order.
 struct Rater {
-  std::string name;                  // CLI token ("emd", "chi2", ...).
+  const char* name;
   osprof::CompareMethod method;
 };
-
-std::optional<Rater> RaterByName(const std::string& name) {
-  if (name == "emd") {
-    return Rater{name, osprof::CompareMethod::kEarthMovers};
-  }
-  if (name == "chi2") {
-    return Rater{name, osprof::CompareMethod::kChiSquare};
-  }
-  if (name == "ops") {
-    return Rater{name, osprof::CompareMethod::kTotalOps};
-  }
-  if (name == "latency") {
-    return Rater{name, osprof::CompareMethod::kTotalLatency};
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> FlagValue(const std::string& arg,
-                                     const std::string& prefix) {
-  if (arg.rfind(prefix, 0) != 0) {
-    return std::nullopt;
-  }
-  return arg.substr(prefix.size());
-}
-
-struct GateFlags {
-  std::string scenario;
-  std::string baseline_prefix;  // Empty -> tests/golden/<scenario>.
-  std::vector<Rater> raters;
-  double threshold = -1.0;      // < 0 -> per-method default.
-  osrunner::RunOptions run;
-  std::string json_path;
-  bool update = false;
-  bool list = false;
-  bool no_races = false;
+constexpr Rater kRaters[] = {
+    {"emd", osprof::CompareMethod::kEarthMovers},
+    {"chi2", osprof::CompareMethod::kChiSquare},
+    {"ops", osprof::CompareMethod::kTotalOps},
+    {"latency", osprof::CompareMethod::kTotalLatency},
 };
 
-// Returns nullopt (and prints to err) on a usage error.
-std::optional<GateFlags> ParseFlags(const std::vector<std::string>& args,
-                                    std::ostream& err) {
-  GateFlags flags;
-  for (const std::string& arg : args) {
-    if (arg == "--list") {
-      flags.list = true;
-    } else if (arg == "--update") {
-      flags.update = true;
-    } else if (arg == "--no-races") {
-      flags.no_races = true;
-    } else if (const auto v = FlagValue(arg, "--baseline=")) {
-      flags.baseline_prefix = *v;
-    } else if (const auto v = FlagValue(arg, "--json=")) {
-      flags.json_path = *v;
-    } else if (const auto v = FlagValue(arg, "--raters=")) {
-      std::stringstream tokens(*v);
-      std::string token;
-      while (std::getline(tokens, token, ',')) {
-        const auto rater = RaterByName(token);
-        if (!rater) {
-          err << "osprof_tool gate: unknown rater '" << token
-              << "' (raters: emd, chi2, ops, latency)\n";
-          return std::nullopt;
-        }
-        flags.raters.push_back(*rater);
-      }
-    } else if (const auto v = FlagValue(arg, "--threshold=")) {
-      try {
-        flags.threshold = std::stod(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool gate: bad --threshold value '" << *v << "'\n";
+// The rater list and threshold override from the gate's own flags;
+// nullopt after printing a usage error.
+struct Scoring {
+  std::vector<Rater> raters;
+  double threshold = -1.0;  // < 0 -> per-method default.
+};
+
+std::optional<Scoring> ParseScoring(const ScenarioFrontEnd& cmd) {
+  Scoring scoring;
+  for (const std::string& list : cmd.Values("--raters=")) {
+    std::stringstream tokens(list);
+    std::string token;
+    while (std::getline(tokens, token, ',')) {
+      const Rater* rater = std::find_if(
+          std::begin(kRaters), std::end(kRaters),
+          [&token](const Rater& r) { return token == r.name; });
+      if (rater == std::end(kRaters)) {
+        cmd.err << "osprof_tool gate: unknown rater '" << token
+                << "' (raters: emd, chi2, ops, latency)\n";
         return std::nullopt;
       }
-    } else if (const auto v = FlagValue(arg, "--trials=")) {
-      try {
-        flags.run.trials = std::stoi(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool gate: bad --trials value '" << *v << "'\n";
-        return std::nullopt;
-      }
-    } else if (const auto v = FlagValue(arg, "--jobs=")) {
-      try {
-        flags.run.jobs = std::stoi(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool gate: bad --jobs value '" << *v << "'\n";
-        return std::nullopt;
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
-      err << "osprof_tool gate: unknown flag '" << arg << "'\n" << kGateUsage;
-      return std::nullopt;
-    } else if (flags.scenario.empty()) {
-      flags.scenario = arg;
-    } else {
-      err << kGateUsage;
+      scoring.raters.push_back(*rater);
+    }
+  }
+  if (scoring.raters.empty()) {
+    scoring.raters.assign(std::begin(kRaters), std::end(kRaters));
+  }
+  for (const std::string& value : cmd.Values("--threshold=")) {
+    try {
+      scoring.threshold = std::stod(value);
+    } catch (const std::exception&) {
+      cmd.err << "osprof_tool gate: bad --threshold value '" << value
+              << "'\n";
       return std::nullopt;
     }
   }
-  if (!flags.list && flags.scenario.empty()) {
-    err << kGateUsage;
-    return std::nullopt;
-  }
-  if (!flags.list && flags.run.trials <= 0) {
-    err << "osprof_tool gate: --trials must be positive\n";
-    return std::nullopt;
-  }
-  if (flags.raters.empty()) {
-    for (const char* name : {"emd", "chi2", "ops", "latency"}) {
-      flags.raters.push_back(*RaterByName(name));
-    }
-  }
-  if (flags.baseline_prefix.empty()) {
-    flags.baseline_prefix = "tests/golden/" + flags.scenario;
-  }
-  return flags;
+  return scoring;
 }
 
 // One rater's verdict on one layer.
@@ -319,59 +250,13 @@ LayersVerdict ScoreLayersDecomposition(
   return v;
 }
 
-// The §3.3 Equation 3 rater, checked only for noise scenarios: every
-// sample is one burst of NoiseSpec::burst CPU cycles, so a synthetic
-// histogram with all tasks * samples * trials records in the burst's
-// bucket feeds Equation 3's sum n_b * mid(b) / Q directly.  The default
-// burst is bucket 16's exact mid-latency, which makes the prediction free
-// of bucket-rounding error and lets the tolerance stay tight.
-struct NoiseVerdict {
-  bool checked = false;  // False unless the workload is a NoiseSpec.
-  double predicted = 0.0;
-  double measured = 0.0;
-  double rel_err = 0.0;
-  double tolerance = 0.0;
-  bool pass() const { return !checked || rel_err <= tolerance; }
-};
-
-NoiseVerdict ScoreNoiseEquation3(const osrunner::Scenario& scenario,
-                                 const osrunner::RunResult& result,
-                                 int trials) {
-  NoiseVerdict v;
-  const auto* ns = std::get_if<osrunner::NoiseSpec>(&scenario.workload);
-  if (ns == nullptr) {
-    return v;
-  }
-  v.checked = true;
-  v.tolerance = ns->eq3_tolerance;
-  // Equation 3's preemption term assumes a competitor is waiting; the sim
-  // (like a real scheduler) re-dispatches a quantum-expired thread when
-  // the run queue is empty.  With no CPU oversubscription the model
-  // therefore predicts zero forced preemptions.
-  if (ns->tasks > scenario.kernel.num_cpus) {
-    osprof::Histogram samples;
-    samples.set_bucket(
-        osprof::BucketIndex(ns->burst),
-        static_cast<std::uint64_t>(ns->tasks) * ns->samples *
-            static_cast<std::uint64_t>(trials));
-    v.predicted = osprof::ExpectedPreemptedRequests(
-        samples, static_cast<double>(scenario.kernel.quantum));
-  }
-  v.measured = static_cast<double>(result.TotalCounter("noise_preemptions"));
-  if (v.predicted > 0.0) {
-    v.rel_err = std::abs(v.measured - v.predicted) / v.predicted;
-  } else if (v.measured > 0.0) {
-    v.rel_err = 1.0;  // Preemptions where the model predicts none.
-  }
-  return v;
-}
-
 // The SimRace verdict (src/sim/race_tracker.h).  Ordinary scenarios must
-// come back race-free; the seeded race_fixture_* family must race --
-// that is the gate's true-positive check on the detector itself.
+// come back race-free; a seeded race fixture (any RaceFixtureSpec but the
+// locked control) must race -- that is the gate's true-positive check on
+// the detector itself.
 struct RacesVerdict {
   bool checked = false;   // False under --no-races / untracked scenarios.
-  bool expected = false;  // race_fixture_*: races are the point.
+  bool expected = false;  // A seeded fixture: races are the point.
   std::vector<std::string> reports;
   bool pass() const {
     if (!checked) {
@@ -381,35 +266,28 @@ struct RacesVerdict {
   }
 };
 
-osjson::Value VerdictJson(const GateFlags& flags,
+osjson::Value VerdictJson(const std::string& scenario,
+                          const std::string& baseline_prefix, int trials,
                           const std::vector<LayerVerdict>& layers,
                           const LayersVerdict& layered,
-                          const NoiseVerdict& noise,
+                          const std::optional<osrunner::Equation3Check>& noise,
                           const std::vector<std::string>& lock_cycles,
                           const RacesVerdict& races, bool pass) {
   osjson::Value doc = osjson::Value::Object();
   doc.Set("schema", osjson::Value::Str("osprof-gate-v1"));
-  doc.Set("scenario", osjson::Value::Str(flags.scenario));
-  doc.Set("baseline", osjson::Value::Str(flags.baseline_prefix));
-  doc.Set("trials", osjson::Value::Int(flags.run.trials));
+  doc.Set("scenario", osjson::Value::Str(scenario));
+  doc.Set("baseline", osjson::Value::Str(baseline_prefix));
+  doc.Set("trials", osjson::Value::Int(trials));
   doc.Set("pass", osjson::Value::Bool(pass));
   osjson::Value lock_order = osjson::Value::Object();
   lock_order.Set("deadlock_capable", osjson::Value::Bool(!lock_cycles.empty()));
-  osjson::Value cycle_array = osjson::Value::Array();
-  for (const std::string& cycle : lock_cycles) {
-    cycle_array.Append(osjson::Value::Str(cycle));
-  }
-  lock_order.Set("cycles", std::move(cycle_array));
+  lock_order.Set("cycles", osjson::Value::Strings(lock_cycles));
   doc.Set("lock_order", std::move(lock_order));
   osjson::Value races_obj = osjson::Value::Object();
   races_obj.Set("checked", osjson::Value::Bool(races.checked));
   races_obj.Set("expected", osjson::Value::Bool(races.expected));
   races_obj.Set("found", osjson::Value::Bool(!races.reports.empty()));
-  osjson::Value report_array = osjson::Value::Array();
-  for (const std::string& report : races.reports) {
-    report_array.Append(osjson::Value::Str(report));
-  }
-  races_obj.Set("reports", std::move(report_array));
+  races_obj.Set("reports", osjson::Value::Strings(races.reports));
   races_obj.Set("pass", osjson::Value::Bool(races.pass()));
   doc.Set("races", std::move(races_obj));
   osjson::Value layer_array = osjson::Value::Array();
@@ -427,11 +305,7 @@ osjson::Value VerdictJson(const GateFlags& flags,
       entry.Set("method", osjson::Value::Str(r.method));
       entry.Set("threshold", osjson::Value::Double(r.threshold));
       entry.Set("max_score", osjson::Value::Double(r.max_score));
-      osjson::Value flagged = osjson::Value::Array();
-      for (const std::string& op : r.flagged_ops) {
-        flagged.Append(osjson::Value::Str(op));
-      }
-      entry.Set("flagged_ops", std::move(flagged));
+      entry.Set("flagged_ops", osjson::Value::Strings(r.flagged_ops));
       entry.Set("pass", osjson::Value::Bool(r.pass()));
       rater_array.Append(std::move(entry));
     }
@@ -445,19 +319,17 @@ osjson::Value VerdictJson(const GateFlags& flags,
   ld.Set("pass", osjson::Value::Bool(layered.pass()));
   ld.Set("max_rel_diff", osjson::Value::Double(layered.max_rel_diff));
   ld.Set("mismatch_count", osjson::Value::Uint(layered.mismatch_total));
-  osjson::Value mismatch_array = osjson::Value::Array();
-  for (const std::string& m : layered.mismatches) {
-    mismatch_array.Append(osjson::Value::Str(m));
-  }
-  ld.Set("mismatches", std::move(mismatch_array));
+  ld.Set("mismatches", osjson::Value::Strings(layered.mismatches));
   doc.Set("layered", std::move(ld));
   osjson::Value nv = osjson::Value::Object();
-  nv.Set("checked", osjson::Value::Bool(noise.checked));
-  nv.Set("predicted_preemptions", osjson::Value::Double(noise.predicted));
-  nv.Set("measured_preemptions", osjson::Value::Double(noise.measured));
-  nv.Set("rel_err", osjson::Value::Double(noise.rel_err));
-  nv.Set("tolerance", osjson::Value::Double(noise.tolerance));
-  nv.Set("pass", osjson::Value::Bool(noise.pass()));
+  const osrunner::Equation3Check eq3 =
+      noise.value_or(osrunner::Equation3Check{});
+  nv.Set("checked", osjson::Value::Bool(noise.has_value()));
+  nv.Set("predicted_preemptions", osjson::Value::Double(eq3.predicted));
+  nv.Set("measured_preemptions", osjson::Value::Double(eq3.measured));
+  nv.Set("rel_err", osjson::Value::Double(eq3.rel_err));
+  nv.Set("tolerance", osjson::Value::Double(eq3.tolerance));
+  nv.Set("pass", osjson::Value::Bool(!noise || noise->pass()));
   doc.Set("noise", std::move(nv));
   return doc;
 }
@@ -466,137 +338,130 @@ osjson::Value VerdictJson(const GateFlags& flags,
 
 int RunGateCommand(const std::vector<std::string>& args, std::ostream& out,
                    std::ostream& err) {
-  const auto flags = ParseFlags(args, err);
-  if (!flags) {
+  ScenarioFrontEnd cmd({.name = "gate",
+                        .usage = kGateUsage,
+                        .flags = {"--list", "--update", "--no-races",
+                                  "--baseline=", "--json=", "--raters=",
+                                  "--threshold="},
+                        .stop = "",
+                        .unknown_scenario_exit = 2,
+                        .list_when_unknown = false},
+                       out, err);
+  if (!cmd.Parse(args)) {
     return 1;
   }
-  const osrunner::ScenarioRegistry& registry = osrunner::BuiltinScenarios();
-  if (flags->list) {
-    for (const std::string& name : registry.Names()) {
+  const std::optional<Scoring> scoring = ParseScoring(cmd);
+  if (!scoring) {
+    return 1;
+  }
+  if (cmd.flags.count("--list") != 0) {
+    for (const std::string& name : osrunner::BuiltinScenarios().Names()) {
       out << "  " << name << "\n";
     }
     return 0;
   }
-  const osrunner::Scenario* scenario = registry.Find(flags->scenario);
-  if (scenario == nullptr) {
-    err << "osprof_tool gate: unknown scenario '" << flags->scenario << "'\n";
-    return 2;
-  }
-
   // --no-races runs the identical scenario with SimRace off: profiles and
   // goldens are byte-identical either way (the drift CI loop checks both).
-  osrunner::Scenario gated = *scenario;
-  if (flags->no_races) {
-    gated.track_races = false;
+  const bool track_races = cmd.flags.count("--no-races") == 0;
+  const std::optional<osrunner::RunResult> run =
+      cmd.Run([track_races](osrunner::Scenario& s) {
+        s.track_races = s.track_races && track_races;
+      });
+  if (!run) {
+    return cmd.status;
   }
-
-  osrunner::RunResult result;
-  try {
-    result = osrunner::RunScenario(gated, flags->run);
-  } catch (const std::exception& e) {
-    err << "osprof_tool gate: " << e.what() << "\n";
-    return 2;
+  const osrunner::RunResult& result = *run;
+  const osrunner::Scenario* scenario = cmd.scenario;
+  const std::string& name = cmd.scenario_name;
+  const int trials = cmd.options.trials;
+  std::string prefix = cmd.Value("--baseline=");
+  if (prefix.empty()) {
+    prefix = "tests/golden/" + name;
   }
 
   RacesVerdict races;
-  races.checked = gated.track_races;
-  races.expected = flags->scenario.rfind("race_fixture_", 0) == 0;
+  races.checked = scenario->track_races && track_races;
+  const auto* fixture =
+      std::get_if<osrunner::RaceFixtureSpec>(&scenario->workload);
+  races.expected =
+      fixture != nullptr &&
+      fixture->kind != osrunner::RaceFixtureSpec::Kind::kLockedControl;
   races.reports = result.RaceReports();
 
-  // The merged layered decomposition, for the exactness check and
-  // --update (empty when no instrumented layer recorded one).
-  std::map<std::string, osprof::LayeredProfileSet> measured_layers;
-  for (const auto& [layer, lr] : result.layers) {
-    if (!lr.layered.empty()) {
-      measured_layers.emplace(layer, lr.layered);
-    }
+  if (cmd.flags.count("--update") != 0) {
+    return cmd.WriteProfiles(result, prefix,
+                             [&](const std::string& path, std::size_t entries,
+                                 const char* unit) {
+                               out << "updated " << path << " (" << entries
+                                   << " " << unit << ", trials=" << trials
+                                   << ")\n";
+                             })
+               ? 0
+               : 2;
   }
 
-  if (flags->update) {
-    for (const auto& [layer, lr] : result.layers) {
-      const std::string path =
-          flags->baseline_prefix + "." + layer + ".prof";
-      std::ofstream file(path);
-      if (!file) {
-        err << "osprof_tool gate: cannot write " << path << "\n";
-        return 2;
-      }
-      lr.merged.Serialize(file);
-      out << "updated " << path << " (" << lr.merged.size()
-          << " ops, trials=" << flags->run.trials << ")\n";
+  // A golden file parsed by `parse`; nullopt after printing why not.
+  const auto load = [&](const std::string& path, auto parse)
+      -> std::optional<decltype(parse(std::declval<std::istream&>()))> {
+    std::ifstream file(path);
+    if (!file) {
+      err << "osprof_tool gate: missing baseline " << path
+          << " (generate it with: osprof_tool gate " << name
+          << " --baseline=" << prefix << " --trials=" << trials
+          << " --update)\n";
+      return std::nullopt;
     }
-    if (!measured_layers.empty()) {
-      const std::string path = flags->baseline_prefix + ".layers";
-      std::ofstream file(path);
-      if (!file) {
-        err << "osprof_tool gate: cannot write " << path << "\n";
-        return 2;
-      }
-      osprof::SerializeLayers(measured_layers, file);
-      out << "updated " << path << " (" << measured_layers.size()
-          << " layers, trials=" << flags->run.trials << ")\n";
+    try {
+      return parse(file);
+    } catch (const std::exception& e) {
+      err << "osprof_tool gate: corrupt baseline " << path << ": "
+          << e.what() << "\n";
+      return std::nullopt;
     }
-    return 0;
-  }
+  };
 
   std::vector<LayerVerdict> layers;
   for (const auto& [layer, lr] : result.layers) {
     LayerVerdict verdict;
     verdict.layer = layer;
-    verdict.baseline_path = flags->baseline_prefix + "." + layer + ".prof";
-    std::ifstream file(verdict.baseline_path);
-    if (!file) {
-      err << "osprof_tool gate: missing baseline " << verdict.baseline_path
-          << " (generate it with: osprof_tool gate " << flags->scenario
-          << " --baseline=" << flags->baseline_prefix << " --trials="
-          << flags->run.trials << " --update)\n";
+    verdict.baseline_path = prefix + "." + layer + ".prof";
+    const auto golden = load(verdict.baseline_path, osprof::ProfileSet::Parse);
+    if (!golden) {
       return 2;
     }
-    osprof::ProfileSet golden;
-    try {
-      golden = osprof::ProfileSet::Parse(file);
-    } catch (const std::exception& e) {
-      err << "osprof_tool gate: corrupt baseline " << verdict.baseline_path
-          << ": " << e.what() << "\n";
-      return 2;
-    }
-    verdict.golden_ops = golden.TotalOperations();
+    verdict.golden_ops = golden->TotalOperations();
     verdict.measured_ops = lr.merged.TotalOperations();
-    for (const Rater& rater : flags->raters) {
+    for (const Rater& rater : scoring->raters) {
       verdict.raters.push_back(
-          ScoreLayer(rater, flags->threshold, golden, lr.merged));
+          ScoreLayer(rater, scoring->threshold, *golden, lr.merged));
     }
     layers.push_back(std::move(verdict));
   }
 
-  const NoiseVerdict noise =
-      ScoreNoiseEquation3(*scenario, result, flags->run.trials);
+  // The §3.3 Equation 3 rater, checked only for noise scenarios.
+  std::optional<osrunner::Equation3Check> noise;
+  if (const auto* ns = std::get_if<osrunner::NoiseSpec>(&scenario->workload)) {
+    noise = osrunner::CheckEquation3(*scenario, *ns, trials,
+                                     result.TotalCounter("noise_preemptions"));
+  }
 
+  // The merged layered decomposition must match the .layers golden
+  // exactly (empty when no instrumented layer recorded one).
+  const std::map<std::string, osprof::LayeredProfileSet> measured_layers =
+      MergedLayers(result);
   LayersVerdict layered;
-  layered.baseline_path = flags->baseline_prefix + ".layers";
+  layered.baseline_path = prefix + ".layers";
   if (!measured_layers.empty()) {
-    std::ifstream file(layered.baseline_path);
-    if (!file) {
-      err << "osprof_tool gate: missing baseline " << layered.baseline_path
-          << " (generate it with: osprof_tool gate " << flags->scenario
-          << " --baseline=" << flags->baseline_prefix << " --trials="
-          << flags->run.trials << " --update)\n";
+    const auto golden = load(layered.baseline_path, osprof::ParseLayers);
+    if (!golden) {
       return 2;
     }
-    std::map<std::string, osprof::LayeredProfileSet> golden_layers;
-    try {
-      golden_layers = osprof::ParseLayers(file);
-    } catch (const std::exception& e) {
-      err << "osprof_tool gate: corrupt baseline " << layered.baseline_path
-          << ": " << e.what() << "\n";
-      return 2;
-    }
-    layered = ScoreLayersDecomposition(golden_layers, measured_layers,
+    layered = ScoreLayersDecomposition(*golden, measured_layers,
                                        layered.baseline_path);
   }
 
   bool pass = true;
-  out << "gate " << flags->scenario << ": " << scenario->description << "\n";
+  out << "gate " << name << ": " << scenario->description << "\n";
   // Lock-order assertion: a deadlock-capable acquisition-order cycle in
   // any trial fails the gate even when every profile rater passes.
   const std::vector<std::string> lock_cycles = result.LockCycles();
@@ -609,8 +474,8 @@ int RunGateCommand(const std::vector<std::string>& args, std::ostream& out,
       out << "  " << cycle << "\n";
     }
   }
-  // SimRace assertion: ordinary scenarios must be race-free; the seeded
-  // race_fixture_* family must race (true-positive check on the detector).
+  // SimRace assertion: ordinary scenarios must be race-free; a seeded
+  // fixture must race (true-positive check on the detector).
   if (!races.checked) {
     out << "[races] tracking disabled; skipped\n";
   } else if (races.expected) {
@@ -677,28 +542,24 @@ int RunGateCommand(const std::vector<std::string>& args, std::ostream& out,
   }
   // Equation 3 (§3.3) on noise scenarios: the measured forced-preemption
   // count must agree with the model's prediction from the sample budget.
-  if (noise.checked) {
+  if (noise) {
     char line[256];
     std::snprintf(line, sizeof(line),
                   "[noise] Eq.3 predicted %.1f forced preemptions, measured "
                   "%.0f (rel err %.4f, tolerance %.2f) %s\n",
-                  noise.predicted, noise.measured, noise.rel_err,
-                  noise.tolerance, noise.pass() ? "PASS" : "REGRESSION");
+                  noise->predicted, noise->measured, noise->rel_err,
+                  noise->tolerance, noise->pass() ? "PASS" : "REGRESSION");
     out << line;
-    pass = pass && noise.pass();
+    pass = pass && noise->pass();
   }
   out << (pass ? "gate PASS" : "gate REGRESSION") << "\n";
 
-  if (!flags->json_path.empty()) {
-    std::ofstream json(flags->json_path);
-    if (!json) {
-      err << "osprof_tool gate: cannot write " << flags->json_path << "\n";
-      return 2;
-    }
-    json << VerdictJson(*flags, layers, layered, noise, lock_cycles, races,
-                        pass)
-                .Dump();
-    out << "wrote " << flags->json_path << "\n";
+  if (!cmd.WriteFlagFile("--json=", [&](std::ostream& os) {
+        os << VerdictJson(name, prefix, trials, layers, layered, noise,
+                          lock_cycles, races, pass)
+                  .Dump();
+      })) {
+    return 2;
   }
   return pass ? 0 : 3;
 }

@@ -1,8 +1,6 @@
 #include "src/tools/layers_command.h"
 
 #include <cstdio>
-#include <exception>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <string>
@@ -12,6 +10,7 @@
 #include "src/core/layered.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
+#include "src/tools/scenario_front_end.h"
 
 namespace ostools {
 namespace {
@@ -23,14 +22,6 @@ constexpr const char* kLayersUsage =
     "  --jobs=J     worker threads; 0 = all hardware threads (default 1)\n"
     "  --json=FILE  write the osprof-layers-v1 JSON decomposition to FILE\n"
     "  --out=FILE   write the serialized .layers form (gate golden format)\n";
-
-std::optional<std::string> FlagValue(const std::string& arg,
-                                     const std::string& prefix) {
-  if (arg.rfind(prefix, 0) != 0) {
-    return std::nullopt;
-  }
-  return arg.substr(prefix.size());
-}
 
 osjson::Value LayersJson(const std::string& scenario, int trials,
                          const std::map<std::string,
@@ -83,75 +74,29 @@ osjson::Value LayersJson(const std::string& scenario, int trials,
 
 int RunLayersCommand(const std::vector<std::string>& args, std::ostream& out,
                      std::ostream& err) {
-  std::string scenario_name;
-  osrunner::RunOptions options;
-  std::string json_path;
-  std::string out_path;
-  for (const std::string& arg : args) {
-    if (const auto v = FlagValue(arg, "--trials=")) {
-      try {
-        options.trials = std::stoi(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool layers: bad --trials value '" << *v << "'\n";
-        return 1;
-      }
-    } else if (const auto v = FlagValue(arg, "--jobs=")) {
-      try {
-        options.jobs = std::stoi(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool layers: bad --jobs value '" << *v << "'\n";
-        return 1;
-      }
-    } else if (const auto v = FlagValue(arg, "--json=")) {
-      json_path = *v;
-    } else if (const auto v = FlagValue(arg, "--out=")) {
-      out_path = *v;
-    } else if (!arg.empty() && arg[0] == '-') {
-      err << "osprof_tool layers: unknown flag '" << arg << "'\n"
-          << kLayersUsage;
-      return 1;
-    } else if (scenario_name.empty()) {
-      scenario_name = arg;
-    } else {
-      err << kLayersUsage;
-      return 1;
-    }
-  }
-  if (scenario_name.empty()) {
-    err << kLayersUsage;
+  ScenarioFrontEnd cmd({.name = "layers",
+                        .usage = kLayersUsage,
+                        .flags = {"--json=", "--out="},
+                        .stop = "",
+                        .unknown_scenario_exit = 1,
+                        .list_when_unknown = false},
+                       out, err);
+  if (!cmd.Parse(args)) {
     return 1;
   }
-  const osrunner::Scenario* scenario =
-      osrunner::BuiltinScenarios().Find(scenario_name);
-  if (scenario == nullptr) {
-    err << "osprof_tool layers: unknown scenario '" << scenario_name << "'\n";
-    return 1;
+  const std::optional<osrunner::RunResult> result = cmd.Run();
+  if (!result) {
+    return cmd.status;
   }
-  if (options.trials <= 0) {
-    err << "osprof_tool layers: --trials must be positive\n";
-    return 1;
-  }
-
-  osrunner::RunResult result;
-  try {
-    result = osrunner::RunScenario(*scenario, options);
-  } catch (const std::exception& e) {
-    err << "osprof_tool layers: " << e.what() << "\n";
-    return 2;
-  }
-
-  std::map<std::string, osprof::LayeredProfileSet> layers;
-  for (const auto& [layer, lr] : result.layers) {
-    if (!lr.layered.empty()) {
-      layers.emplace(layer, lr.layered);
-    }
-  }
+  const osrunner::Scenario* scenario = cmd.scenario;
+  const std::map<std::string, osprof::LayeredProfileSet> layers =
+      MergedLayers(*result);
 
   out << scenario->name << ": " << scenario->description << "\n";
   char line[200];
   std::snprintf(line, sizeof(line),
                 "layered decomposition over %d trial(s) (base seed %llu)\n",
-                result.options.trials,
+                result->options.trials,
                 static_cast<unsigned long long>(scenario->kernel.seed));
   out << line;
   if (layers.empty()) {
@@ -161,25 +106,17 @@ int RunLayersCommand(const std::vector<std::string>& args, std::ostream& out,
   }
   out << osprof::RenderLayers(layers);
 
-  if (!json_path.empty()) {
-    std::ofstream json(json_path);
-    if (!json) {
-      err << "osprof_tool layers: cannot write " << json_path << "\n";
-      return 2;
-    }
-    json << LayersJson(scenario->name, result.options.trials, layers).Dump();
-    out << "wrote " << json_path << "\n";
-  }
-  if (!out_path.empty()) {
-    std::ofstream file(out_path);
-    if (!file) {
-      err << "osprof_tool layers: cannot write " << out_path << "\n";
-      return 2;
-    }
-    osprof::SerializeLayers(layers, file);
-    out << "wrote " << out_path << "\n";
-  }
-  return 0;
+  const bool written =
+      cmd.WriteFlagFile("--json=",
+                        [&](std::ostream& os) {
+                          os << LayersJson(scenario->name,
+                                           result->options.trials, layers)
+                                    .Dump();
+                        }) &&
+      cmd.WriteFlagFile("--out=", [&](std::ostream& os) {
+        osprof::SerializeLayers(layers, os);
+      });
+  return written ? 0 : 2;
 }
 
 }  // namespace ostools

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/lint/lint.h"
@@ -21,13 +21,8 @@ constexpr const char* kLintUsage =
     "  --list-rules   print the rule names and exit\n"
     "suppress a finding with: // osprof-lint: allow(<rule>)\n";
 
-std::optional<std::string> FlagValue(const std::string& arg,
-                                     const std::string& prefix) {
-  if (arg.rfind(prefix, 0) != 0) {
-    return std::nullopt;
-  }
-  return arg.substr(prefix.size());
-}
+constexpr std::string_view kRulesFlag = "--rules=";
+constexpr std::string_view kJsonFlag = "--json=";
 
 std::vector<std::string> SplitCommas(const std::string& list) {
   std::vector<std::string> out;
@@ -56,8 +51,8 @@ int RunLintCommand(const std::vector<std::string>& args, std::ostream& out,
       }
       return 0;
     }
-    if (auto v = FlagValue(arg, "--rules=")) {
-      config.rules = SplitCommas(*v);
+    if (arg.starts_with(kRulesFlag)) {
+      config.rules = SplitCommas(arg.substr(kRulesFlag.size()));
       const std::vector<std::string> known = oslint::AllRules();
       for (const std::string& rule : config.rules) {
         if (std::find(known.begin(), known.end(), rule) == known.end()) {
@@ -68,8 +63,8 @@ int RunLintCommand(const std::vector<std::string>& args, std::ostream& out,
       }
       continue;
     }
-    if (auto v = FlagValue(arg, "--json=")) {
-      json_path = *v;
+    if (arg.starts_with(kJsonFlag)) {
+      json_path = arg.substr(kJsonFlag.size());
       continue;
     }
     if (arg.rfind("--", 0) == 0) {

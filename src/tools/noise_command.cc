@@ -1,13 +1,12 @@
 #include "src/tools/noise_command.h"
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <variant>
 
-#include "src/core/histogram.h"
 #include "src/core/preemption.h"
 #include "src/profilers/noise_profiler.h"
+#include "src/runner/runner.h"
 #include "src/runner/scenario.h"
 #include "src/sim/kernel.h"
 
@@ -81,31 +80,19 @@ int RunNoiseCommand(const std::vector<std::string>& args, std::ostream& out,
   out << line;
   out << profiler.RenderSummary();
 
-  // The §3.3 Equation 3 check the gate's noise rater automates: all
-  // samples sit in the burst's bucket, so the expected forced-preemption
-  // count is samples * mid(bucket) / Q, surfacing near bucket log2(Q).
-  // The preemption term assumes a waiting competitor, so without CPU
-  // oversubscription the model predicts zero.
-  const double quantum = static_cast<double>(scenario->kernel.quantum);
-  double predicted = 0.0;
-  if (spec->tasks > scenario->kernel.num_cpus) {
-    osprof::Histogram samples;
-    samples.set_bucket(
-        osprof::BucketIndex(spec->burst),
-        static_cast<std::uint64_t>(spec->tasks) * spec->samples);
-    predicted = osprof::ExpectedPreemptedRequests(samples, quantum);
-  }
-  const double measured = static_cast<double>(profiler.TotalPreemptions());
-  const double rel_err =
-      predicted > 0.0 ? std::abs(measured - predicted) / predicted
-                      : (measured > 0.0 ? 1.0 : 0.0);
+  // The §3.3 Equation 3 check the gate's noise rater automates: the
+  // preempted samples surface near bucket log2(Q).
+  const osrunner::Equation3Check eq3 = osrunner::CheckEquation3(
+      *scenario, *spec, 1, profiler.TotalPreemptions());
   std::snprintf(line, sizeof(line),
                 "Eq.3: predicted %.1f forced preemptions (bucket %d), "
                 "measured %.0f, rel err %.4f (tolerance %.2f)\n",
-                predicted, osprof::PreemptionBucket(quantum), measured,
-                rel_err, spec->eq3_tolerance);
+                eq3.predicted,
+                osprof::PreemptionBucket(
+                    static_cast<double>(scenario->kernel.quantum)),
+                eq3.measured, eq3.rel_err, eq3.tolerance);
   out << line;
-  return rel_err <= spec->eq3_tolerance ? 0 : 3;
+  return eq3.pass() ? 0 : 3;
 }
 
 }  // namespace ostools

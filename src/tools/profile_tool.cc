@@ -13,6 +13,7 @@
 #include "src/core/profile.h"
 #include "src/core/report.h"
 #include "src/core/sampling.h"
+#include "src/runner/runner.h"
 #include "src/tools/gate_command.h"
 #include "src/tools/layers_command.h"
 #include "src/tools/lint_command.h"
@@ -282,8 +283,14 @@ int Grid(const std::vector<std::string>& args, std::ostream& out,
   int lo = 5;
   int hi = 30;
   if (args.size() >= 5) {
-    lo = std::stoi(args[3]);
-    hi = std::stoi(args[4]);
+    const std::optional<int> first = osrunner::ParseInt(args[3]);
+    const std::optional<int> last = osrunner::ParseInt(args[4]);
+    if (!first || !last) {
+      err << kUsage;
+      return 1;
+    }
+    lo = *first;
+    hi = *last;
   }
   out << set->RenderGrid(args[2], lo, hi);
   return 0;

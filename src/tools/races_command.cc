@@ -1,13 +1,13 @@
 #include "src/tools/races_command.h"
 
-#include <exception>
-#include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "src/core/jsonw.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
+#include "src/tools/scenario_front_end.h"
 
 namespace ostools {
 namespace {
@@ -24,81 +24,41 @@ constexpr const char* kRacesUsage =
     "  --jobs=J     worker threads (does not affect the report)\n"
     "  --json=FILE  write the osprof-races-v1 document to FILE\n";
 
-std::optional<std::string> FlagValue(const std::string& arg,
-                                     const std::string& prefix) {
-  if (arg.rfind(prefix, 0) != 0) {
-    return std::nullopt;
-  }
-  return arg.substr(prefix.size());
-}
-
 }  // namespace
 
 int RunRacesCommand(const std::vector<std::string>& args, std::ostream& out,
                     std::ostream& err) {
-  std::string scenario_name;
-  std::string json_path;
-  osrunner::RunOptions run;
-  for (const std::string& arg : args) {
-    if (arg == "--help") {
-      out << kRacesUsage;
-      return 0;
-    }
-    if (const auto v = FlagValue(arg, "--json=")) {
-      json_path = *v;
-    } else if (const auto v = FlagValue(arg, "--trials=")) {
-      try {
-        run.trials = std::stoi(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool races: bad --trials value '" << *v << "'\n";
-        return 1;
-      }
-    } else if (const auto v = FlagValue(arg, "--jobs=")) {
-      try {
-        run.jobs = std::stoi(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool races: bad --jobs value '" << *v << "'\n";
-        return 1;
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
-      err << "osprof_tool races: unknown flag '" << arg << "'\n"
-          << kRacesUsage;
-      return 1;
-    } else if (scenario_name.empty()) {
-      scenario_name = arg;
-    } else {
-      err << kRacesUsage;
-      return 1;
-    }
+  ScenarioFrontEnd cmd({.name = "races",
+                        .usage = kRacesUsage,
+                        .flags = {"--help", "--json="},
+                        .stop = "--help",
+                        .unknown_scenario_exit = 2,
+                        .list_when_unknown = false},
+                       out, err);
+  if (!cmd.Parse(args)) {
+    return 1;
   }
-  if (scenario_name.empty() || run.trials <= 0) {
+  if (cmd.flags.count("--help") != 0) {
+    out << kRacesUsage;
+    return 0;
+  }
+  if (cmd.options.trials <= 0) {
     err << kRacesUsage;
     return 1;
   }
-
-  const osrunner::Scenario* scenario =
-      osrunner::BuiltinScenarios().Find(scenario_name);
-  if (scenario == nullptr) {
-    err << "osprof_tool races: unknown scenario '" << scenario_name << "'\n";
-    return 2;
+  const std::optional<osrunner::RunResult> result =
+      cmd.Run([](osrunner::Scenario& s) { s.track_races = true; });
+  if (!result) {
+    return cmd.status;
   }
-  osrunner::Scenario tracked = *scenario;
-  tracked.track_races = true;
+  const osrunner::Scenario* scenario = cmd.scenario;
 
-  osrunner::RunResult result;
-  try {
-    result = osrunner::RunScenario(tracked, run);
-  } catch (const std::exception& e) {
-    err << "osprof_tool races: " << e.what() << "\n";
-    return 2;
-  }
-
-  const std::vector<std::string> reports = result.RaceReports();
+  const std::vector<std::string> reports = result->RaceReports();
   out << scenario->name << ": " << scenario->description << "\n";
-  out << result.options.trials << " trial(s), "
-      << result.TotalCounter("race_accesses_checked")
+  out << result->options.trials << " trial(s), "
+      << result->TotalCounter("race_accesses_checked")
       << " shared accesses checked across "
-      << result.TotalCounter("race_cells_tracked") << " cell(s)\n";
+      << result->TotalCounter("race_cells_tracked") << " cell(s)\n";
   if (reports.empty()) {
     out << "no data races\n";
   } else {
@@ -108,30 +68,23 @@ int RunRacesCommand(const std::vector<std::string>& args, std::ostream& out,
     }
   }
 
-  if (!json_path.empty()) {
+  if (cmd.flags.count("--json=") != 0) {
     osjson::Value doc = osjson::Value::Object();
     doc.Set("schema", osjson::Value::Str("osprof-races-v1"));
     doc.Set("scenario", osjson::Value::Str(scenario->name));
-    doc.Set("trials", osjson::Value::Int(result.options.trials));
+    doc.Set("trials", osjson::Value::Int(result->options.trials));
     doc.Set("races_found", osjson::Value::Bool(!reports.empty()));
-    osjson::Value report_array = osjson::Value::Array();
-    for (const std::string& report : reports) {
-      report_array.Append(osjson::Value::Str(report));
-    }
-    doc.Set("reports", std::move(report_array));
+    doc.Set("reports", osjson::Value::Strings(reports));
     osjson::Value counters = osjson::Value::Object();
     for (const char* name : {"race_reports", "race_racy_accesses",
                              "race_accesses_checked", "race_cells_tracked"}) {
-      counters.Set(name, osjson::Value::Uint(result.TotalCounter(name)));
+      counters.Set(name, osjson::Value::Uint(result->TotalCounter(name)));
     }
     doc.Set("counters", std::move(counters));
-    std::ofstream json(json_path);
-    if (!json) {
-      err << "osprof_tool races: cannot write " << json_path << "\n";
+    if (!cmd.WriteFlagFile("--json=",
+                           [&doc](std::ostream& os) { os << doc.Dump(); })) {
       return 2;
     }
-    json << doc.Dump();
-    out << "wrote " << json_path << "\n";
   }
   return reports.empty() ? 0 : 3;
 }

@@ -1,16 +1,12 @@
 #include "src/tools/run_command.h"
 
 #include <cstdio>
-#include <exception>
-#include <fstream>
-#include <map>
-#include <optional>
 #include <string>
 
 #include "src/core/clock.h"
-#include "src/core/layered.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
+#include "src/tools/scenario_front_end.h"
 
 namespace ostools {
 namespace {
@@ -25,97 +21,39 @@ constexpr const char* kRunUsage =
     "               the layered decomposition to PREFIX.layers when any\n"
     "               layer recorded one\n";
 
-// Parses "--flag=value"; returns nullopt if arg doesn't start with prefix.
-std::optional<std::string> FlagValue(const std::string& arg,
-                                     const std::string& prefix) {
-  if (arg.rfind(prefix, 0) != 0) {
-    return std::nullopt;
-  }
-  return arg.substr(prefix.size());
-}
-
-int ListScenarios(std::ostream& out) {
-  const osrunner::ScenarioRegistry& registry = osrunner::BuiltinScenarios();
-  for (const std::string& name : registry.Names()) {
-    const osrunner::Scenario* s = registry.Find(name);
-    char line[200];
-    std::snprintf(line, sizeof(line), "  %-16s %s\n", name.c_str(),
-                  s->description.c_str());
-    out << line;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int RunRunCommand(const std::vector<std::string>& args, std::ostream& out,
                   std::ostream& err) {
-  std::string scenario_name;
-  osrunner::RunOptions options;
-  std::string out_prefix;
-  for (const std::string& arg : args) {
-    if (arg == "--list") {
-      return ListScenarios(out);
-    } else if (const auto v = FlagValue(arg, "--trials=")) {
-      try {
-        options.trials = std::stoi(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool run: bad --trials value '" << *v << "'\n";
-        return 1;
-      }
-    } else if (const auto v = FlagValue(arg, "--jobs=")) {
-      try {
-        options.jobs = std::stoi(*v);
-      } catch (const std::exception&) {
-        err << "osprof_tool run: bad --jobs value '" << *v << "'\n";
-        return 1;
-      }
-    } else if (const auto v = FlagValue(arg, "--out=")) {
-      out_prefix = *v;
-    } else if (!arg.empty() && arg[0] == '-') {
-      err << "osprof_tool run: unknown flag '" << arg << "'\n" << kRunUsage;
-      return 1;
-    } else if (scenario_name.empty()) {
-      scenario_name = arg;
-    } else {
-      err << kRunUsage;
-      return 1;
-    }
-  }
-  if (scenario_name.empty()) {
-    err << kRunUsage;
+  ScenarioFrontEnd cmd({.name = "run",
+                        .usage = kRunUsage,
+                        .flags = {"--list", "--out="},
+                        .stop = "--list",
+                        .unknown_scenario_exit = 1,
+                        .list_when_unknown = true},
+                       out, err);
+  if (!cmd.Parse(args)) {
     return 1;
   }
-  const osrunner::Scenario* scenario =
-      osrunner::BuiltinScenarios().Find(scenario_name);
-  if (scenario == nullptr) {
-    err << "osprof_tool run: unknown scenario '" << scenario_name
-        << "'; available:\n";
-    ListScenarios(err);
-    return 1;
+  if (cmd.flags.count("--list") != 0) {
+    ListScenarios(out);
+    return 0;
   }
-  if (options.trials <= 0) {
-    err << "osprof_tool run: --trials must be positive\n";
-    return 1;
+  const std::optional<osrunner::RunResult> result = cmd.Run();
+  if (!result) {
+    return cmd.status;
   }
-
-  osrunner::RunResult result;
-  try {
-    result = osrunner::RunScenario(*scenario, options);
-  } catch (const std::exception& e) {
-    err << "osprof_tool run: " << e.what() << "\n";
-    return 2;
-  }
+  const osrunner::Scenario* scenario = cmd.scenario;
 
   out << scenario->name << ": " << scenario->description << "\n";
   char line[200];
   std::snprintf(line, sizeof(line),
                 "%d trial(s) on %d job(s) in %.3f s wall (base seed %llu)\n",
-                result.options.trials, result.options.jobs,
-                result.wall_seconds,
+                result->options.trials, result->options.jobs,
+                result->wall_seconds,
                 static_cast<unsigned long long>(scenario->kernel.seed));
   out << line;
-  for (const osrunner::TrialResult& t : result.trials) {
+  for (const osrunner::TrialResult& t : result->trials) {
     std::snprintf(line, sizeof(line),
                   "  trial %d: seed %llu, %s simulated, %.3f s wall\n",
                   t.trial, static_cast<unsigned long long>(t.seed),
@@ -125,40 +63,20 @@ int RunRunCommand(const std::vector<std::string>& args, std::ostream& out,
                   t.wall_seconds);
     out << line;
   }
-
-  for (const auto& [layer, lr] : result.layers) {
-    out << "\n[" << layer << "] merged over " << result.options.trials
+  for (const auto& [layer, lr] : result->layers) {
+    out << "\n[" << layer << "] merged over " << result->options.trials
         << " trial(s):\n";
-    out << osrunner::RenderDispersion(lr, result.options.trials);
-    if (!out_prefix.empty()) {
-      const std::string path = out_prefix + "." + layer + ".prof";
-      std::ofstream file(path);
-      if (!file) {
-        err << "osprof_tool run: cannot write " << path << "\n";
-        return 2;
-      }
-      lr.merged.Serialize(file);
-      out << "wrote " << path << "\n";
-    }
+    out << osrunner::RenderDispersion(lr, result->options.trials);
   }
 
-  if (!out_prefix.empty()) {
-    std::map<std::string, osprof::LayeredProfileSet> layered;
-    for (const auto& [layer, lr] : result.layers) {
-      if (!lr.layered.empty()) {
-        layered.emplace(layer, lr.layered);
-      }
-    }
-    if (!layered.empty()) {
-      const std::string path = out_prefix + ".layers";
-      std::ofstream file(path);
-      if (!file) {
-        err << "osprof_tool run: cannot write " << path << "\n";
-        return 2;
-      }
-      osprof::SerializeLayers(layered, file);
-      out << "wrote " << path << "\n";
-    }
+  const std::string prefix = cmd.Value("--out=");
+  if (!prefix.empty() &&
+      !cmd.WriteProfiles(*result, prefix,
+                         [&out](const std::string& path, std::size_t,
+                                const char*) {
+                           out << "wrote " << path << "\n";
+                         })) {
+    return 2;
   }
   return 0;
 }

@@ -1,0 +1,82 @@
+// The front end the scenario commands (run, gate, layers, races) share:
+// one argument loop, one scenario lookup, one run-and-catch and one file
+// writer.  Where the commands differ is data in their ScenarioCommandSpec.
+
+#ifndef OSPROF_SRC_TOOLS_SCENARIO_FRONT_END_H_
+#define OSPROF_SRC_TOOLS_SCENARIO_FRONT_END_H_
+
+#include <cstddef>
+#include <functional>
+#include <map>
+#include <optional>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "src/core/layered.h"
+#include "src/runner/runner.h"
+#include "src/runner/scenario.h"
+
+namespace ostools {
+
+struct ScenarioCommandSpec {
+  std::string name;   // The subcommand; prefixes every message.
+  const char* usage;  // Printed on a usage error.
+  // The command's own flags: "--x=" takes a value, "--x" is a switch.
+  std::vector<std::string> flags;
+  std::string stop;  // A switch that ends the argument loop ("" for none).
+  int unknown_scenario_exit;  // The exit code for an unknown name.
+  bool list_when_unknown;     // Also name the registered scenarios.
+};
+
+struct ScenarioFrontEnd {
+  ScenarioFrontEnd(ScenarioCommandSpec spec, std::ostream& out,
+                   std::ostream& err);
+
+  // The spec's flags, --trials/--jobs (strict integers) and at most one
+  // positional scenario name.  False after printing a usage error.
+  bool Parse(const std::vector<std::string>& args);
+  // Every value `flag` was given, in order; Value() is the last, or "".
+  const std::vector<std::string>& Values(const std::string& flag) const;
+  std::string Value(const std::string& flag) const;
+
+  // Looks the scenario up and runs it, after `adjust` edits a copy.  On
+  // nullopt the reason is printed and `status` is the exit code.
+  std::optional<osrunner::RunResult> Run(
+      const std::function<void(osrunner::Scenario&)>& adjust = {});
+
+  // Writes the file that `flag` names, if it was given, and reports it.
+  bool WriteFlagFile(const std::string& flag,
+                     const std::function<void(std::ostream&)>& write) const;
+  // PREFIX.<layer>.prof per merged layer, then PREFIX.layers when any
+  // layer has a decomposition; `wrote(path, entries, "ops"|"layers")`.
+  bool WriteProfiles(
+      const osrunner::RunResult& result, const std::string& prefix,
+      const std::function<void(const std::string&, std::size_t,
+                               const char*)>& wrote) const;
+  // Hands `path`, opened for writing, to `write`; false after printing
+  // that it cannot be written.
+  bool Write(const std::string& path,
+             const std::function<void(std::ostream&)>& write) const;
+
+  ScenarioCommandSpec spec;
+  std::ostream& out;
+  std::ostream& err;
+  std::string scenario_name;
+  osrunner::RunOptions options;
+  // The spec's flags as given: every value in order ("" for a switch).
+  std::map<std::string, std::vector<std::string>> flags;
+  const osrunner::Scenario* scenario = nullptr;  // Set by Run().
+  int status = 1;
+};
+
+// "  <name> <description>" for every registered scenario.
+void ListScenarios(std::ostream& out);
+
+// The merged layered decomposition of every layer that recorded one.
+std::map<std::string, osprof::LayeredProfileSet> MergedLayers(
+    const osrunner::RunResult& result);
+
+}  // namespace ostools
+
+#endif  // OSPROF_SRC_TOOLS_SCENARIO_FRONT_END_H_

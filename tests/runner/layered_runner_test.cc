@@ -116,8 +116,7 @@ TEST(LayeredRunnerTest, LayeredCountsMatchProfileHistograms) {
 TEST(LayeredRunnerTest, Fig07ReaddirPeaksSplitIntoSelfAndDriver) {
   RunOptions options;
   options.trials = 1;
-  const RunResult result =
-      RunScenario(Builtin("fig07_readdir_peaks"), options);
+  const RunResult result = RunScenario(Builtin("fig07"), options);
   const auto fs = result.layers.find("fs");
   ASSERT_NE(fs, result.layers.end());
   const osprof::LayeredProfile* layered = fs->second.layered.Find("readdir");

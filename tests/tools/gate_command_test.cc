@@ -11,6 +11,7 @@
 
 #include "src/core/histogram.h"
 #include "src/core/profile.h"
+#include "src/runner/scenario.h"
 
 namespace ostools {
 namespace {
@@ -72,6 +73,8 @@ TEST_F(GateCommandTest, UsageErrors) {
   EXPECT_EQ(Run({kScenario, "--raters=emd,bogus"}), 1);
   EXPECT_NE(err_.str().find("unknown rater"), std::string::npos);
   EXPECT_EQ(Run({kScenario, "--trials=0"}), 1);
+  EXPECT_EQ(Run({kScenario, "--trials=2x"}), 1);
+  EXPECT_NE(err_.str().find("bad --trials value '2x'"), std::string::npos);
   EXPECT_EQ(Run({kScenario, "--no-such-flag"}), 1);
 }
 
@@ -240,18 +243,26 @@ TEST_F(GateCommandTest, MissingLayersBaselineExits2) {
   EXPECT_NE(err_.str().find(".layers"), std::string::npos);
 }
 
-// The committed corpus under tests/golden/ must pass: this is the same
-// invariant the CI gate job enforces, checked here so `ctest` catches a
-// stale golden before a push does.
-TEST_F(GateCommandTest, CommittedGoldenCorpusPasses) {
-  const std::string golden_dir = std::string(OSPROF_SOURCE_DIR) +
-                                 "/tests/golden/";
-  for (const char* scenario : {"fig01", "fig06"}) {
-    EXPECT_EQ(Run({scenario, "--baseline=" + golden_dir + scenario}), 0)
-        << scenario << ":\n"
-        << out_.str() << err_.str();
-  }
+// The committed corpus under tests/golden/ must pass for every registered
+// scenario: this is the same invariant the CI gate job enforces, checked
+// here so `ctest` catches a stale or missing golden before a push does.
+// scale_1m runs in the slow tier (tests/CMakeLists.txt).
+class GoldenCorpusTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GoldenCorpusTest, CommittedGoldenPasses) {
+  const std::string scenario = GetParam();
+  const std::string golden =
+      std::string(OSPROF_SOURCE_DIR) + "/tests/golden/" + scenario;
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(RunGateCommand({scenario, "--baseline=" + golden}, out, err), 0)
+      << out.str() << err.str();
 }
+
+INSTANTIATE_TEST_SUITE_P(Registry, GoldenCorpusTest,
+                         ::testing::ValuesIn(
+                             osrunner::BuiltinScenarios().Names()),
+                         [](const auto& info) { return info.param; });
 
 // The [races] verdict: a seeded fixture must race -- and that is its
 // passing state -- a clean scenario must not, and --no-races skips the

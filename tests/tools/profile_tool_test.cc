@@ -193,6 +193,12 @@ TEST_F(ProfileToolTest, GridAndPlot3DRenderSampledFiles) {
   EXPECT_NE(out_.str().find("Elapsed time"), std::string::npos);
   EXPECT_EQ(Run({"grid", path, "ghost"}), 0);  // Missing op: "(no data)".
   EXPECT_NE(out_.str().find("no data"), std::string::npos);
+  // Bounds must be whole integers; out-of-range ones are clipped.
+  EXPECT_EQ(Run({"grid", path, "read", "abc", "def"}), 1);
+  EXPECT_NE(err_.str().find("usage:"), std::string::npos);
+  EXPECT_EQ(Run({"grid", path, "read", "5", "25x"}), 1);
+  EXPECT_EQ(Run({"grid", path, "read", "-5", "9999"}), 0);
+  EXPECT_NE(out_.str().find("epoch 0"), std::string::npos);
   std::remove(path.c_str());
 }
 

@@ -51,6 +51,7 @@ TEST_F(RacesCommandTest, HelpAndUsageErrors) {
   EXPECT_NE(err_.str().find("usage:"), std::string::npos);
   EXPECT_EQ(Run({"race_fixture_counter", "--no-such-flag"}), 1);
   EXPECT_EQ(Run({"race_fixture_counter", "--trials=abc"}), 1);
+  EXPECT_EQ(Run({"race_fixture_counter", "--trials=2x"}), 1);
   EXPECT_EQ(Run({"race_fixture_counter", "--trials=0"}), 1);
   EXPECT_EQ(Run({"two", "scenarios"}), 1);
 }

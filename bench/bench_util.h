@@ -16,11 +16,14 @@
 #endif
 
 #include "src/core/clock.h"
+#include "src/core/histogram.h"
 #include "src/core/jsonw.h"
 #include "src/core/peaks.h"
+#include "src/core/preemption.h"
 #include "src/core/prior.h"
 #include "src/core/report.h"
 #include "src/runner/runner.h"
+#include "src/runner/scenario.h"
 
 namespace osbench {
 
@@ -67,6 +70,45 @@ inline void ShowDispersion(const osrunner::RunResult& result,
   std::printf("\n--- Cross-trial dispersion [%s] ---\n%s", layer.c_str(),
               osrunner::RenderDispersion(it->second, result.options.trials)
                   .c_str());
+}
+
+// The requests a zero-byte-read profile shows as preempted (§3.3): those
+// from the bucket below quantum Q's up, since a preempted request waits
+// out about Q.
+inline std::uint64_t PreemptedTail(const osprof::Histogram& h,
+                                   osprof::Cycles quantum) {
+  std::uint64_t n = 0;
+  for (int b = osprof::PreemptionBucket(static_cast<double>(quantum)) - 1;
+       b < h.num_buckets(); ++b) {
+    n += h.bucket(b);
+  }
+  return n;
+}
+
+// Figure 10's grep -r over CIFS (§6.4), client and server on one 4-CPU
+// box.  Every directory holds 100 files, so a Find transaction takes
+// several batches and a Windows client stalls on delayed ACKs between
+// them.  SimRace stays off: these machines never tracked races, and
+// tracking the CIFS caches multiplies the host time many times over.
+inline osrunner::Scenario CifsGrep(std::uint64_t seed,
+                                   osnet::ClientOs client_os,
+                                   bool delayed_ack) {
+  osrunner::Scenario s;
+  s.kernel.num_cpus = 4;
+  s.kernel.seed = seed;
+  s.track_races = false;
+  osrunner::GrepSpec grep;
+  grep.root = "/export";
+  grep.tree.top_dirs = 6;
+  grep.tree.subdirs_per_dir = 2;
+  grep.tree.depth = 1;
+  grep.tree.files_per_dir = 100;
+  grep.tree.median_file_bytes = 30'000;
+  grep.over_cifs = true;
+  grep.cifs.client_os = client_os;
+  grep.cifs.client_delayed_ack = delayed_ack;
+  s.workload = grep;
+  return s;
 }
 
 // Peak resident set size of this process, in bytes (0 where the platform

@@ -35,14 +35,6 @@ osrunner::RunResult RunZeroByteReads(const char* scenario_name,
   return result;
 }
 
-std::uint64_t TailCount(const osprof::Histogram& h, int from_bucket) {
-  std::uint64_t n = 0;
-  for (int b = from_bucket; b < h.num_buckets(); ++b) {
-    n += h.bucket(b);
-  }
-  return n;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,8 +65,9 @@ int main(int argc, char** argv) {
 
   osbench::Section("Equation 3 validation");
   const int q_bucket = osprof::PreemptionBucket(static_cast<double>(kQuantum));
-  const std::uint64_t measured = TailCount(preemptive, q_bucket - 1);
-  const std::uint64_t measured_np = TailCount(nonpreemptive, q_bucket - 1);
+  const std::uint64_t measured = osbench::PreemptedTail(preemptive, kQuantum);
+  const std::uint64_t measured_np =
+      osbench::PreemptedTail(nonpreemptive, kQuantum);
   // The Eq. 3 expectation needs the pure tcpu distribution, which is what
   // the non-preemptive profile records.
   const double expected = osprof::ExpectedPreemptedRequests(

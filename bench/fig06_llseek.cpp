@@ -8,41 +8,25 @@
 // drops the mean from ~400 to ~120 cycles (a 70% reduction).  The
 // automated analyzer is also run, as in the paper, to show it flags
 // llseek on its own.
+//
+// All three runs are the registered fig06 scenario -- the Figure 6 the
+// gate guards -- as registered, with one process, and patched.
 
 #include <cstdio>
+#include <variant>
 
 #include "bench/bench_util.h"
 #include "src/core/analysis.h"
-#include "src/fs/ext2fs.h"
-#include "src/profilers/sim_profiler.h"
-#include "src/sim/disk.h"
-#include "src/sim/kernel.h"
-#include "src/workloads/workloads.h"
+#include "src/runner/runner.h"
+#include "src/runner/scenario.h"
 
 namespace {
 
-constexpr int kIterations = 2'000;
-
-osprof::ProfileSet RunRandomRead(int processes, bool patched) {
-  osim::KernelConfig kcfg;
-  kcfg.num_cpus = 2;
-  kcfg.seed = 1234;
-  osim::Kernel kernel(kcfg);
-  osim::SimDisk disk(&kernel);
-  osfs::Ext2Config fcfg;
-  fcfg.llseek_takes_i_sem = !patched;
-  osfs::Ext2SimFs fs(&kernel, &disk, fcfg);
-  fs.AddFile("/data", 64ull << 20);
-  osprofilers::SimProfiler profiler(&kernel);
-  fs.SetProfiler(&profiler);
-  for (int p = 0; p < processes; ++p) {
-    kernel.Spawn("proc" + std::to_string(p),
-                 osworkloads::RandomReadWorkload(&kernel, &fs, "/data",
-                                                 kIterations,
-                                                 /*seed=*/100 + p));
-  }
-  kernel.RunUntilThreadsFinish();
-  return profiler.profiles();
+osprof::ProfileSet RunFig06(int processes, bool patched) {
+  osrunner::Scenario s = *osrunner::BuiltinScenarios().Find("fig06");
+  std::get<osrunner::RandomReadSpec>(s.workload).processes = processes;
+  s.fs.llseek_takes_i_sem = !patched;
+  return osrunner::RunTrial(s, 0).layers.at("fs");
 }
 
 double ContentionRate(const osprof::Histogram& llseek) {
@@ -61,9 +45,9 @@ int main() {
   osbench::Header("Figure 6: llseek under random O_DIRECT reads (§6.1)");
   osbench::JsonReport report("fig06_llseek");
 
-  const osprof::ProfileSet two = RunRandomRead(2, /*patched=*/false);
-  const osprof::ProfileSet one = RunRandomRead(1, /*patched=*/false);
-  const osprof::ProfileSet patched = RunRandomRead(2, /*patched=*/true);
+  const osprof::ProfileSet two = RunFig06(2, /*patched=*/false);
+  const osprof::ProfileSet one = RunFig06(1, /*patched=*/false);
+  const osprof::ProfileSet patched = RunFig06(2, /*patched=*/true);
   report.AddOps(two.TotalOperations());
   report.AddOps(one.TotalOperations());
   report.AddOps(patched.TotalOperations());

@@ -12,74 +12,30 @@
 
 #include "bench/bench_util.h"
 #include "src/core/analysis.h"
-#include "src/fs/ext2fs.h"
 #include "src/net/cifs.h"
-#include "src/profilers/sim_profiler.h"
-#include "src/sim/disk.h"
-#include "src/sim/kernel.h"
-#include "src/workloads/workloads.h"
-
-namespace {
-
-struct RunResult {
-  osprof::ProfileSet profiles{1};
-  double elapsed_s = 0.0;
-  std::uint64_t stalls = 0;
-};
-
-RunResult RunGrepOverCifs(osnet::ClientOs client_os, bool delayed_ack) {
-  osim::KernelConfig kcfg;
-  kcfg.num_cpus = 4;  // Client and server machines.
-  kcfg.seed = 77;
-  osim::Kernel kernel(kcfg);
-  osim::SimDisk disk(&kernel);
-  osfs::Ext2SimFs server_fs(&kernel, &disk);
-  osworkloads::TreeSpec spec;
-  spec.top_dirs = 6;
-  spec.subdirs_per_dir = 2;
-  spec.depth = 1;
-  spec.files_per_dir = 100;
-  spec.median_file_bytes = 30'000;
-  osworkloads::BuildSourceTree(&server_fs, "/export", spec);
-
-  osnet::CifsConfig ccfg;
-  ccfg.client_os = client_os;
-  ccfg.client_delayed_ack = delayed_ack;
-  osnet::CifsMount mount(&kernel, &server_fs, ccfg);
-  osprofilers::SimProfiler profiler(&kernel);
-  mount.SetProfiler(&profiler);
-
-  osworkloads::GrepStats stats;
-  const osprof::Cycles start = kernel.now();
-  kernel.Spawn("grep", osworkloads::GrepWorkload(&kernel, &mount, "/export",
-                                                 0.5, &stats));
-  kernel.RunUntilThreadsFinish();
-  RunResult r;
-  r.profiles = profiler.profiles();
-  r.elapsed_s =
-      static_cast<double>(kernel.now() - start) / osprof::kPaperCpuHz;
-  r.stalls = mount.client_ack_policy().delayed_acks_fired();
-  return r;
-}
-
-}  // namespace
+#include "src/runner/runner.h"
 
 int main() {
   osbench::Header("Figure 10: CIFS client profiles under grep (§6.4)");
   osbench::JsonReport report("fig10_cifs_profiles");
 
-  const RunResult windows =
-      RunGrepOverCifs(osnet::ClientOs::kWindows, /*delayed_ack=*/true);
-  const RunResult linux =
-      RunGrepOverCifs(osnet::ClientOs::kLinux, /*delayed_ack=*/true);
-  report.AddOps(windows.profiles.TotalOperations() +
-                linux.profiles.TotalOperations());
-  report.WriteProfileSet(windows.profiles, "windows");
-  report.WriteProfileSet(linux.profiles, "linux");
+  const osrunner::TrialResult windows = osrunner::RunTrial(
+      osbench::CifsGrep(77, osnet::ClientOs::kWindows, /*delayed_ack=*/true),
+      0);
+  const osrunner::TrialResult linux = osrunner::RunTrial(
+      osbench::CifsGrep(77, osnet::ClientOs::kLinux, /*delayed_ack=*/true), 0);
+  const osprof::ProfileSet& windows_profiles = windows.layers.at("cifs");
+  const osprof::ProfileSet& linux_profiles = linux.layers.at("cifs");
+  const std::uint64_t windows_stalls = windows.counters.at("delayed_acks");
+  const std::uint64_t linux_stalls = linux.counters.at("delayed_acks");
+  report.AddOps(windows_profiles.TotalOperations() +
+                linux_profiles.TotalOperations());
+  report.WriteProfileSet(windows_profiles, "windows");
+  report.WriteProfileSet(linux_profiles, "linux");
 
   osbench::Section("Windows client: FIND_FIRST / FIND_NEXT / READ");
   for (const char* op : {"findfirst", "findnext", "read"}) {
-    const osprof::Profile* p = windows.profiles.Find(op);
+    const osprof::Profile* p = windows_profiles.Find(op);
     if (p != nullptr) {
       osbench::ShowProfile(*p);
     }
@@ -87,7 +43,7 @@ int main() {
 
   osbench::Section("Linux client (layered comparison): FIND ops");
   for (const char* op : {"findfirst", "findnext"}) {
-    const osprof::Profile* p = linux.profiles.Find(op);
+    const osprof::Profile* p = linux_profiles.Find(op);
     if (p != nullptr) {
       osbench::ShowProfile(*p);
     }
@@ -95,11 +51,11 @@ int main() {
 
   osbench::Section("Automated analysis: Windows vs Linux client profile sets");
   const osprof::AnalysisReport report_analysis =
-      osprof::CompareProfileSets(windows.profiles, linux.profiles);
+      osprof::CompareProfileSets(windows_profiles, linux_profiles);
   std::printf("%s", report_analysis.Summary().c_str());
 
   osbench::Section("Paper-vs-measured checks");
-  const osprof::Histogram& ff = windows.profiles.Find("findfirst")->histogram();
+  const osprof::Histogram& ff = windows_profiles.Find("findfirst")->histogram();
   std::uint64_t stall_peak = 0;
   for (int b = 26; b <= 30; ++b) {
     stall_peak += ff.bucket(b);
@@ -108,12 +64,12 @@ int main() {
               "(paper: the dominant Find peaks live there)\n",
               static_cast<unsigned long long>(stall_peak),
               static_cast<unsigned long long>(ff.TotalOperations()));
-  const osprof::Profile* lff = linux.profiles.Find("findfirst");
+  const osprof::Profile* lff = linux_profiles.Find("findfirst");
   std::printf("  Linux FindFirst max bucket: %d (paper: no 26-30 peaks)\n",
               lff->histogram().LastNonEmpty());
 
   // The local/remote boundary for reads.
-  const osprof::Histogram& rd = windows.profiles.Find("read")->histogram();
+  const osprof::Histogram& rd = windows_profiles.Find("read")->histogram();
   std::uint64_t local = 0;
   std::uint64_t remote = 0;
   for (int b = 0; b < rd.num_buckets(); ++b) {
@@ -125,16 +81,20 @@ int main() {
               static_cast<unsigned long long>(remote));
   std::printf("  Windows 200ms stalls: %llu; Linux: %llu (paper: only the "
               "Windows client stalls)\n",
-              static_cast<unsigned long long>(windows.stalls),
-              static_cast<unsigned long long>(linux.stalls));
-  std::printf("  elapsed: Windows %.2fs vs Linux %.2fs\n", windows.elapsed_s,
-              linux.elapsed_s);
+              static_cast<unsigned long long>(windows_stalls),
+              static_cast<unsigned long long>(linux_stalls));
+  const double windows_elapsed_s =
+      static_cast<double>(windows.sim_cycles) / osprof::kPaperCpuHz;
+  const double linux_elapsed_s =
+      static_cast<double>(linux.sim_cycles) / osprof::kPaperCpuHz;
+  std::printf("  elapsed: Windows %.2fs vs Linux %.2fs\n", windows_elapsed_s,
+              linux_elapsed_s);
   report.Check("windows_find_stall_peak", stall_peak > 0);
   report.Check("linux_no_stall_peak", lff->histogram().LastNonEmpty() < 26);
   report.Check("only_windows_client_stalls",
-               windows.stalls > 0 && linux.stalls == 0);
-  report.Metric("windows_elapsed_s", windows.elapsed_s);
-  report.Metric("linux_elapsed_s", linux.elapsed_s);
-  report.Metric("windows_delayed_acks", static_cast<double>(windows.stalls));
+               windows_stalls > 0 && linux_stalls == 0);
+  report.Metric("windows_elapsed_s", windows_elapsed_s);
+  report.Metric("linux_elapsed_s", linux_elapsed_s);
+  report.Metric("windows_delayed_acks", static_cast<double>(windows_stalls));
   return report.Finish();
 }

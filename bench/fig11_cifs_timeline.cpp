@@ -10,10 +10,10 @@
 #include "bench/bench_util.h"
 #include "src/fs/ext2fs.h"
 #include "src/net/cifs.h"
+#include "src/runner/runner.h"
 #include "src/sim/disk.h"
 #include "src/sim/kernel.h"
 #include "src/sim/task.h"
-#include "src/workloads/workloads.h"
 
 namespace {
 
@@ -55,28 +55,9 @@ void TraceOneTransaction(osnet::ClientOs client_os, const char* title) {
 }
 
 double GrepElapsed(bool delayed_ack) {
-  osim::KernelConfig kcfg;
-  kcfg.num_cpus = 4;
-  kcfg.seed = 13;
-  osim::Kernel kernel(kcfg);
-  osim::SimDisk disk(&kernel);
-  osfs::Ext2SimFs server_fs(&kernel, &disk);
-  osworkloads::TreeSpec spec;
-  spec.top_dirs = 6;
-  spec.subdirs_per_dir = 2;
-  spec.depth = 1;
-  spec.files_per_dir = 100;
-  spec.median_file_bytes = 30'000;
-  osworkloads::BuildSourceTree(&server_fs, "/export", spec);
-  osnet::CifsConfig ccfg;
-  ccfg.client_os = osnet::ClientOs::kWindows;
-  ccfg.client_delayed_ack = delayed_ack;
-  osnet::CifsMount mount(&kernel, &server_fs, ccfg);
-  osworkloads::GrepStats stats;
-  kernel.Spawn("grep", osworkloads::GrepWorkload(&kernel, &mount, "/export",
-                                                 0.5, &stats));
-  kernel.RunUntilThreadsFinish();
-  return static_cast<double>(kernel.now()) / osprof::kPaperCpuHz;
+  const osrunner::TrialResult grep = osrunner::RunTrial(
+      osbench::CifsGrep(13, osnet::ClientOs::kWindows, delayed_ack), 0);
+  return static_cast<double>(grep.sim_cycles) / osprof::kPaperCpuHz;
 }
 
 }  // namespace

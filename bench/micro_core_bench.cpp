@@ -7,10 +7,10 @@
 //
 // Besides the google-benchmark suite, main() times the record and Wrap
 // hot paths directly and emits BENCH_micro_core.json (osprof-bench-v1)
-// with ns_per_record_{string,handle}, ns_per_wrap_{string,handle}, and
-// ns_per_wrap_{untracked,tracked} so CI can assert the handle path's
-// speedup (record_handle_speedup_ge_5x) and the lock-order tracker's
-// bound (wrap_tracking_overhead_le_5pct) without scraping stdout.
+// with ns_per_record_{string,handle} and ns_per_wrap_{string,handle} so
+// CI can assert the handle path's speedup (record_handle_speedup_ge_5x)
+// without scraping stdout.  The lock-order tracker's overhead bound
+// (wrap_tracking_overhead_le_5pct) is sim_throughput_bench's check.
 
 #include <benchmark/benchmark.h>
 
@@ -26,7 +26,6 @@
 #include "src/core/profile.h"
 #include "src/profilers/sim_profiler.h"
 #include "src/sim/kernel.h"
-#include "src/sim/sync.h"
 #include "src/sim/task.h"
 
 namespace {
@@ -281,47 +280,9 @@ double MeasureWrap(bool use_handle) {
   return timer.Nanos() / kWrapIters;
 }
 
-osim::Task<int> LockedWork(osim::Kernel* k, osim::SimSpinlock* lock) {
-  co_await lock->Lock();
-  lock->Unlock();
-  co_await k->Cpu(0);
-  co_return 0;
-}
-
-osim::Task<void> WrapLockedLoop(osim::Kernel* k,
-                                osprofilers::SimProfiler* prof,
-                                osprof::ProbeHandle op,
-                                osim::SimSpinlock* lock) {
-  for (int i = 0; i < kWrapIters; ++i) {
-    (void)co_await prof->Wrap(op, LockedWork(k, lock));
-  }
-}
-
-// ns/Wrap with the lock-order tracker on vs off.  Each op acquires one
-// spinlock.  Held-lock stacks are maintained unconditionally (they are
-// sync-primitive state, so enabling the tracker mid-run is sound); the
-// enabled flag gates only edge recording at nested acquisitions, of
-// which this op has none, so the check bounds what *enabling* the
-// tracker adds to a flat lock op at 5% of the Wrap round trip.
-double MeasureWrapTracking(bool track_locks) {
-  osim::KernelConfig cfg;
-  cfg.num_cpus = 1;
-  cfg.context_switch_cost = 0;
-  cfg.timer_tick_period = 0;
-  osim::Kernel k(cfg);
-  k.lock_order().set_enabled(track_locks);
-  osprofilers::SimProfiler prof(&k);
-  const osprof::ProbeHandle op = prof.Resolve("fs_read");
-  osim::SimSpinlock lock(&k, "bench_lock");
-  k.Spawn("bench", WrapLockedLoop(&k, &prof, op, &lock));
-  const osprof::WallTimer timer;
-  k.RunUntilThreadsFinish();
-  return timer.Nanos() / kWrapIters;
-}
-
 // Wall-clock timing jitters badly in CI; each checked metric is the
 // minimum over several runs, which estimates the uncontended cost and
-// keeps a 5% bound honest.
+// keeps the speedup check honest.
 template <typename F>
 double BestOf(int n, F measure) {
   double best = measure();
@@ -362,59 +323,19 @@ int EmitJsonReport() {
                 ns_wrap_handle > 0.0 ? ns_wrap_string / ns_wrap_handle
                                      : 0.0);
 
-  // The two variants alternate round by round -- and swap order every
-  // round, so periodic machine noise cannot correlate with either one's
-  // position in the pair.  Each reports its minimum (noise here is
-  // strictly additive), and the check compares the floors.  Rounds are
-  // adaptive: floors only descend, so when an external burst perturbs
-  // the early rounds the bench keeps measuring until the ratio
-  // stabilizes or the cap is hit; a genuine regression converges to its
-  // true (failing) value instead.
-  constexpr int kMinTrackRounds = 9;
-  constexpr int kMaxTrackRounds = 45;
-  double ns_wrap_untracked = 0.0;
-  double ns_wrap_tracked = 0.0;
-  int track_rounds = 0;
-  while (track_rounds < kMaxTrackRounds) {
-    const bool tracked_first = (track_rounds & 1) != 0;
-    const double first = MeasureWrapTracking(/*track_locks=*/tracked_first);
-    const double second = MeasureWrapTracking(/*track_locks=*/!tracked_first);
-    const double untracked = tracked_first ? second : first;
-    const double tracked = tracked_first ? first : second;
-    if (track_rounds == 0 || untracked < ns_wrap_untracked) {
-      ns_wrap_untracked = untracked;
-    }
-    if (track_rounds == 0 || tracked < ns_wrap_tracked) {
-      ns_wrap_tracked = tracked;
-    }
-    ++track_rounds;
-    if (track_rounds >= kMinTrackRounds &&
-        ns_wrap_tracked <= 1.05 * ns_wrap_untracked) {
-      break;
-    }
-  }
-  report.AddOps(2 * track_rounds * static_cast<std::uint64_t>(kWrapIters));
-  report.Metric("ns_per_wrap_untracked", ns_wrap_untracked);
-  report.Metric("ns_per_wrap_tracked", ns_wrap_tracked);
-
   std::printf("record: %.1f ns string-keyed, %.1f ns handle (%.1fx)\n",
               ns_record_string, ns_record_handle, record_speedup);
   std::printf("wrap:   %.1f ns string-keyed, %.1f ns handle\n",
               ns_wrap_string, ns_wrap_handle);
-  std::printf("wrap:   %.1f ns untracked, %.1f ns lock-order tracked\n",
-              ns_wrap_untracked, ns_wrap_tracked);
   const bool record_ok =
       report.Check("record_handle_speedup_ge_5x", record_speedup >= 5.0);
-  const bool track_ok =
-      report.Check("wrap_tracking_overhead_le_5pct",
-                   ns_wrap_tracked <= 1.05 * ns_wrap_untracked);
   const int rc = report.Finish();
   if (rc != 0) {
     return rc;
   }
-  // This bench carries regression checks; a failed check must fail the
+  // This bench carries a regression check; a failed check must fail the
   // process (CI's bench step relies on the exit code).
-  return record_ok && track_ok ? 0 : 1;
+  return record_ok ? 0 : 1;
 }
 
 }  // namespace

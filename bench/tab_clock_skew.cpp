@@ -12,37 +12,27 @@
 
 #include "bench/bench_util.h"
 #include "src/core/compare.h"
-#include "src/fs/ext2fs.h"
-#include "src/profilers/sim_profiler.h"
-#include "src/sim/disk.h"
-#include "src/sim/kernel.h"
-#include "src/workloads/workloads.h"
+#include "src/runner/runner.h"
+#include "src/runner/scenario.h"
 
 namespace {
 
 // Three CPU-bound processes on two CPUs with a small quantum: constant
 // migrations, so probe start/end regularly land on different CPUs.
 osprof::Histogram RunWithSkew(std::int64_t skew_cycles) {
-  osim::KernelConfig kcfg;
-  kcfg.num_cpus = 2;
-  kcfg.quantum = 10'000;  // Aggressive rescheduling: frequent migrations.
-  kcfg.tsc_skew = {0, skew_cycles};
-  kcfg.seed = 21;
-  osim::Kernel kernel(kcfg);
-  osim::SimDisk disk(&kernel);
-  osfs::Ext2Config fcfg;
-  fcfg.cpu_noise_sigma = 0.15;
-  osfs::Ext2SimFs fs(&kernel, &disk, fcfg);
-  fs.AddFile("/probe", 4096);
-  osprofilers::SimProfiler profiler(&kernel);
-  fs.SetProfiler(&profiler);
-  for (int p = 0; p < 3; ++p) {
-    kernel.Spawn("p" + std::to_string(p),
-                 osworkloads::ZeroByteReadWorkload(&kernel, &fs, "/probe",
-                                                   60'000, 600));
-  }
-  kernel.RunUntilThreadsFinish();
-  return profiler.profiles().Find("read")->histogram();
+  osrunner::Scenario s;
+  s.kernel.num_cpus = 2;
+  s.kernel.quantum = 10'000;  // Aggressive rescheduling: frequent migrations.
+  s.kernel.tsc_skew = {0, skew_cycles};
+  s.kernel.seed = 21;
+  s.fs.cpu_noise_sigma = 0.15;
+  osrunner::ZeroByteReadSpec probe;
+  probe.requests = 60'000;
+  probe.user_cycles = 600;
+  probe.processes = 3;
+  s.workload = probe;
+  const osrunner::TrialResult trial = osrunner::RunTrial(s, 0);
+  return trial.layers.at("fs").Find("read")->histogram();
 }
 
 }  // namespace

@@ -14,11 +14,8 @@
 #include "src/core/probe.h"
 #include "src/core/profile.h"
 #include "src/core/sampling.h"
-#include "src/fs/ext2fs.h"
-#include "src/profilers/sim_profiler.h"
-#include "src/sim/disk.h"
-#include "src/sim/kernel.h"
-#include "src/workloads/workloads.h"
+#include "src/runner/runner.h"
+#include "src/runner/scenario.h"
 
 int main() {
   osbench::Header("§5.1: memory usage of the aggregate-stats structures");
@@ -46,22 +43,15 @@ int main() {
   report.Metric("bytes_per_profile", static_cast<double>(per_profile));
 
   osbench::Section("Live profile set from a grep run");
-  osim::KernelConfig kcfg;
-  kcfg.seed = 3;
-  osim::Kernel kernel(kcfg);
-  osim::SimDisk disk(&kernel);
-  osfs::Ext2SimFs fs(&kernel, &disk);
-  osworkloads::TreeSpec spec;
-  spec.top_dirs = 6;
-  osworkloads::BuildSourceTree(&fs, "/src", spec);
-  osprofilers::SimProfiler profiler(&kernel);
-  fs.SetProfiler(&profiler);
-  osworkloads::GrepStats stats;
-  kernel.Spawn("grep",
-               osworkloads::GrepWorkload(&kernel, &fs, "/src", 0.5, &stats));
-  kernel.RunUntilThreadsFinish();
+  osrunner::Scenario grep_run;
+  grep_run.kernel.seed = 3;
+  osrunner::GrepSpec grep;
+  grep.root = "/src";
+  grep.tree.top_dirs = 6;
+  grep_run.workload = grep;
+  const osrunner::TrialResult trial = osrunner::RunTrial(grep_run, 0);
 
-  const osprof::ProfileSet& set = profiler.profiles();
+  const osprof::ProfileSet& set = trial.layers.at("fs");
   std::size_t resident = 0;
   for (const auto& [name, profile] : set) {
     resident += sizeof(profile) + bucket_bytes + name.size();
@@ -77,7 +67,7 @@ int main() {
                            set.CheckConsistency())
                   ? "OK"
                   : "BROKEN");
-  report.AddSimCycles(kernel.now());
+  report.AddSimCycles(trial.sim_cycles);
   report.AddOps(set.TotalOperations());
   report.Metric("resident_profile_bytes", static_cast<double>(resident));
 

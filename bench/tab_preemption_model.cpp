@@ -8,11 +8,8 @@
 
 #include "bench/bench_util.h"
 #include "src/core/preemption.h"
-#include "src/fs/ext2fs.h"
-#include "src/profilers/sim_profiler.h"
-#include "src/sim/disk.h"
-#include "src/sim/kernel.h"
-#include "src/workloads/workloads.h"
+#include "src/runner/runner.h"
+#include "src/runner/scenario.h"
 
 namespace {
 
@@ -21,43 +18,28 @@ struct SimResult {
   std::uint64_t measured = 0;
 };
 
-osprof::Histogram RunReads(osprof::Cycles quantum, std::uint64_t requests,
-                           bool preemptive) {
-  osim::KernelConfig cfg;
-  cfg.num_cpus = 1;
-  cfg.quantum = quantum;
-  cfg.kernel_preemption = preemptive;
-  cfg.timer_tick_period = 0;  // Isolate pure preemption effects.
-  osim::Kernel kernel(cfg);
-  osim::SimDisk disk(&kernel);
-  osfs::Ext2Config fs_cfg;
-  fs_cfg.cpu_noise_sigma = 0.1;
-  osfs::Ext2SimFs fs(&kernel, &disk, fs_cfg);
-  fs.AddFile("/probe", 4096);
-  osprofilers::SimProfiler profiler(&kernel);
-  fs.SetProfiler(&profiler);
-  for (int p = 0; p < 2; ++p) {
-    kernel.Spawn("p" + std::to_string(p),
-                 osworkloads::ZeroByteReadWorkload(&kernel, &fs, "/probe",
-                                                   requests, 120));
-  }
-  kernel.RunUntilThreadsFinish();
-  return profiler.profiles().Find("read")->histogram();
-}
-
+// Eq. 3 against two processes of zero-byte reads on one CPU.
 SimResult ValidateAgainstSim(osprof::Cycles quantum, std::uint64_t requests) {
+  osrunner::Scenario s;
+  s.kernel.num_cpus = 1;
+  s.kernel.quantum = quantum;
+  s.kernel.timer_tick_period = 0;  // Isolate pure preemption effects.
+  s.fs.cpu_noise_sigma = 0.1;
+  osrunner::ZeroByteReadSpec probe;
+  probe.requests = requests;
+  s.workload = probe;
+  const auto reads = [&s](bool preemptive) {
+    s.kernel.kernel_preemption = preemptive;
+    const osrunner::TrialResult trial = osrunner::RunTrial(s, 0);
+    return trial.layers.at("fs").Find("read")->histogram();
+  };
   // The Eq. 3 expectation needs the pure tcpu distribution: compute it
   // from a non-preemptive twin run (at the paper's scale the preempted
   // tail is negligible in the sum; at ours it is not).
-  const osprof::Histogram baseline = RunReads(quantum, requests, false);
-  const osprof::Histogram h = RunReads(quantum, requests, true);
   SimResult r;
-  r.expected = osprof::ExpectedPreemptedRequests(baseline,
+  r.expected = osprof::ExpectedPreemptedRequests(reads(false),
                                                  static_cast<double>(quantum));
-  const int q_bucket = osprof::PreemptionBucket(static_cast<double>(quantum));
-  for (int b = q_bucket - 1; b < h.num_buckets(); ++b) {
-    r.measured += h.bucket(b);
-  }
+  r.measured = osbench::PreemptedTail(reads(true), quantum);
   return r;
 }
 

@@ -20,7 +20,6 @@
 #include "src/core/peaks.h"
 #include "src/core/preemption.h"
 #include "src/net/fabric.h"
-#include "src/profilers/callgraph_profiler.h"
 #include "src/profilers/noise_profiler.h"
 #include "src/profilers/profiler_sink.h"
 #include "src/profilers/sim_profiler.h"
@@ -155,13 +154,10 @@ struct Trial {
     sinks.push_back(&profiler);
   }
 
-  // In-FS instrumentation: the call-graph profiler takes precedence over
-  // the flat SimProfiler, mirroring Ext2SimFs::Profiled.
+  // In-FS instrumentation: the FoSgen-style SimProfiler at the FS
+  // boundary.
   void AttachFsInstrumentation() {
-    if (callgraph.has_value()) {
-      fs.SetCallGraphProfiler(&*callgraph);
-      sinks.push_back(&*callgraph);
-    } else if (scenario.profilers.fs) {
+    if (scenario.profilers.fs) {
       fs.SetProfiler(&profiler);
       sinks.push_back(&profiler);
     }
@@ -177,7 +173,6 @@ struct Trial {
   osim::SimDisk disk;
   osfs::Ext2SimFs fs;
   osprofilers::SimProfiler profiler;
-  std::optional<osprofilers::CallGraphProfiler> callgraph;
   std::optional<osprofilers::DriverProfiler> driver;
   std::vector<osprofilers::ProfilerSink*> sinks;
 };
@@ -202,9 +197,6 @@ Trial::Trial(const Scenario& spec, int trial)
   // SimRace happens-before tracking: same zero-simulated-time contract
   // (src/sim/race_tracker.h); scale scenarios opt out via the spec.
   kernel.races().set_enabled(spec.track_races);
-  if (spec.profilers.callgraph) {
-    callgraph.emplace(&kernel, spec.profilers.resolution);
-  }
   if (spec.profilers.driver) {
     driver.emplace(&kernel, &disk, spec.profilers.resolution);
   }
@@ -273,6 +265,9 @@ void Drive(Trial& t, const GrepSpec& grep) {
       cifs.SetProfiler(&t.profiler);
     }
     run_greps(&cifs);
+    // Outside the profiler's branch, so a run without it reports the same
+    // counters.
+    t.counter("delayed_acks") = cifs.client_ack_policy().delayed_acks_fired();
   } else {
     t.AttachFsInstrumentation();
     run_greps(&t.fs);

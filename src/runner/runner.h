@@ -17,8 +17,8 @@
 //    the same number of peaks as it does most often?).
 //
 // Profiles are collected through the ProfilerSink interface, so the
-// runner is indifferent to which layer (user / fs / driver / callgraph)
-// produced them.
+// runner is indifferent to which layer (user / fs / cifs / cluster /
+// driver / noise) produced them.
 
 #ifndef OSPROF_SRC_RUNNER_RUNNER_H_
 #define OSPROF_SRC_RUNNER_RUNNER_H_

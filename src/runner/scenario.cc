@@ -102,8 +102,7 @@ Scenario Fig07Driver() {
 Scenario Fig07Cifs() {
   Scenario s;
   s.name = "fig07_cifs";
-  s.description =
-      "Figure 7's grep over a CIFS mount (Figure 10's client-side view)";
+  s.description = "Figure 7's grep over a CIFS mount";
   s.kernel.num_cpus = 2;
   s.kernel.seed = 1010;
   GrepSpec grep = Fig07Grep();

@@ -41,9 +41,6 @@ namespace osrunner {
 struct ProfilerSpec {
   bool fs = true;        // SimProfiler at the FS (or syscall) boundary.
   bool driver = false;   // DriverProfiler on the block request stream.
-  bool callgraph = false;  // Function-granularity profiler; when set it
-                           // replaces the FS-level SimProfiler (collected
-                           // under layer "callgraph", flat view).
   int resolution = 1;
   // Per-CPU profile sharding (million-task scale): the SimProfiler records
   // into private per-CPU shards, folded into the base sets every

@@ -1,6 +1,8 @@
 #include "src/tools/gate_command.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -62,7 +64,7 @@ constexpr Rater kRaters[] = {
 // nullopt after printing a usage error.
 struct Scoring {
   std::vector<Rater> raters;
-  double threshold = -1.0;  // < 0 -> per-method default.
+  std::optional<double> threshold;  // Unset: each rater's own default.
 };
 
 std::optional<Scoring> ParseScoring(const ScenarioFrontEnd& cmd) {
@@ -85,81 +87,154 @@ std::optional<Scoring> ParseScoring(const ScenarioFrontEnd& cmd) {
   if (scoring.raters.empty()) {
     scoring.raters.assign(std::begin(kRaters), std::end(kRaters));
   }
+  // The whole token must be a finite number >= 0 ("0.5x", "-3" and "nan"
+  // are rejected).
   for (const std::string& value : cmd.Values("--threshold=")) {
-    try {
-      scoring.threshold = std::stod(value);
-    } catch (const std::exception&) {
+    double threshold = 0.0;
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, threshold);
+    if (ec != std::errc() || ptr != end || !std::isfinite(threshold) ||
+        threshold < 0.0) {
       cmd.err << "osprof_tool gate: bad --threshold value '" << value
               << "'\n";
       return std::nullopt;
     }
+    scoring.threshold = threshold;
   }
   return scoring;
 }
 
-// One rater's verdict on one layer.
-struct RaterVerdict {
-  std::string rater;
-  std::string method;
-  double threshold = 0.0;
-  double max_score = 0.0;
-  std::vector<std::string> flagged_ops;  // Interesting pairs = regressions.
-  bool pass() const { return flagged_ops.empty(); }
+// One gate verdict: the block it prints and the member it adds to the
+// JSON document under `key`.  The gate prints and serializes its checks
+// in one order, and passes only when every check does.
+struct Check {
+  std::string key;
+  bool pass = false;
+  std::string text;
+  osjson::Value json;
 };
 
-RaterVerdict ScoreLayer(const Rater& rater, double threshold_override,
-                        const osprof::ProfileSet& golden,
-                        const osprof::ProfileSet& measured) {
-  osprof::AnalysisOptions options;
-  options.method = rater.method;
-  options.score_threshold = threshold_override >= 0.0
-                                ? threshold_override
-                                : osprof::DefaultThreshold(rater.method);
-  const osprof::AnalysisReport analysis =
-      osprof::CompareProfileSets(golden, measured, options);
-  RaterVerdict verdict;
-  verdict.rater = rater.name;
-  verdict.method = osprof::CompareMethodName(rater.method);
-  verdict.threshold = options.score_threshold;
-  for (const osprof::PairReport& pair : analysis.pairs) {
-    if (pair.score > verdict.max_score) {
-      verdict.max_score = pair.score;
-    }
-    if (pair.interesting) {
-      verdict.flagged_ops.push_back(pair.op_name);
-    }
+// Each entry on its own two-space-indented line.
+std::string Indented(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) {
+    text += "  " + line + "\n";
   }
-  return verdict;
+  return text;
 }
 
-struct LayerVerdict {
-  std::string layer;
-  std::string baseline_path;
-  std::uint64_t golden_ops = 0;
-  std::uint64_t measured_ops = 0;
-  std::vector<RaterVerdict> raters;
-  bool pass() const {
-    for (const RaterVerdict& r : raters) {
-      if (!r.pass()) {
-        return false;
-      }
-    }
-    return true;
-  }
-};
+// A deadlock-capable acquisition-order cycle in any trial fails the gate
+// even when every profile rater passes.
+Check LockOrderCheck(const std::vector<std::string>& cycles) {
+  osjson::Value json = osjson::Value::Object();
+  json.Set("deadlock_capable", osjson::Value::Bool(!cycles.empty()));
+  json.Set("cycles", osjson::Value::Strings(cycles));
+  return {"lock_order", cycles.empty(),
+          cycles.empty() ? "[lock-order] no deadlock-capable cycles\n"
+                         : "[lock-order] DEADLOCK-CAPABLE lock graph:\n" +
+                               Indented(cycles),
+          std::move(json)};
+}
 
-// The exact-decomposition verdict: the sim is deterministic, so the merged
-// layered decomposition must reproduce the committed `.layers` golden to
-// the cycle.  Scored as relative differences so the JSON stays informative
-// when drift does happen.
-struct LayersVerdict {
-  bool checked = false;          // False when no layer recorded one.
-  std::string baseline_path;
-  double max_rel_diff = 0.0;
-  std::uint64_t mismatch_total = 0;
-  std::vector<std::string> mismatches;  // Listing capped at 10 entries.
-  bool pass() const { return mismatch_total == 0; }
-};
+// The SimRace verdict (src/sim/race_tracker.h).  Ordinary scenarios must
+// come back race-free; a seeded race fixture (any RaceFixtureSpec but the
+// locked control) must race -- that is the gate's true-positive check on
+// the detector itself.  Unchecked under --no-races and on untracked
+// scenarios.
+Check RacesCheck(const osrunner::Scenario& scenario, bool track_races,
+                 const std::vector<std::string>& reports) {
+  const bool checked = scenario.track_races && track_races;
+  const auto* fixture =
+      std::get_if<osrunner::RaceFixtureSpec>(&scenario.workload);
+  const bool expected =
+      fixture != nullptr &&
+      fixture->kind != osrunner::RaceFixtureSpec::Kind::kLockedControl;
+  const bool found = !reports.empty();
+  const bool pass = !checked || found == expected;
+  std::string text;
+  if (!checked) {
+    text = "[races] tracking disabled; skipped\n";
+  } else if (expected) {
+    text = found ? "[races] fixture raced as designed:\n" + Indented(reports)
+                 : "[races] FIXTURE SILENT: expected data races, found "
+                   "none\n";
+  } else {
+    text = found ? "[races] DATA RACES:\n" + Indented(reports)
+                 : "[races] no data races\n";
+  }
+  osjson::Value json = osjson::Value::Object();
+  json.Set("checked", osjson::Value::Bool(checked));
+  json.Set("expected", osjson::Value::Bool(expected));
+  json.Set("found", osjson::Value::Bool(found));
+  json.Set("reports", osjson::Value::Strings(reports));
+  json.Set("pass", osjson::Value::Bool(pass));
+  return {"races", pass, std::move(text), std::move(json)};
+}
+
+// Every rater scores each layer's merged profiles against that layer's
+// golden; a rater's interesting pairs are its regressions.
+Check LayersCheck(const osrunner::RunResult& result,
+                  const std::map<std::string, osprof::ProfileSet>& golden,
+                  const std::string& prefix, const Scoring& scoring) {
+  bool pass = true;
+  std::string text;
+  osjson::Value json = osjson::Value::Array();
+  for (const auto& [layer, lr] : result.layers) {
+    const std::string path = prefix + "." + layer + ".prof";
+    const osprof::ProfileSet& gset = golden.at(layer);
+    text += "[" + layer + "] golden " +
+            std::to_string(gset.TotalOperations()) + " ops vs measured " +
+            std::to_string(lr.merged.TotalOperations()) + " ops (" + path +
+            ")\n";
+    bool layer_pass = true;
+    osjson::Value raters = osjson::Value::Array();
+    for (const Rater& rater : scoring.raters) {
+      osprof::AnalysisOptions options;
+      options.method = rater.method;
+      options.score_threshold =
+          scoring.threshold.value_or(osprof::DefaultThreshold(rater.method));
+      const osprof::AnalysisReport analysis =
+          osprof::CompareProfileSets(gset, lr.merged, options);
+      double max_score = 0.0;
+      std::vector<std::string> flagged;
+      for (const osprof::PairReport& pair : analysis.pairs) {
+        max_score = std::max(max_score, pair.score);
+        if (pair.interesting) {
+          flagged.push_back(pair.op_name);
+        }
+      }
+      const std::string method = osprof::CompareMethodName(rater.method);
+      char line[256];
+      std::snprintf(line, sizeof(line),
+                    "  %-8s (%-13s) threshold %-7.3g max score %-9.4g %s\n",
+                    rater.name, method.c_str(), options.score_threshold,
+                    max_score, flagged.empty() ? "PASS" : "REGRESSION");
+      text += line;
+      for (const std::string& op : flagged) {
+        text += "           flagged: " + op + "\n";
+      }
+      layer_pass = layer_pass && flagged.empty();
+      osjson::Value entry = osjson::Value::Object();
+      entry.Set("rater", osjson::Value::Str(rater.name));
+      entry.Set("method", osjson::Value::Str(method));
+      entry.Set("threshold", osjson::Value::Double(options.score_threshold));
+      entry.Set("max_score", osjson::Value::Double(max_score));
+      entry.Set("flagged_ops", osjson::Value::Strings(flagged));
+      entry.Set("pass", osjson::Value::Bool(flagged.empty()));
+      raters.Append(std::move(entry));
+    }
+    pass = pass && layer_pass;
+    osjson::Value l = osjson::Value::Object();
+    l.Set("layer", osjson::Value::Str(layer));
+    l.Set("baseline", osjson::Value::Str(path));
+    l.Set("golden_ops", osjson::Value::Uint(gset.TotalOperations()));
+    l.Set("measured_ops", osjson::Value::Uint(lr.merged.TotalOperations()));
+    l.Set("pass", osjson::Value::Bool(layer_pass));
+    l.Set("raters", std::move(raters));
+    json.Append(std::move(l));
+  }
+  return {"layers", pass, std::move(text), std::move(json)};
+}
 
 double RelDiff(std::uint64_t a, std::uint64_t b) {
   if (a == b) {
@@ -170,18 +245,24 @@ double RelDiff(std::uint64_t a, std::uint64_t b) {
   return static_cast<double>(diff) / static_cast<double>(hi);
 }
 
-LayersVerdict ScoreLayersDecomposition(
-    const std::map<std::string, osprof::LayeredProfileSet>& golden,
-    const std::map<std::string, osprof::LayeredProfileSet>& measured,
-    std::string baseline_path) {
-  LayersVerdict v;
-  v.checked = true;
-  v.baseline_path = std::move(baseline_path);
-  auto note = [&v](std::string msg, double rel) {
-    ++v.mismatch_total;
-    v.max_rel_diff = std::max(v.max_rel_diff, rel);
-    if (v.mismatches.size() < 10) {
-      v.mismatches.push_back(std::move(msg));
+using LayeredSets = std::map<std::string, osprof::LayeredProfileSet>;
+
+// The exact-decomposition verdict: the sim is deterministic, so the merged
+// layered decomposition must reproduce the committed `.layers` golden to
+// the cycle.  Scored as relative differences so the JSON stays informative
+// when drift does happen.  Unchecked when no layer recorded a
+// decomposition.
+Check LayeredCheck(const LayeredSets& golden, const LayeredSets& measured,
+                   const std::string& path) {
+  const bool checked = !measured.empty();
+  std::uint64_t mismatch_total = 0;
+  double max_rel_diff = 0.0;
+  std::vector<std::string> mismatches;  // Listing capped at 10 entries.
+  auto note = [&](std::string msg, double rel) {
+    ++mismatch_total;
+    max_rel_diff = std::max(max_rel_diff, rel);
+    if (mismatches.size() < 10) {
+      mismatches.push_back(std::move(msg));
     }
   };
   for (const auto& [layer, gset] : golden) {
@@ -247,91 +328,67 @@ LayersVerdict ScoreLayersDecomposition(
       }
     }
   }
-  return v;
+  const bool pass = mismatch_total == 0;
+  std::string text;
+  if (!checked) {
+    text = "[layers] no layered data recorded; skipped\n";
+  } else if (pass) {
+    text = "[layers] decomposition matches " + path + " exactly\n";
+  } else {
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "[layers] DECOMPOSITION DRIFT vs %s (%llu mismatches, "
+                  "max rel diff %.4g):\n",
+                  path.c_str(),
+                  static_cast<unsigned long long>(mismatch_total),
+                  max_rel_diff);
+    text = line + Indented(mismatches);
+    if (mismatch_total > mismatches.size()) {
+      text += "  ... (" + std::to_string(mismatch_total - mismatches.size()) +
+              " more)\n";
+    }
+  }
+  osjson::Value json = osjson::Value::Object();
+  json.Set("checked", osjson::Value::Bool(checked));
+  json.Set("baseline", osjson::Value::Str(path));
+  json.Set("pass", osjson::Value::Bool(pass));
+  json.Set("max_rel_diff", osjson::Value::Double(max_rel_diff));
+  json.Set("mismatch_count", osjson::Value::Uint(mismatch_total));
+  json.Set("mismatches", osjson::Value::Strings(mismatches));
+  return {"layered", pass, std::move(text), std::move(json)};
 }
 
-// The SimRace verdict (src/sim/race_tracker.h).  Ordinary scenarios must
-// come back race-free; a seeded race fixture (any RaceFixtureSpec but the
-// locked control) must race -- that is the gate's true-positive check on
-// the detector itself.
-struct RacesVerdict {
-  bool checked = false;   // False under --no-races / untracked scenarios.
-  bool expected = false;  // A seeded fixture: races are the point.
-  std::vector<std::string> reports;
-  bool pass() const {
-    if (!checked) {
-      return true;
-    }
-    return expected ? !reports.empty() : reports.empty();
+// Equation 3 (§3.3) on noise scenarios: the measured forced-preemption
+// count must agree with the model's prediction from the sample budget.
+// Unchecked on every other workload.
+Check NoiseCheck(const osrunner::Scenario& scenario, int trials,
+                 const osrunner::RunResult& result) {
+  const auto* spec = std::get_if<osrunner::NoiseSpec>(&scenario.workload);
+  const bool checked = spec != nullptr;
+  osrunner::Equation3Check e;
+  if (checked) {
+    e = osrunner::CheckEquation3(scenario, *spec, trials,
+                                 result.TotalCounter("noise_preemptions"));
   }
-};
-
-osjson::Value VerdictJson(const std::string& scenario,
-                          const std::string& baseline_prefix, int trials,
-                          const std::vector<LayerVerdict>& layers,
-                          const LayersVerdict& layered,
-                          const std::optional<osrunner::Equation3Check>& noise,
-                          const std::vector<std::string>& lock_cycles,
-                          const RacesVerdict& races, bool pass) {
-  osjson::Value doc = osjson::Value::Object();
-  doc.Set("schema", osjson::Value::Str("osprof-gate-v1"));
-  doc.Set("scenario", osjson::Value::Str(scenario));
-  doc.Set("baseline", osjson::Value::Str(baseline_prefix));
-  doc.Set("trials", osjson::Value::Int(trials));
-  doc.Set("pass", osjson::Value::Bool(pass));
-  osjson::Value lock_order = osjson::Value::Object();
-  lock_order.Set("deadlock_capable", osjson::Value::Bool(!lock_cycles.empty()));
-  lock_order.Set("cycles", osjson::Value::Strings(lock_cycles));
-  doc.Set("lock_order", std::move(lock_order));
-  osjson::Value races_obj = osjson::Value::Object();
-  races_obj.Set("checked", osjson::Value::Bool(races.checked));
-  races_obj.Set("expected", osjson::Value::Bool(races.expected));
-  races_obj.Set("found", osjson::Value::Bool(!races.reports.empty()));
-  races_obj.Set("reports", osjson::Value::Strings(races.reports));
-  races_obj.Set("pass", osjson::Value::Bool(races.pass()));
-  doc.Set("races", std::move(races_obj));
-  osjson::Value layer_array = osjson::Value::Array();
-  for (const LayerVerdict& layer : layers) {
-    osjson::Value l = osjson::Value::Object();
-    l.Set("layer", osjson::Value::Str(layer.layer));
-    l.Set("baseline", osjson::Value::Str(layer.baseline_path));
-    l.Set("golden_ops", osjson::Value::Uint(layer.golden_ops));
-    l.Set("measured_ops", osjson::Value::Uint(layer.measured_ops));
-    l.Set("pass", osjson::Value::Bool(layer.pass()));
-    osjson::Value rater_array = osjson::Value::Array();
-    for (const RaterVerdict& r : layer.raters) {
-      osjson::Value entry = osjson::Value::Object();
-      entry.Set("rater", osjson::Value::Str(r.rater));
-      entry.Set("method", osjson::Value::Str(r.method));
-      entry.Set("threshold", osjson::Value::Double(r.threshold));
-      entry.Set("max_score", osjson::Value::Double(r.max_score));
-      entry.Set("flagged_ops", osjson::Value::Strings(r.flagged_ops));
-      entry.Set("pass", osjson::Value::Bool(r.pass()));
-      rater_array.Append(std::move(entry));
-    }
-    l.Set("raters", std::move(rater_array));
-    layer_array.Append(std::move(l));
+  const bool pass = !checked || e.pass();
+  std::string text;
+  if (checked) {
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "[noise] Eq.3 predicted %.1f forced preemptions, measured "
+                  "%.0f (rel err %.4f, tolerance %.2f) %s\n",
+                  e.predicted, e.measured, e.rel_err, e.tolerance,
+                  pass ? "PASS" : "REGRESSION");
+    text = line;
   }
-  doc.Set("layers", std::move(layer_array));
-  osjson::Value ld = osjson::Value::Object();
-  ld.Set("checked", osjson::Value::Bool(layered.checked));
-  ld.Set("baseline", osjson::Value::Str(layered.baseline_path));
-  ld.Set("pass", osjson::Value::Bool(layered.pass()));
-  ld.Set("max_rel_diff", osjson::Value::Double(layered.max_rel_diff));
-  ld.Set("mismatch_count", osjson::Value::Uint(layered.mismatch_total));
-  ld.Set("mismatches", osjson::Value::Strings(layered.mismatches));
-  doc.Set("layered", std::move(ld));
-  osjson::Value nv = osjson::Value::Object();
-  const osrunner::Equation3Check eq3 =
-      noise.value_or(osrunner::Equation3Check{});
-  nv.Set("checked", osjson::Value::Bool(noise.has_value()));
-  nv.Set("predicted_preemptions", osjson::Value::Double(eq3.predicted));
-  nv.Set("measured_preemptions", osjson::Value::Double(eq3.measured));
-  nv.Set("rel_err", osjson::Value::Double(eq3.rel_err));
-  nv.Set("tolerance", osjson::Value::Double(eq3.tolerance));
-  nv.Set("pass", osjson::Value::Bool(!noise || noise->pass()));
-  doc.Set("noise", std::move(nv));
-  return doc;
+  osjson::Value json = osjson::Value::Object();
+  json.Set("checked", osjson::Value::Bool(checked));
+  json.Set("predicted_preemptions", osjson::Value::Double(e.predicted));
+  json.Set("measured_preemptions", osjson::Value::Double(e.measured));
+  json.Set("rel_err", osjson::Value::Double(e.rel_err));
+  json.Set("tolerance", osjson::Value::Double(e.tolerance));
+  json.Set("pass", osjson::Value::Bool(pass));
+  return {"noise", pass, std::move(text), std::move(json)};
 }
 
 }  // namespace
@@ -379,15 +436,6 @@ int RunGateCommand(const std::vector<std::string>& args, std::ostream& out,
     prefix = "tests/golden/" + name;
   }
 
-  RacesVerdict races;
-  races.checked = scenario->track_races && track_races;
-  const auto* fixture =
-      std::get_if<osrunner::RaceFixtureSpec>(&scenario->workload);
-  races.expected =
-      fixture != nullptr &&
-      fixture->kind != osrunner::RaceFixtureSpec::Kind::kLockedControl;
-  races.reports = result.RaceReports();
-
   if (cmd.flags.count("--update") != 0) {
     return cmd.WriteProfiles(result, prefix,
                              [&](const std::string& path, std::size_t entries,
@@ -420,145 +468,55 @@ int RunGateCommand(const std::vector<std::string>& args, std::ostream& out,
     }
   };
 
-  std::vector<LayerVerdict> layers;
+  // Every golden loads before any check runs, so a missing or corrupt one
+  // exits 2 with nothing printed: PREFIX.<layer>.prof per layer, then
+  // PREFIX.layers when any layer recorded a decomposition.
+  std::map<std::string, osprof::ProfileSet> golden;
   for (const auto& [layer, lr] : result.layers) {
-    LayerVerdict verdict;
-    verdict.layer = layer;
-    verdict.baseline_path = prefix + "." + layer + ".prof";
-    const auto golden = load(verdict.baseline_path, osprof::ProfileSet::Parse);
-    if (!golden) {
+    std::optional<osprof::ProfileSet> set =
+        load(prefix + "." + layer + ".prof", osprof::ProfileSet::Parse);
+    if (!set) {
       return 2;
     }
-    verdict.golden_ops = golden->TotalOperations();
-    verdict.measured_ops = lr.merged.TotalOperations();
-    for (const Rater& rater : scoring->raters) {
-      verdict.raters.push_back(
-          ScoreLayer(rater, scoring->threshold, *golden, lr.merged));
-    }
-    layers.push_back(std::move(verdict));
+    golden.emplace(layer, std::move(*set));
   }
-
-  // The §3.3 Equation 3 rater, checked only for noise scenarios.
-  std::optional<osrunner::Equation3Check> noise;
-  if (const auto* ns = std::get_if<osrunner::NoiseSpec>(&scenario->workload)) {
-    noise = osrunner::CheckEquation3(*scenario, *ns, trials,
-                                     result.TotalCounter("noise_preemptions"));
-  }
-
-  // The merged layered decomposition must match the .layers golden
-  // exactly (empty when no instrumented layer recorded one).
-  const std::map<std::string, osprof::LayeredProfileSet> measured_layers =
-      MergedLayers(result);
-  LayersVerdict layered;
-  layered.baseline_path = prefix + ".layers";
+  const std::string layers_path = prefix + ".layers";
+  const LayeredSets measured_layers = MergedLayers(result);
+  LayeredSets golden_layers;
   if (!measured_layers.empty()) {
-    const auto golden = load(layered.baseline_path, osprof::ParseLayers);
-    if (!golden) {
+    std::optional<LayeredSets> sets = load(layers_path, osprof::ParseLayers);
+    if (!sets) {
       return 2;
     }
-    layered = ScoreLayersDecomposition(*golden, measured_layers,
-                                       layered.baseline_path);
+    golden_layers = std::move(*sets);
   }
 
-  bool pass = true;
+  Check checks[] = {
+      LockOrderCheck(result.LockCycles()),
+      RacesCheck(*scenario, track_races, result.RaceReports()),
+      LayersCheck(result, golden, prefix, *scoring),
+      LayeredCheck(golden_layers, measured_layers, layers_path),
+      NoiseCheck(*scenario, trials, result),
+  };
+  const bool pass = std::all_of(std::begin(checks), std::end(checks),
+                                [](const Check& c) { return c.pass; });
   out << "gate " << name << ": " << scenario->description << "\n";
-  // Lock-order assertion: a deadlock-capable acquisition-order cycle in
-  // any trial fails the gate even when every profile rater passes.
-  const std::vector<std::string> lock_cycles = result.LockCycles();
-  if (lock_cycles.empty()) {
-    out << "[lock-order] no deadlock-capable cycles\n";
-  } else {
-    pass = false;
-    out << "[lock-order] DEADLOCK-CAPABLE lock graph:\n";
-    for (const std::string& cycle : lock_cycles) {
-      out << "  " << cycle << "\n";
-    }
-  }
-  // SimRace assertion: ordinary scenarios must be race-free; a seeded
-  // fixture must race (true-positive check on the detector).
-  if (!races.checked) {
-    out << "[races] tracking disabled; skipped\n";
-  } else if (races.expected) {
-    if (races.pass()) {
-      out << "[races] fixture raced as designed:\n";
-      for (const std::string& report : races.reports) {
-        out << "  " << report << "\n";
-      }
-    } else {
-      pass = false;
-      out << "[races] FIXTURE SILENT: expected data races, found none\n";
-    }
-  } else if (races.pass()) {
-    out << "[races] no data races\n";
-  } else {
-    pass = false;
-    out << "[races] DATA RACES:\n";
-    for (const std::string& report : races.reports) {
-      out << "  " << report << "\n";
-    }
-  }
-  for (const LayerVerdict& layer : layers) {
-    out << "[" << layer.layer << "] golden " << layer.golden_ops
-        << " ops vs measured " << layer.measured_ops << " ops ("
-        << layer.baseline_path << ")\n";
-    for (const RaterVerdict& r : layer.raters) {
-      char line[256];
-      std::snprintf(line, sizeof(line),
-                    "  %-8s (%-13s) threshold %-7.3g max score %-9.4g %s\n",
-                    r.rater.c_str(), r.method.c_str(), r.threshold,
-                    r.max_score, r.pass() ? "PASS" : "REGRESSION");
-      out << line;
-      for (const std::string& op : r.flagged_ops) {
-        out << "           flagged: " << op << "\n";
-      }
-      pass = pass && r.pass();
-    }
-  }
-  // Layered-decomposition exactness: deterministic sim, so the merged
-  // decomposition must match the `.layers` golden to the cycle.
-  if (!layered.checked) {
-    out << "[layers] no layered data recorded; skipped\n";
-  } else if (layered.pass()) {
-    out << "[layers] decomposition matches " << layered.baseline_path
-        << " exactly\n";
-  } else {
-    pass = false;
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "[layers] DECOMPOSITION DRIFT vs %s (%llu mismatches, "
-                  "max rel diff %.4g):\n",
-                  layered.baseline_path.c_str(),
-                  static_cast<unsigned long long>(layered.mismatch_total),
-                  layered.max_rel_diff);
-    out << line;
-    for (const std::string& m : layered.mismatches) {
-      out << "  " << m << "\n";
-    }
-    if (layered.mismatch_total > layered.mismatches.size()) {
-      out << "  ... ("
-          << layered.mismatch_total - layered.mismatches.size()
-          << " more)\n";
-    }
-  }
-  // Equation 3 (§3.3) on noise scenarios: the measured forced-preemption
-  // count must agree with the model's prediction from the sample budget.
-  if (noise) {
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "[noise] Eq.3 predicted %.1f forced preemptions, measured "
-                  "%.0f (rel err %.4f, tolerance %.2f) %s\n",
-                  noise->predicted, noise->measured, noise->rel_err,
-                  noise->tolerance, noise->pass() ? "PASS" : "REGRESSION");
-    out << line;
-    pass = pass && noise->pass();
+  for (const Check& check : checks) {
+    out << check.text;
   }
   out << (pass ? "gate PASS" : "gate REGRESSION") << "\n";
 
-  if (!cmd.WriteFlagFile("--json=", [&](std::ostream& os) {
-        os << VerdictJson(name, prefix, trials, layers, layered, noise,
-                          lock_cycles, races, pass)
-                  .Dump();
-      })) {
+  osjson::Value doc = osjson::Value::Object();
+  doc.Set("schema", osjson::Value::Str("osprof-gate-v1"));
+  doc.Set("scenario", osjson::Value::Str(name));
+  doc.Set("baseline", osjson::Value::Str(prefix));
+  doc.Set("trials", osjson::Value::Int(trials));
+  doc.Set("pass", osjson::Value::Bool(pass));
+  for (Check& check : checks) {
+    doc.Set(check.key, std::move(check.json));
+  }
+  if (!cmd.WriteFlagFile("--json=",
+                         [&](std::ostream& os) { os << doc.Dump(); })) {
     return 2;
   }
   return pass ? 0 : 3;

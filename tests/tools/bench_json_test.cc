@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -21,14 +22,18 @@ class BenchJsonTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const char* tmpdir = ::getenv("TMPDIR");
-    dir_ = std::string(tmpdir != nullptr ? tmpdir : "/tmp");
+    // One directory per test: ctest -jN runs cases of this fixture
+    // concurrently, and each writes BENCH_unit_bench.json.
+    dir_ = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
+           "/osprof_bench_json_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::create_directories(dir_);
     ::setenv("OSPROF_BENCH_JSON_DIR", dir_.c_str(), 1);
   }
 
   void TearDown() override {
     ::unsetenv("OSPROF_BENCH_JSON_DIR");
-    std::remove((dir_ + "/BENCH_unit_bench.json").c_str());
-    std::remove((dir_ + "/BENCH_unit_bench.fs.prof").c_str());
+    std::filesystem::remove_all(dir_);
   }
 
   static std::string Slurp(const std::string& path) {

@@ -70,6 +70,14 @@ TEST_F(GateCommandTest, UsageErrors) {
   EXPECT_EQ(Run({}), 1);
   EXPECT_NE(err_.str().find("usage:"), std::string::npos);
   EXPECT_EQ(Run({kScenario, "--threshold=abc"}), 1);
+  // Only a whole token that is a finite number >= 0 sets the threshold.
+  for (const char* bad : {"0.5x", "-3", "nan"}) {
+    const std::string value(bad);
+    EXPECT_EQ(Run({kScenario, "--threshold=" + value}), 1) << value;
+    EXPECT_NE(err_.str().find("bad --threshold value '" + value + "'"),
+              std::string::npos)
+        << value;
+  }
   EXPECT_EQ(Run({kScenario, "--raters=emd,bogus"}), 1);
   EXPECT_NE(err_.str().find("unknown rater"), std::string::npos);
   EXPECT_EQ(Run({kScenario, "--trials=0"}), 1);
@@ -201,7 +209,8 @@ TEST_F(GateCommandTest, PerturbedBaselineFlaggedByEveryRater) {
 
 // The layered decomposition is scored for exactness: tampering with one
 // component's cycle count in the .layers golden fails the gate even when
-// every profile rater passes.
+// every profile rater passes.  Tampering with every bucket's self cycles
+// lists the first ten mismatches and counts the rest.
 TEST_F(GateCommandTest, LayersDecompositionDriftFailsGate) {
   ASSERT_EQ(Run({kScenario, "--update", "--baseline=" + prefix_}), 0);
   CopyFile(prefix_ + kLayerSuffix, perturbed_prefix_ + kLayerSuffix);
@@ -213,10 +222,18 @@ TEST_F(GateCommandTest, LayersDecompositionDriftFailsGate) {
     buffer << in.rdbuf();
     layers_text = buffer.str();
   }
-  const std::size_t pos = layers_text.find(" self ");
-  ASSERT_NE(pos, std::string::npos);
-  layers_text.insert(pos + 6, "9");  // Prepend a digit: cycles change.
-  std::ofstream(perturbed_prefix_ + ".layers") << layers_text;
+  // Prepends a digit to the self cycles at or after `from`, so they
+  // change; returns where the next search starts.
+  const auto bump_self = [](std::string& text, std::size_t from) {
+    const std::size_t pos = text.find(" self ", from);
+    if (pos != std::string::npos) {
+      text.insert(pos + 6, "9");
+    }
+    return pos == std::string::npos ? pos : pos + 7;
+  };
+  std::string one_self = layers_text;
+  ASSERT_NE(bump_self(one_self, 0), std::string::npos);
+  std::ofstream(perturbed_prefix_ + ".layers") << one_self;
 
   EXPECT_EQ(Run({kScenario, "--baseline=" + perturbed_prefix_}), 3);
   EXPECT_NE(out_.str().find("DECOMPOSITION DRIFT"), std::string::npos);
@@ -231,6 +248,18 @@ TEST_F(GateCommandTest, LayersDecompositionDriftFailsGate) {
   buffer << json_file.rdbuf();
   EXPECT_NE(buffer.str().find("\"layered\""), std::string::npos);
   EXPECT_NE(buffer.str().find("\"mismatches\""), std::string::npos);
+
+  // fig06 decomposes 25 buckets; the listing stops at ten.
+  std::string every_self = layers_text;
+  for (std::size_t from = 0; from != std::string::npos;) {
+    from = bump_self(every_self, from);
+  }
+  std::ofstream(perturbed_prefix_ + ".layers") << every_self;
+  EXPECT_EQ(Run({kScenario, "--baseline=" + perturbed_prefix_}), 3);
+  EXPECT_NE(out_.str().find("(25 mismatches"), std::string::npos)
+      << out_.str();
+  EXPECT_NE(out_.str().find("\n  ... (15 more)\n"), std::string::npos)
+      << out_.str();
 }
 
 // A scenario that records layered data cannot gate without its .layers

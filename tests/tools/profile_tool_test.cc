@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -16,7 +16,14 @@ class ProfileToolTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const char* tmpdir = ::getenv("TMPDIR");
-    base_ = std::string(tmpdir != nullptr ? tmpdir : "/tmp");
+    // One directory per test: ctest -jN runs cases of this fixture
+    // concurrently, and shared file names let one case's TearDown delete
+    // the files another is reading.  The file names stay as they are,
+    // since outputs are checked for them.
+    base_ = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
+            "/osprof_tool_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::create_directories(base_);
     path_a_ = base_ + "/osprof_tool_a.prof";
     path_b_ = base_ + "/osprof_tool_b.prof";
 
@@ -36,10 +43,7 @@ class ProfileToolTest : public ::testing::Test {
     WriteSet(path_b_, b);
   }
 
-  void TearDown() override {
-    std::remove(path_a_.c_str());
-    std::remove(path_b_.c_str());
-  }
+  void TearDown() override { std::filesystem::remove_all(base_); }
 
   static void WriteSet(const std::string& path, const osprof::ProfileSet& s) {
     std::ofstream out(path);
@@ -98,7 +102,6 @@ TEST_F(ProfileToolTest, MalformedFileFails) {
   }
   EXPECT_EQ(Run({"render", bad}), 2);
   EXPECT_NE(err_.str().find("parse error"), std::string::npos);
-  std::remove(bad.c_str());
 }
 
 TEST_F(ProfileToolTest, RankOrdersByLatency) {
@@ -154,8 +157,6 @@ TEST_F(ProfileToolTest, OutliersFlagsTheDeviantFile) {
   EXPECT_EQ(Run({"outliers", path_a_, c, d, path_b_}), 0);
   EXPECT_NE(out_.str().find("OUTLIER"), std::string::npos);
   EXPECT_NE(out_.str().find("osprof_tool_b.prof"), std::string::npos);
-  std::remove(c.c_str());
-  std::remove(d.c_str());
 }
 
 TEST_F(ProfileToolTest, OutliersIdenticalFleetIsClean) {
@@ -165,7 +166,6 @@ TEST_F(ProfileToolTest, OutliersIdenticalFleetIsClean) {
   WriteSet(c, healthy);
   EXPECT_EQ(Run({"outliers", c, c, c}), 0);
   EXPECT_NE(out_.str().find("no outliers"), std::string::npos);
-  std::remove(c.c_str());
 }
 
 TEST_F(ProfileToolTest, CompareIdenticalSetsSelectsNothing) {
@@ -199,7 +199,6 @@ TEST_F(ProfileToolTest, GridAndPlot3DRenderSampledFiles) {
   EXPECT_EQ(Run({"grid", path, "read", "5", "25x"}), 1);
   EXPECT_EQ(Run({"grid", path, "read", "-5", "9999"}), 0);
   EXPECT_NE(out_.str().find("epoch 0"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST_F(ProfileToolTest, CheckFlagsTamperedSets) {
@@ -218,7 +217,6 @@ TEST_F(ProfileToolTest, CheckFlagsTamperedSets) {
   }
   EXPECT_EQ(Run({"check", tampered}), 2);
   EXPECT_NE(out_.str().find("BROKEN"), std::string::npos);
-  std::remove(tampered.c_str());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "src/core/histogram.h"
+#include "src/core/parse_number.h"
 
 namespace osprof {
 namespace {
@@ -175,8 +176,8 @@ std::map<std::string, LayeredProfileSet> ParseLayers(std::istream& is) {
       std::string name;
       std::string key;
       int resolution = 0;
-      if (!(ls >> name >> key >> resolution) || key != "resolution" ||
-          resolution < 1) {
+      if (!(ls >> name >> key) || key != "resolution" ||
+          !ReadNumber(ls, resolution) || resolution < 1) {
         fail("malformed layer line");
       }
       set = &out.emplace(name, LayeredProfileSet(resolution)).first->second;
@@ -196,12 +197,13 @@ std::map<std::string, LayeredProfileSet> ParseLayers(std::istream& is) {
       int bucket = 0;
       std::string key;
       LayeredBucket data;
-      if (!(ls >> bucket >> key >> data.count) || key != "count" ||
-          bucket < 0) {
+      if (!ReadNumber(ls, bucket) || bucket < 0 || !(ls >> key) ||
+          key != "count" || !ReadNumber(ls, data.count)) {
         fail("malformed bucket line");
       }
       for (int c = 0; c < kNumLayerComponents; ++c) {
-        if (!(ls >> key >> data.cycles[c]) || key != kComponentKeys[c]) {
+        if (!(ls >> key) || key != kComponentKeys[c] ||
+            !ReadNumber(ls, data.cycles[c])) {
           fail("malformed component list");
         }
       }

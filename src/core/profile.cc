@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "src/core/parse_number.h"
+
 namespace osprof {
 
 void ProfileSet::const_iterator::SkipInvisible() {
@@ -152,7 +154,7 @@ ProfileSet ProfileSet::Parse(std::istream& is) {
       continue;
     }
     if (tok == "resolution") {
-      if (!(ls >> resolution)) {
+      if (!ReadNumber(ls, resolution)) {
         fail("malformed resolution");
       }
       if (saw_resolution) {
@@ -177,11 +179,15 @@ ProfileSet ProfileSet::Parse(std::istream& is) {
           fail("malformed key=value: " + kv);
         }
         const std::string key = kv.substr(0, eq);
-        const std::uint64_t value = std::stoull(kv.substr(eq + 1));
+        const std::optional<std::uint64_t> value =
+            ParseNumber<std::uint64_t>(std::string_view(kv).substr(eq + 1));
+        if (!value) {
+          fail("malformed number: " + kv);
+        }
         if (key == "recorded") {
-          current_recorded = value;
+          current_recorded = *value;
         } else if (key == "total_latency") {
-          current_total_latency = value;
+          current_total_latency = *value;
         } else {
           fail("unknown profile attribute: " + key);
         }
@@ -192,7 +198,7 @@ ProfileSet ProfileSet::Parse(std::istream& is) {
       }
       int index = 0;
       std::uint64_t count = 0;
-      if (!(ls >> index >> count)) {
+      if (!ReadNumber(ls, index) || !ReadNumber(ls, count)) {
         fail("malformed bucket line");
       }
       Histogram& h = set.ById(current).histogram();

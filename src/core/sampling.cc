@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "src/core/compare.h"
+#include "src/core/parse_number.h"
 
 namespace osprof {
 
@@ -166,11 +167,11 @@ SampledProfileSet SampledProfileSet::Parse(std::istream& is) {
       continue;
     }
     if (tok == "resolution") {
-      if (!(ls >> resolution)) {
+      if (!ReadNumber(ls, resolution)) {
         fail("malformed resolution");
       }
     } else if (tok == "epoch_cycles") {
-      if (!(ls >> epoch_cycles)) {
+      if (!ReadNumber(ls, epoch_cycles)) {
         fail("malformed epoch_cycles");
       }
     } else if (tok == "sampled") {
@@ -192,13 +193,17 @@ SampledProfileSet SampledProfileSet::Parse(std::istream& is) {
           fail("malformed key=value: " + kv);
         }
         const std::string key = kv.substr(0, eq);
-        const std::uint64_t value = std::stoull(kv.substr(eq + 1));
+        const std::optional<std::uint64_t> value =
+            ParseNumber<std::uint64_t>(std::string_view(kv).substr(eq + 1));
+        if (!value) {
+          fail("malformed number: " + kv);
+        }
         if (key == "epoch") {
-          epoch = static_cast<int>(value);
+          epoch = static_cast<int>(*value);
         } else if (key == "recorded") {
-          current_recorded = value;
+          current_recorded = *value;
         } else if (key == "total_latency") {
-          current_total = value;
+          current_total = *value;
         } else {
           fail("unknown attribute: " + key);
         }
@@ -214,7 +219,7 @@ SampledProfileSet SampledProfileSet::Parse(std::istream& is) {
       }
       int index = 0;
       std::uint64_t count = 0;
-      if (!(ls >> index >> count)) {
+      if (!ReadNumber(ls, index) || !ReadNumber(ls, count)) {
         fail("malformed bucket line");
       }
       if (index < 0 || index >= current->num_buckets()) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -17,6 +16,7 @@
 
 #include "src/core/clock.h"
 #include "src/core/histogram.h"
+#include "src/core/parse_number.h"
 #include "src/core/peaks.h"
 #include "src/core/preemption.h"
 #include "src/net/fabric.h"
@@ -100,13 +100,7 @@ std::vector<OpDispersion> ComputeDispersion(
 }  // namespace
 
 std::optional<int> ParseInt(std::string_view token) {
-  int value = 0;
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  if (token.empty() || ec != std::errc() || ptr != end) {
-    return std::nullopt;
-  }
-  return value;
+  return osprof::ParseNumber<int>(token);
 }
 
 std::uint64_t RunResult::TotalCounter(const std::string& name) const {

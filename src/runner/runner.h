@@ -42,9 +42,9 @@ struct RunOptions {
   int jobs = 1;
 };
 
-// The one strict parser for integer command-line values (--trials,
-// --jobs, grid bounds): the whole token must be a decimal integer that
-// fits an int ("2x", "", "+2" and " 2" are rejected).
+// Integer command-line values (--trials, --jobs, grid bounds), by the
+// strict rule the profile parsers share (src/core/parse_number.h): the
+// whole token must be a decimal integer that fits an int.
 std::optional<int> ParseInt(std::string_view token);
 
 // One trial's complete output.

@@ -170,10 +170,11 @@ struct Scenario {
   ProfilerSpec profilers;
   WorkloadSpec workload = GrepSpec{};
   // SimRace happens-before tracking (src/sim/race_tracker.h).  Free in
-  // simulated time, so profiles are byte-identical either way; the scale
-  // scenarios turn it off because thread reaping reuses ids faster than
-  // the per-task clocks can follow (and their hot paths should skip
-  // token capture anyway).
+  // simulated time, so profiles are byte-identical either way.  The scale
+  // scenarios turn it off because its per-task clocks grow with every task
+  // ever spawned (thread ids stay monotonic under reaping), and because
+  // `osprof_tool races scale_smoke` reports 11 races not yet sorted into
+  // model bugs and false positives.
   bool track_races = true;
 };
 

@@ -1,11 +1,11 @@
 #include "src/tools/gate_command.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -18,6 +18,7 @@
 #include "src/core/compare.h"
 #include "src/core/jsonw.h"
 #include "src/core/layered.h"
+#include "src/core/parse_number.h"
 #include "src/core/profile.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
@@ -38,13 +39,15 @@ constexpr const char* kGateUsage =
     "  --raters=...       comma list of emd, chi2, ops, latency (default\n"
     "                     all four)\n"
     "  --threshold=X      override every rater's default threshold\n"
+    "                     (--raters and --threshold shape the analysis\n"
+    "                     printed, not the [bytes] verdict)\n"
     "  --trials=N         runner trials; must match how the golden was\n"
     "                     generated (default 1)\n"
     "  --jobs=J           worker threads (does not affect merged output)\n"
     "  --json=FILE        write the machine-readable verdict to FILE\n"
-    "  --no-races         disable SimRace happens-before tracking (profiles\n"
-    "                     are byte-identical either way; this skips the\n"
-    "                     [races] verdict)\n"
+    "  --no-races         disable SimRace happens-before tracking (the\n"
+    "                     goldens are byte-identical either way; this skips\n"
+    "                     the [races] verdict)\n"
     "  --update           regenerate the golden files from this run\n";
 
 // The §5.3 raters the gate scores with, by their CLI spelling, in the
@@ -90,11 +93,8 @@ std::optional<Scoring> ParseScoring(const ScenarioFrontEnd& cmd) {
   // The whole token must be a finite number >= 0 ("0.5x", "-3" and "nan"
   // are rejected).
   for (const std::string& value : cmd.Values("--threshold=")) {
-    double threshold = 0.0;
-    const char* end = value.data() + value.size();
-    const auto [ptr, ec] = std::from_chars(value.data(), end, threshold);
-    if (ec != std::errc() || ptr != end || !std::isfinite(threshold) ||
-        threshold < 0.0) {
+    const std::optional<double> threshold = osprof::ParseNumber<double>(value);
+    if (!threshold || !std::isfinite(*threshold) || *threshold < 0.0) {
       cmd.err << "osprof_tool gate: bad --threshold value '" << value
               << "'\n";
       return std::nullopt;
@@ -391,6 +391,49 @@ Check NoiseCheck(const osrunner::Scenario& scenario, int trials,
   return {"noise", pass, std::move(text), std::move(json)};
 }
 
+// The line of `text` that starts at `start`, without its newline.
+std::string LineAt(const std::string& text, std::size_t start) {
+  return start < text.size()
+             ? text.substr(start, text.find('\n', start) - start)
+             : "(end of file)";
+}
+
+// The exactness verdict: each golden file must hold exactly the bytes this
+// run writes for it under --update.  The sim is deterministic, so any
+// difference is drift, however small a distance the raters score it at;
+// a differing file names its first differing line.
+Check BytesCheck(const std::vector<GoldenFile>& files,
+                 const std::vector<std::string>& golden,
+                 const std::string& prefix) {
+  std::string text;
+  std::vector<std::string> differing;  // "PATH:LINE" per differing file.
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    const std::string path = prefix + files[i].suffix;
+    const std::string& want = golden[i];
+    const std::string& got = files[i].text;
+    if (want == got) {
+      text += "[bytes] " + path + " identical\n";
+      continue;
+    }
+    // The first differing line starts after the last newline both share.
+    const auto at =
+        std::mismatch(want.begin(), want.end(), got.begin(), got.end()).first;
+    const auto start =
+        std::find(std::make_reverse_iterator(at), want.rend(), '\n').base();
+    const std::string line =
+        std::to_string(1 + std::count(want.begin(), start, '\n'));
+    const auto offset = static_cast<std::size_t>(start - want.begin());
+    differing.push_back(path + ":" + line);
+    text += "[bytes] " + path + " DIFFERS from line " + line + ":\n";
+    text += "  golden:   " + LineAt(want, offset) + "\n";
+    text += "  measured: " + LineAt(got, offset) + "\n";
+  }
+  osjson::Value json = osjson::Value::Object();
+  json.Set("pass", osjson::Value::Bool(differing.empty()));
+  json.Set("differing", osjson::Value::Strings(differing));
+  return {"bytes", differing.empty(), std::move(text), std::move(json)};
+}
+
 }  // namespace
 
 int RunGateCommand(const std::vector<std::string>& args, std::ostream& out,
@@ -417,8 +460,8 @@ int RunGateCommand(const std::vector<std::string>& args, std::ostream& out,
     }
     return 0;
   }
-  // --no-races runs the identical scenario with SimRace off: profiles and
-  // goldens are byte-identical either way (the drift CI loop checks both).
+  // --no-races runs the identical scenario with SimRace off: the goldens
+  // are byte-identical either way (GoldenCorpusTest gates both).
   const bool track_races = cmd.flags.count("--no-races") == 0;
   const std::optional<osrunner::RunResult> run =
       cmd.Run([track_races](osrunner::Scenario& s) {
@@ -436,67 +479,58 @@ int RunGateCommand(const std::vector<std::string>& args, std::ostream& out,
     prefix = "tests/golden/" + name;
   }
 
+  const std::vector<GoldenFile> files = GoldenFiles(result);
   if (cmd.flags.count("--update") != 0) {
-    return cmd.WriteProfiles(result, prefix,
-                             [&](const std::string& path, std::size_t entries,
-                                 const char* unit) {
-                               out << "updated " << path << " (" << entries
-                                   << " " << unit << ", trials=" << trials
-                                   << ")\n";
-                             })
-               ? 0
-               : 2;
+    for (const GoldenFile& file : files) {
+      const std::string path = prefix + file.suffix;
+      if (!cmd.Write(path, file.text)) {
+        return 2;
+      }
+      out << "updated " << path << " (" << file.entries << " " << file.unit
+          << ", trials=" << trials << ")\n";
+    }
+    return 0;
   }
 
-  // A golden file parsed by `parse`; nullopt after printing why not.
-  const auto load = [&](const std::string& path, auto parse)
-      -> std::optional<decltype(parse(std::declval<std::istream&>()))> {
-    std::ifstream file(path);
-    if (!file) {
+  // Every golden is read once, and parsed from that same text, before any
+  // check runs: a missing or corrupt one exits 2 with nothing printed.
+  std::vector<std::string> golden_text;
+  std::map<std::string, osprof::ProfileSet> golden;
+  LayeredSets golden_layers;
+  for (const GoldenFile& file : files) {
+    const std::string path = prefix + file.suffix;
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
       err << "osprof_tool gate: missing baseline " << path
           << " (generate it with: osprof_tool gate " << name
           << " --baseline=" << prefix << " --trials=" << trials
           << " --update)\n";
-      return std::nullopt;
+      return 2;
     }
+    std::ostringstream text;
+    text << in.rdbuf();
+    golden_text.push_back(text.str());
     try {
-      return parse(file);
+      if (file.layer.empty()) {
+        golden_layers = osprof::ParseLayersString(golden_text.back());
+      } else {
+        golden.emplace(file.layer,
+                       osprof::ProfileSet::ParseString(golden_text.back()));
+      }
     } catch (const std::exception& e) {
       err << "osprof_tool gate: corrupt baseline " << path << ": "
           << e.what() << "\n";
-      return std::nullopt;
-    }
-  };
-
-  // Every golden loads before any check runs, so a missing or corrupt one
-  // exits 2 with nothing printed: PREFIX.<layer>.prof per layer, then
-  // PREFIX.layers when any layer recorded a decomposition.
-  std::map<std::string, osprof::ProfileSet> golden;
-  for (const auto& [layer, lr] : result.layers) {
-    std::optional<osprof::ProfileSet> set =
-        load(prefix + "." + layer + ".prof", osprof::ProfileSet::Parse);
-    if (!set) {
       return 2;
     }
-    golden.emplace(layer, std::move(*set));
-  }
-  const std::string layers_path = prefix + ".layers";
-  const LayeredSets measured_layers = MergedLayers(result);
-  LayeredSets golden_layers;
-  if (!measured_layers.empty()) {
-    std::optional<LayeredSets> sets = load(layers_path, osprof::ParseLayers);
-    if (!sets) {
-      return 2;
-    }
-    golden_layers = std::move(*sets);
   }
 
   Check checks[] = {
       LockOrderCheck(result.LockCycles()),
       RacesCheck(*scenario, track_races, result.RaceReports()),
       LayersCheck(result, golden, prefix, *scoring),
-      LayeredCheck(golden_layers, measured_layers, layers_path),
+      LayeredCheck(golden_layers, MergedLayers(result), prefix + ".layers"),
       NoiseCheck(*scenario, trials, result),
+      BytesCheck(files, golden_text, prefix),
   };
   const bool pass = std::all_of(std::begin(checks), std::end(checks),
                                 [](const Check& c) { return c.pass; });
@@ -515,8 +549,7 @@ int RunGateCommand(const std::vector<std::string>& args, std::ostream& out,
   for (Check& check : checks) {
     doc.Set(check.key, std::move(check.json));
   }
-  if (!cmd.WriteFlagFile("--json=",
-                         [&](std::ostream& os) { os << doc.Dump(); })) {
+  if (!cmd.WriteFlagFile("--json=", doc.Dump())) {
     return 2;
   }
   return pass ? 0 : 3;

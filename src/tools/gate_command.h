@@ -11,8 +11,10 @@
 //
 // Scenario runs are fully deterministic for a fixed (scenario, trials)
 // pair -- the runner seeds trial t with base+t and merges in trial order
-// -- so a clean gate means every rater scores the measured profiles at
-// distance 0 from the goldens.
+// -- so the gate also requires every golden file to hold exactly the
+// bytes --update would write (the [bytes] verdict), and a passing gate
+// proves the run byte-identical to its goldens.  The raters then explain
+// what moved when it is not.
 
 #ifndef OSPROF_SRC_TOOLS_GATE_COMMAND_H_
 #define OSPROF_SRC_TOOLS_GATE_COMMAND_H_
@@ -26,14 +28,16 @@ namespace ostools {
 // args are the tokens after "gate":
 //   gate <scenario> [--baseline=PREFIX] [--raters=emd,chi2,ops,latency]
 //                   [--threshold=X] [--trials=N] [--jobs=J] [--json=FILE]
-//                   [--update]
+//                   [--no-races] [--update]
 //   gate --list
 // The baseline PREFIX defaults to "tests/golden/<scenario>"; each profiled
-// layer reads/writes PREFIX.<layer>.prof.  Exit codes:
-//   0  every rater passed on every layer (or --update wrote new goldens)
+// layer reads/writes PREFIX.<layer>.prof, and a layered decomposition
+// PREFIX.layers.  Exit codes:
+//   0  every verdict passed (or --update wrote new goldens)
 //   1  usage error
 //   2  runtime failure, unknown scenario, or missing/corrupt baseline
-//   3  regression: at least one rater flagged at least one operation
+//   3  regression: a golden's bytes differ, a rater flagged an operation,
+//      or another verdict failed
 int RunGateCommand(const std::vector<std::string>& args, std::ostream& out,
                    std::ostream& err);
 

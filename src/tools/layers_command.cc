@@ -106,16 +106,11 @@ int RunLayersCommand(const std::vector<std::string>& args, std::ostream& out,
   }
   out << osprof::RenderLayers(layers);
 
+  const std::string json =
+      LayersJson(scenario->name, result->options.trials, layers).Dump();
   const bool written =
-      cmd.WriteFlagFile("--json=",
-                        [&](std::ostream& os) {
-                          os << LayersJson(scenario->name,
-                                           result->options.trials, layers)
-                                    .Dump();
-                        }) &&
-      cmd.WriteFlagFile("--out=", [&](std::ostream& os) {
-        osprof::SerializeLayers(layers, os);
-      });
+      cmd.WriteFlagFile("--json=", json) &&
+      cmd.WriteFlagFile("--out=", osprof::LayersToString(layers));
   return written ? 0 : 2;
 }
 

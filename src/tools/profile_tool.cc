@@ -56,15 +56,17 @@ constexpr const char* kUsage =
     "methods: chi-square, total-ops, total-latency, earth-movers,\n"
     "         intersection, jeffrey, minkowski-l1, minkowski-l2\n";
 
-std::optional<osprof::ProfileSet> LoadSet(const std::string& path,
-                                          std::ostream& err) {
+// A profile file parsed by T::Parse (flat or sampled); nullopt after
+// printing why not.
+template <typename T = osprof::ProfileSet>
+std::optional<T> LoadSet(const std::string& path, std::ostream& err) {
   std::ifstream in(path);
   if (!in) {
     err << "osprof_tool: cannot open " << path << "\n";
     return std::nullopt;
   }
   try {
-    return osprof::ProfileSet::Parse(in);
+    return T::Parse(in);
   } catch (const std::exception& e) {
     err << "osprof_tool: parse error in " << path << ": " << e.what() << "\n";
     return std::nullopt;
@@ -259,24 +261,9 @@ int Outliers(const std::vector<std::string>& args, std::ostream& out,
   return 0;
 }
 
-std::optional<osprof::SampledProfileSet> LoadSampled(const std::string& path,
-                                                     std::ostream& err) {
-  std::ifstream in(path);
-  if (!in) {
-    err << "osprof_tool: cannot open " << path << "\n";
-    return std::nullopt;
-  }
-  try {
-    return osprof::SampledProfileSet::Parse(in);
-  } catch (const std::exception& e) {
-    err << "osprof_tool: parse error in " << path << ": " << e.what() << "\n";
-    return std::nullopt;
-  }
-}
-
 int Grid(const std::vector<std::string>& args, std::ostream& out,
          std::ostream& err) {
-  const auto set = LoadSampled(args[1], err);
+  const auto set = LoadSet<osprof::SampledProfileSet>(args[1], err);
   if (!set) {
     return 2;
   }
@@ -298,7 +285,7 @@ int Grid(const std::vector<std::string>& args, std::ostream& out,
 
 int Plot3D(const std::vector<std::string>& args, std::ostream& out,
            std::ostream& err) {
-  const auto set = LoadSampled(args[1], err);
+  const auto set = LoadSet<osprof::SampledProfileSet>(args[1], err);
   if (!set) {
     return 2;
   }

@@ -81,8 +81,7 @@ int RunRacesCommand(const std::vector<std::string>& args, std::ostream& out,
       counters.Set(name, osjson::Value::Uint(result->TotalCounter(name)));
     }
     doc.Set("counters", std::move(counters));
-    if (!cmd.WriteFlagFile("--json=",
-                           [&doc](std::ostream& os) { os << doc.Dump(); })) {
+    if (!cmd.WriteFlagFile("--json=", doc.Dump())) {
       return 2;
     }
   }

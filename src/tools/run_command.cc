@@ -70,13 +70,15 @@ int RunRunCommand(const std::vector<std::string>& args, std::ostream& out,
   }
 
   const std::string prefix = cmd.Value("--out=");
-  if (!prefix.empty() &&
-      !cmd.WriteProfiles(*result, prefix,
-                         [&out](const std::string& path, std::size_t,
-                                const char*) {
-                           out << "wrote " << path << "\n";
-                         })) {
-    return 2;
+  if (prefix.empty()) {
+    return 0;
+  }
+  for (const GoldenFile& file : GoldenFiles(*result)) {
+    const std::string path = prefix + file.suffix;
+    if (!cmd.Write(path, file.text)) {
+      return 2;
+    }
+    out << "wrote " << path << "\n";
   }
   return 0;
 }

@@ -99,54 +99,27 @@ std::optional<osrunner::RunResult> ScenarioFrontEnd::Run(
   }
 }
 
-bool ScenarioFrontEnd::Write(
-    const std::string& path,
-    const std::function<void(std::ostream&)>& write) const {
+bool ScenarioFrontEnd::Write(const std::string& path,
+                             const std::string& text) const {
   std::ofstream file(path);
   if (!file) {
     err << "osprof_tool " << spec.name << ": cannot write " << path << "\n";
     return false;
   }
-  write(file);
+  file << text;
   return true;
 }
 
-bool ScenarioFrontEnd::WriteFlagFile(
-    const std::string& flag,
-    const std::function<void(std::ostream&)>& write) const {
+bool ScenarioFrontEnd::WriteFlagFile(const std::string& flag,
+                                     const std::string& text) const {
   const std::string path = Value(flag);
   if (path.empty()) {
     return true;
   }
-  if (!Write(path, write)) {
+  if (!Write(path, text)) {
     return false;
   }
   out << "wrote " << path << "\n";
-  return true;
-}
-
-bool ScenarioFrontEnd::WriteProfiles(
-    const osrunner::RunResult& result, const std::string& prefix,
-    const std::function<void(const std::string&, std::size_t, const char*)>&
-        wrote) const {
-  for (const auto& [layer, lr] : result.layers) {
-    const std::string path = prefix + "." + layer + ".prof";
-    if (!Write(path, [&](std::ostream& os) { lr.merged.Serialize(os); })) {
-      return false;
-    }
-    wrote(path, lr.merged.size(), "ops");
-  }
-  const std::map<std::string, osprof::LayeredProfileSet> layered =
-      MergedLayers(result);
-  if (layered.empty()) {
-    return true;
-  }
-  const std::string path = prefix + ".layers";
-  if (!Write(path,
-             [&](std::ostream& os) { osprof::SerializeLayers(layered, os); })) {
-    return false;
-  }
-  wrote(path, layered.size(), "layers");
   return true;
 }
 
@@ -158,6 +131,21 @@ void ListScenarios(std::ostream& out) {
                   registry.Find(name)->description.c_str());
     out << line;
   }
+}
+
+std::vector<GoldenFile> GoldenFiles(const osrunner::RunResult& result) {
+  std::vector<GoldenFile> files;
+  for (const auto& [layer, lr] : result.layers) {
+    files.push_back({layer, "." + layer + ".prof", lr.merged.ToString(),
+                     lr.merged.size(), "ops"});
+  }
+  const std::map<std::string, osprof::LayeredProfileSet> layered =
+      MergedLayers(result);
+  if (!layered.empty()) {
+    files.push_back({"", ".layers", osprof::LayersToString(layered),
+                     layered.size(), "layers"});
+  }
+  return files;
 }
 
 std::map<std::string, osprof::LayeredProfileSet> MergedLayers(

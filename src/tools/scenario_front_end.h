@@ -45,19 +45,11 @@ struct ScenarioFrontEnd {
   std::optional<osrunner::RunResult> Run(
       const std::function<void(osrunner::Scenario&)>& adjust = {});
 
-  // Writes the file that `flag` names, if it was given, and reports it.
-  bool WriteFlagFile(const std::string& flag,
-                     const std::function<void(std::ostream&)>& write) const;
-  // PREFIX.<layer>.prof per merged layer, then PREFIX.layers when any
-  // layer has a decomposition; `wrote(path, entries, "ops"|"layers")`.
-  bool WriteProfiles(
-      const osrunner::RunResult& result, const std::string& prefix,
-      const std::function<void(const std::string&, std::size_t,
-                               const char*)>& wrote) const;
-  // Hands `path`, opened for writing, to `write`; false after printing
-  // that it cannot be written.
-  bool Write(const std::string& path,
-             const std::function<void(std::ostream&)>& write) const;
+  // Writes `text` to the file that `flag` names, if it was given, and
+  // reports it.
+  bool WriteFlagFile(const std::string& flag, const std::string& text) const;
+  // Writes `text` to `path`; false after printing that it cannot.
+  bool Write(const std::string& path, const std::string& text) const;
 
   ScenarioCommandSpec spec;
   std::ostream& out;
@@ -72,6 +64,20 @@ struct ScenarioFrontEnd {
 
 // "  <name> <description>" for every registered scenario.
 void ListScenarios(std::ostream& out);
+
+// One file of a run's golden set: PREFIX + suffix holds exactly `text`.
+struct GoldenFile {
+  std::string layer;    // The profiled layer; "" for the decomposition.
+  std::string suffix;   // ".<layer>.prof", or ".layers".
+  std::string text;     // The file's exact bytes.
+  std::size_t entries;  // Profiles or decomposed layers, for messages.
+  const char* unit;     // What `entries` counts: "ops" or "layers".
+};
+
+// PREFIX.<layer>.prof per merged layer, then PREFIX.layers when any layer
+// recorded a decomposition.  `run --out` and `gate --update` write these
+// files, and the gate requires the goldens to hold exactly these bytes.
+std::vector<GoldenFile> GoldenFiles(const osrunner::RunResult& result);
 
 // The merged layered decomposition of every layer that recorded one.
 std::map<std::string, osprof::LayeredProfileSet> MergedLayers(

@@ -1,56 +1,47 @@
-// Serialization stability of the committed golden corpus: every
-// tests/golden/*.prof file must survive a Parse -> Serialize round trip
-// through the (vector + OpTable backed) ProfileSet byte-for-byte.  This
-// is the direct guard against interning-order or iteration-order changes
-// silently rewriting baselines the regression gate depends on.
+// Serialization stability of the committed golden corpus: every file in
+// tests/golden -- each .prof through the (vector + OpTable backed)
+// ProfileSet, each .layers through ParseLayers -- must survive a
+// Parse -> Serialize round trip byte-for-byte.  This is the direct guard
+// against interning-order or iteration-order changes silently rewriting
+// baselines the regression gate depends on.
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
+#include <algorithm>
 #include <string>
-#include <vector>
 
+#include "src/core/layered.h"
 #include "src/core/profile.h"
+#include "tests/test_files.h"
 
 namespace osprof {
 namespace {
 
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-class GoldenStabilityTest : public ::testing::TestWithParam<const char*> {};
+class GoldenStabilityTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(GoldenStabilityTest, ReserializesByteIdentically) {
-  const std::string path =
-      std::string(OSPROF_SOURCE_DIR) + "/tests/golden/" + GetParam();
-  const std::string original = ReadFileBytes(path);
+  const std::string& name = GetParam();
+  const std::string original = ostest::ReadFile(ostest::kGoldenDir + name);
   ASSERT_FALSE(original.empty());
 
-  const ProfileSet set = ProfileSet::ParseString(original);
-  EXPECT_TRUE(set.CheckConsistency());
-  EXPECT_GT(set.size(), 0u);
-  EXPECT_EQ(set.ToString(), original)
-      << GetParam() << " does not round-trip byte-identically";
+  std::string reserialized;
+  if (name.ends_with(".layers")) {
+    reserialized = LayersToString(ParseLayersString(original));
+  } else {
+    const ProfileSet set = ProfileSet::ParseString(original);
+    EXPECT_TRUE(set.CheckConsistency());
+    EXPECT_GT(set.size(), 0u);
+    reserialized = set.ToString();
+  }
+  EXPECT_EQ(reserialized, original)
+      << name << " does not round-trip byte-identically";
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, GoldenStabilityTest,
-                         ::testing::Values("fig01.user.prof", "fig03.fs.prof",
-                                           "fig06.fs.prof", "fig07.fs.prof",
-                                           "fig07_cifs.cifs.prof",
-                                           "postmark.fs.prof"),
+                         ::testing::ValuesIn(ostest::GoldenFileNames()),
                          [](const auto& info) {
                            std::string name = info.param;
-                           for (char& c : name) {
-                             if (c == '.') {
-                               c = '_';
-                             }
-                           }
+                           std::replace(name.begin(), name.end(), '.', '_');
                            return name;
                          });
 

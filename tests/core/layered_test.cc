@@ -103,18 +103,26 @@ TEST(LayeredSerializationTest, RoundTripIsByteIdentical) {
   EXPECT_EQ(LayersToString(parsed), text);
 }
 
+// A bad bucket line throws, naming its line: every count and index must
+// be a whole decimal token ("fs -5" used to read as 2^64-5).
 TEST(LayeredSerializationTest, MalformedInputThrowsWithLineNumber) {
   EXPECT_THROW(ParseLayersString("not a layers file\n"), std::runtime_error);
-  try {
-    ParseLayersString(
-        "# osprof layers v1\n"
-        "layer fs resolution 1\n"
-        "op readdir\n"
-        "  bucket five count 1 self 1 fs 0 driver 0 net 0 lock 0 runq 0\n");
-    FAIL() << "malformed bucket line must throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("4"), std::string::npos)
-        << "message should carry the line number: " << e.what();
+  const char* buckets[] = {
+      "five count 1 self 1 fs 0",
+      "5 count 1 self 1 fs -5",
+      "5 count -1 self 1 fs 0",
+      "5 count 1 self 1x fs 0",
+      "-5 count 1 self 1 fs 0",
+  };
+  for (const char* bucket : buckets) {
+    try {
+      ParseLayersString("layer fs resolution 1\nop x\nbucket " +
+                        std::string(bucket) + " driver 0 net 0 lock 0 runq 0");
+      ADD_FAILURE() << "accepted: " << bucket;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3:"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

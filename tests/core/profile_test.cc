@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace osprof {
 namespace {
@@ -79,16 +82,30 @@ TEST(ProfileSet, RoundTripPreservesResolution) {
   EXPECT_EQ(parsed.Find("op")->histogram().resolution(), 2);
 }
 
+// Malformed input throws, naming the line.  Counts must be whole decimal
+// tokens: "total_latency=-304" used to pass `check`, and "bucket 6 -1" to
+// read as 2^64-1.
 TEST(ProfileSet, ParseRejectsMalformedInput) {
-  EXPECT_THROW(ProfileSet::ParseString("bogus directive\n"), std::runtime_error);
-  EXPECT_THROW(ProfileSet::ParseString("bucket 1 2\n"), std::runtime_error);
-  EXPECT_THROW(
-      ProfileSet::ParseString("profile x\nbucket notanumber 3\nend\n"),
-      std::runtime_error);
-  EXPECT_THROW(ProfileSet::ParseString("profile x recorded=1\n"),
-               std::runtime_error);  // Unterminated block.
-  EXPECT_THROW(ProfileSet::ParseString("profile x\nbucket 9999 1\nend\n"),
-               std::runtime_error);  // Bucket out of range.
+  const std::pair<const char*, const char*> cases[] = {
+      {"bogus directive\n", "line 1:"},
+      {"bucket 1 2\n", "line 1:"},
+      {"profile x\nbucket notanumber 3\nend\n", "line 2:"},
+      {"profile x recorded=1\n", "line 1:"},           // Unterminated block.
+      {"profile x\nbucket 9999 1\nend\n", "line 2:"},  // Bucket out of range.
+      {"resolution 1\nprofile a recorded=2 total_latency=-304\n", "line 2:"},
+      {"profile a\n  bucket 7 1\n  bucket 6 -1\nend\n", "line 3:"},
+      {"profile a recorded=2x\nend\n", "line 1:"},
+      {"profile a\n  bucket 6 +1\nend\n", "line 2:"},
+  };
+  for (const auto& [text, line] : cases) {
+    try {
+      ProfileSet::ParseString(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ProfileSet, ParseIgnoresCommentsAndBlankLines) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 namespace osprof {
 namespace {
 
@@ -149,14 +153,26 @@ TEST(SampledProfileSet, ParsePreservesEmptyMiddleEpochs) {
   EXPECT_TRUE(p->epoch(3).empty());
 }
 
+// Malformed input throws, naming the line.  Counts must be whole decimal
+// tokens; a leading '-' used to wrap.
 TEST(SampledProfileSet, ParseRejectsGarbage) {
-  EXPECT_THROW(SampledProfileSet::ParseString("nonsense\n"),
-               std::runtime_error);
-  EXPECT_THROW(SampledProfileSet::ParseString("sampled op\nend\n"),
-               std::runtime_error);  // Missing epoch=.
-  EXPECT_THROW(
-      SampledProfileSet::ParseString("sampled op epoch=0\nbucket 1 1\n"),
-      std::runtime_error);  // Unterminated.
+  const std::pair<const char*, const char*> cases[] = {
+      {"nonsense\n", "line 1:"},
+      {"sampled op\nend\n", "line 1:"},                 // Missing epoch=.
+      {"sampled op epoch=0\nbucket 1 1\n", "line 2:"},  // Unterminated.
+      {"epoch_cycles 10\nsampled a epoch=0 total_latency=-100\n", "line 2:"},
+      {"sampled a epoch=0\n  bucket 7 1\n  bucket 6 -1\nend\n", "line 3:"},
+      {"epoch_cycles -5\n", "line 1:"},
+  };
+  for (const auto& [text, line] : cases) {
+    try {
+      SampledProfileSet::ParseString(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SampledProfileSet, RenderGnuplot3DEmitsClassedPoints) {

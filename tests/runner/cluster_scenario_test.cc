@@ -7,40 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <sstream>
 #include <string>
 
 #include "src/core/layered.h"
 #include "src/core/peaks.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
+#include "tests/runner/runner_test_util.h"
 
 namespace osrunner {
 namespace {
-
-const Scenario& Builtin(const std::string& name) {
-  const Scenario* s = BuiltinScenarios().Find(name);
-  EXPECT_NE(s, nullptr) << name;
-  return *s;
-}
-
-// Everything the goldens pin: every layer's merged profiles plus the
-// layered decomposition, in their on-disk serialization.
-std::string Serialized(const RunResult& result) {
-  std::ostringstream os;
-  for (const auto& [layer, lr] : result.layers) {
-    os << "== " << layer << " ==\n";
-    lr.merged.Serialize(os);
-  }
-  std::map<std::string, osprof::LayeredProfileSet> layered;
-  for (const auto& [layer, lr] : result.layers) {
-    if (!lr.layered.empty()) {
-      layered.emplace(layer, lr.layered);
-    }
-  }
-  os << osprof::LayersToString(layered);
-  return os.str();
-}
 
 TEST(ClusterScenario, ParallelRunsAreByteIdenticalToSerial) {
   RunOptions serial;
@@ -50,8 +26,8 @@ TEST(ClusterScenario, ParallelRunsAreByteIdenticalToSerial) {
   parallel.jobs = 8;
   for (const std::string name :
        {"cluster_write_shared", "cluster_read_mostly"}) {
-    const std::string a = Serialized(RunScenario(Builtin(name), serial));
-    const std::string b = Serialized(RunScenario(Builtin(name), parallel));
+    const std::string a = GoldenText(RunScenario(Builtin(name), serial));
+    const std::string b = GoldenText(RunScenario(Builtin(name), parallel));
     EXPECT_FALSE(a.empty()) << name;
     EXPECT_EQ(a, b) << name;
   }
@@ -61,9 +37,9 @@ TEST(ClusterScenario, RerunsAreByteIdentical) {
   RunOptions options;
   options.trials = 2;
   const std::string a =
-      Serialized(RunScenario(Builtin("cluster_write_shared"), options));
+      GoldenText(RunScenario(Builtin("cluster_write_shared"), options));
   const std::string b =
-      Serialized(RunScenario(Builtin("cluster_write_shared"), options));
+      GoldenText(RunScenario(Builtin("cluster_write_shared"), options));
   EXPECT_EQ(a, b);
 }
 

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,26 +13,11 @@
 #include "src/core/peaks.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
+#include "src/tools/scenario_front_end.h"
+#include "tests/runner/runner_test_util.h"
 
 namespace osrunner {
 namespace {
-
-const Scenario& Builtin(const std::string& name) {
-  const Scenario* s = BuiltinScenarios().Find(name);
-  EXPECT_NE(s, nullptr) << name;
-  return *s;
-}
-
-std::map<std::string, osprof::LayeredProfileSet> LayeredOf(
-    const RunResult& result) {
-  std::map<std::string, osprof::LayeredProfileSet> layers;
-  for (const auto& [layer, lr] : result.layers) {
-    if (!lr.layered.empty()) {
-      layers.emplace(layer, lr.layered);
-    }
-  }
-  return layers;
-}
 
 TEST(LayeredRunnerTest, ParallelMergeIsByteIdenticalToSerial) {
   RunOptions serial;
@@ -41,38 +25,25 @@ TEST(LayeredRunnerTest, ParallelMergeIsByteIdenticalToSerial) {
   serial.jobs = 1;
   RunOptions parallel = serial;
   parallel.jobs = 8;
-  const std::string a =
-      osprof::LayersToString(LayeredOf(RunScenario(Builtin("fig06"), serial)));
+  const std::string a = osprof::LayersToString(
+      ostools::MergedLayers(RunScenario(Builtin("fig06"), serial)));
   const std::string b = osprof::LayersToString(
-      LayeredOf(RunScenario(Builtin("fig06"), parallel)));
+      ostools::MergedLayers(RunScenario(Builtin("fig06"), parallel)));
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
 }
 
-// Every layer's merged ProfileSet in .prof serialization form -- what
-// `osprof run` writes to disk.
-std::string ProfilesToString(const RunResult& result) {
-  std::ostringstream os;
-  for (const auto& [layer, lr] : result.layers) {
-    os << "== " << layer << " ==\n";
-    lr.merged.Serialize(os);
-  }
-  return os.str();
-}
-
-// The .prof counterpart of the .layers identity above: trial profiles
-// are merged in trial order regardless of which worker finished first,
-// so the serialized bytes cannot depend on the jobs value.
+// Every golden file, .prof included, not only the .layers above: trial
+// profiles are merged in trial order regardless of which worker finished
+// first, so the serialized bytes cannot depend on the jobs value.
 TEST(LayeredRunnerTest, ParallelProfSerializationIsByteIdenticalToSerial) {
   RunOptions serial;
   serial.trials = 4;
   serial.jobs = 1;
   RunOptions parallel = serial;
   parallel.jobs = 8;
-  const std::string a =
-      ProfilesToString(RunScenario(Builtin("fig06"), serial));
-  const std::string b =
-      ProfilesToString(RunScenario(Builtin("fig06"), parallel));
+  const std::string a = GoldenText(RunScenario(Builtin("fig06"), serial));
+  const std::string b = GoldenText(RunScenario(Builtin("fig06"), parallel));
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
 }

@@ -19,6 +19,7 @@
 #include "src/sim/disk.h"
 #include "src/sim/kernel.h"
 #include "src/tools/profile_tool.h"
+#include "tests/runner/runner_test_util.h"
 
 namespace osrunner {
 namespace {
@@ -48,15 +49,6 @@ Scenario TinyClone() {
   clone.iterations = 50;
   s.workload = clone;
   return s;
-}
-
-std::string SerializedLayers(const RunResult& result) {
-  std::ostringstream os;
-  for (const auto& [layer, lr] : result.layers) {
-    os << "### " << layer << "\n";
-    lr.merged.Serialize(os);
-  }
-  return os.str();
 }
 
 TEST(ScenarioRegistryTest, RegisterFindAndReject) {
@@ -102,9 +94,9 @@ TEST(RunnerTest, SameSeedRunsAreByteIdentical) {
   options.trials = 3;
   const RunResult a = RunScenario(TinyGrep(), options);
   const RunResult b = RunScenario(TinyGrep(), options);
-  const std::string sa = SerializedLayers(a);
+  const std::string sa = GoldenText(a);
   EXPECT_FALSE(sa.empty());
-  EXPECT_EQ(sa, SerializedLayers(b));
+  EXPECT_EQ(sa, GoldenText(b));
 }
 
 // Acceptance criterion: the worker count must not affect the merge.
@@ -116,7 +108,7 @@ TEST(RunnerTest, JobCountDoesNotChangeMergedProfiles) {
   parallel.jobs = 4;
   const RunResult a = RunScenario(TinyGrep(), serial);
   const RunResult b = RunScenario(TinyGrep(), parallel);
-  EXPECT_EQ(SerializedLayers(a), SerializedLayers(b));
+  EXPECT_EQ(GoldenText(a), GoldenText(b));
   EXPECT_EQ(a.TotalCounter("files_read"), b.TotalCounter("files_read"));
 }
 

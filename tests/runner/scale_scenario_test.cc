@@ -4,15 +4,13 @@
 // length and any --jobs value, and the traffic generator must deliver
 // exactly its planned request count.
 
-#include <map>
-#include <sstream>
 #include <string>
 
 #include "gtest/gtest.h"
-#include "src/core/layered.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
 #include "src/workloads/traffic.h"
+#include "tests/runner/runner_test_util.h"
 
 namespace osrunner {
 namespace {
@@ -34,34 +32,19 @@ Scenario TinyTraffic(int num_cpus) {
   return s;
 }
 
-std::string SerializedOutput(const RunResult& result) {
-  std::ostringstream os;
-  std::map<std::string, osprof::LayeredProfileSet> layered;
-  for (const auto& [layer, lr] : result.layers) {
-    os << "### " << layer << "\n";
-    lr.merged.Serialize(os);
-    if (!lr.layered.empty()) {
-      layered.emplace(layer, lr.layered);
-    }
-  }
-  osprof::SerializeLayers(layered, os);
-  return os.str();
-}
-
 TEST(ScaleScenario, ShardingIsByteInvisibleForAnyCpuCountAndEpoch) {
   RunOptions options;
   options.trials = 2;
   for (const int cpus : {1, 4, 64}) {
     Scenario unsharded = TinyTraffic(cpus);
-    const std::string reference =
-        SerializedOutput(RunScenario(unsharded, options));
+    const std::string reference = GoldenText(RunScenario(unsharded, options));
     EXPECT_FALSE(reference.empty());
     for (const osim::Cycles epoch :
          {osim::Cycles{0}, osim::Cycles{1} << 18, osim::Cycles{1} << 22}) {
       Scenario sharded = TinyTraffic(cpus);
       sharded.profilers.per_cpu_shards = true;
       sharded.profilers.shard_epoch = epoch;
-      EXPECT_EQ(SerializedOutput(RunScenario(sharded, options)), reference)
+      EXPECT_EQ(GoldenText(RunScenario(sharded, options)), reference)
           << cpus << " CPUs, epoch " << epoch;
     }
   }
@@ -77,8 +60,8 @@ TEST(ScaleScenario, ShardedOutputIsJobsInvariant) {
   RunOptions parallel;
   parallel.trials = 4;
   parallel.jobs = 4;
-  EXPECT_EQ(SerializedOutput(RunScenario(scenario, serial)),
-            SerializedOutput(RunScenario(scenario, parallel)));
+  EXPECT_EQ(GoldenText(RunScenario(scenario, serial)),
+            GoldenText(RunScenario(scenario, parallel)));
 }
 
 TEST(ScaleScenario, TrafficDeliversExactlyThePlannedRequests) {

@@ -12,6 +12,7 @@
 #include "src/core/histogram.h"
 #include "src/core/profile.h"
 #include "src/runner/scenario.h"
+#include "tests/test_files.h"
 
 namespace ostools {
 namespace {
@@ -20,6 +21,8 @@ namespace {
 // that exercises several operations in one "fs"-layer profile set.
 constexpr const char* kScenario = "fig06";
 constexpr const char* kLayerSuffix = ".fs.prof";
+using ostest::kGoldenDir;
+using ostest::ReadFile;
 
 class GateCommandTest : public ::testing::Test {
  protected:
@@ -44,12 +47,9 @@ class GateCommandTest : public ::testing::Test {
     std::remove(json_path_.c_str());
   }
 
-  // Copies one baseline file between the fixture's two prefixes.
+  // Copies one baseline file.
   static void CopyFile(const std::string& from, const std::string& to) {
-    std::ifstream in(from);
-    ASSERT_TRUE(in.good()) << from;
-    std::ofstream out(to);
-    out << in.rdbuf();
+    std::ofstream(to) << ReadFile(from);
   }
 
   int Run(std::vector<std::string> args) {
@@ -107,6 +107,17 @@ TEST_F(GateCommandTest, CorruptBaselineExits2) {
   std::ofstream(prefix_ + kLayerSuffix) << "this is not a profile set\n";
   EXPECT_EQ(Run({kScenario, "--baseline=" + prefix_}), 2);
   EXPECT_NE(err_.str().find("corrupt baseline"), std::string::npos);
+
+  // "fs -5" (line 4) is corrupt too; it used to read as 2^64-5 (exit 3).
+  CopyFile(kGoldenDir + kScenario + kLayerSuffix, prefix_ + kLayerSuffix);
+  std::string layers = ReadFile(kGoldenDir + kScenario + ".layers");
+  layers.replace(layers.find(" fs 0 "), 6, " fs -5 ");
+  std::ofstream(prefix_ + ".layers") << layers;
+  EXPECT_EQ(Run({kScenario, "--baseline=" + prefix_}), 2);
+  EXPECT_NE(err_.str().find("corrupt baseline " + prefix_ +
+                            ".layers: ParseLayers line 4:"),
+            std::string::npos)
+      << err_.str();
 }
 
 TEST_F(GateCommandTest, UpdateRoundTripThenCleanGatePasses) {
@@ -114,9 +125,8 @@ TEST_F(GateCommandTest, UpdateRoundTripThenCleanGatePasses) {
   EXPECT_NE(out_.str().find("updated"), std::string::npos);
 
   // The written golden parses back to a non-empty set.
-  std::ifstream golden_file(prefix_ + kLayerSuffix);
-  ASSERT_TRUE(golden_file.good());
-  const osprof::ProfileSet golden = osprof::ProfileSet::Parse(golden_file);
+  const osprof::ProfileSet golden =
+      osprof::ProfileSet::ParseString(ReadFile(prefix_ + kLayerSuffix));
   EXPECT_GT(golden.size(), 0u);
   EXPECT_GT(golden.TotalOperations(), 0u);
 
@@ -131,11 +141,7 @@ TEST_F(GateCommandTest, JsonVerdictSchema) {
   ASSERT_EQ(Run({kScenario, "--baseline=" + prefix_,
                  "--json=" + json_path_}),
             0);
-  std::ifstream json_file(json_path_);
-  ASSERT_TRUE(json_file.good());
-  std::stringstream buffer;
-  buffer << json_file.rdbuf();
-  const std::string json = buffer.str();
+  const std::string json = ReadFile(json_path_);
   EXPECT_NE(json.find("\"schema\": \"osprof-gate-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"scenario\": \"fig06\""), std::string::npos);
   EXPECT_NE(json.find("\"pass\": true"), std::string::npos);
@@ -158,8 +164,8 @@ TEST_F(GateCommandTest, JsonVerdictSchema) {
 // total-latency) -- so every rater, run alone, must flag the regression.
 TEST_F(GateCommandTest, PerturbedBaselineFlaggedByEveryRater) {
   ASSERT_EQ(Run({kScenario, "--update", "--baseline=" + prefix_}), 0);
-  std::ifstream golden_file(prefix_ + kLayerSuffix);
-  const osprof::ProfileSet golden = osprof::ProfileSet::Parse(golden_file);
+  const osprof::ProfileSet golden =
+      osprof::ProfileSet::ParseString(ReadFile(prefix_ + kLayerSuffix));
 
   osprof::ProfileSet perturbed(golden.resolution());
   for (const auto& [name, profile] : golden) {
@@ -201,10 +207,7 @@ TEST_F(GateCommandTest, PerturbedBaselineFlaggedByEveryRater) {
   EXPECT_EQ(Run({kScenario, "--baseline=" + perturbed_prefix_,
                  "--json=" + json_path_}),
             3);
-  std::ifstream json_file(json_path_);
-  std::stringstream buffer;
-  buffer << json_file.rdbuf();
-  EXPECT_NE(buffer.str().find("\"pass\": false"), std::string::npos);
+  EXPECT_NE(ReadFile(json_path_).find("\"pass\": false"), std::string::npos);
 }
 
 // The layered decomposition is scored for exactness: tampering with one
@@ -214,14 +217,7 @@ TEST_F(GateCommandTest, PerturbedBaselineFlaggedByEveryRater) {
 TEST_F(GateCommandTest, LayersDecompositionDriftFailsGate) {
   ASSERT_EQ(Run({kScenario, "--update", "--baseline=" + prefix_}), 0);
   CopyFile(prefix_ + kLayerSuffix, perturbed_prefix_ + kLayerSuffix);
-  std::string layers_text;
-  {
-    std::ifstream in(prefix_ + ".layers");
-    ASSERT_TRUE(in.good());
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    layers_text = buffer.str();
-  }
+  const std::string layers_text = ReadFile(prefix_ + ".layers");
   // Prepends a digit to the self cycles at or after `from`, so they
   // change; returns where the next search starts.
   const auto bump_self = [](std::string& text, std::size_t from) {
@@ -243,11 +239,9 @@ TEST_F(GateCommandTest, LayersDecompositionDriftFailsGate) {
   EXPECT_EQ(Run({kScenario, "--baseline=" + perturbed_prefix_,
                  "--json=" + json_path_}),
             3);
-  std::ifstream json_file(json_path_);
-  std::stringstream buffer;
-  buffer << json_file.rdbuf();
-  EXPECT_NE(buffer.str().find("\"layered\""), std::string::npos);
-  EXPECT_NE(buffer.str().find("\"mismatches\""), std::string::npos);
+  const std::string json = ReadFile(json_path_);
+  EXPECT_NE(json.find("\"layered\""), std::string::npos);
+  EXPECT_NE(json.find("\"mismatches\""), std::string::npos);
 
   // fig06 decomposes 25 buckets; the listing stops at ten.
   std::string every_self = layers_text;
@@ -262,6 +256,35 @@ TEST_F(GateCommandTest, LayersDecompositionDriftFailsGate) {
       << out_.str();
 }
 
+// Two drifts every rater scores under its threshold: one more cycle of
+// llseek latency (latency score 4.5e-10) and one llseek moved from bucket
+// 15 to 16 (EMD 8.3e-05, threshold 0.2).  The [bytes] verdict fails both,
+// naming the file and its first differing line.
+TEST_F(GateCommandTest, SubThresholdGoldenDriftFailsTheBytesCheck) {
+  CopyFile(kGoldenDir + kScenario + ".layers", prefix_ + ".layers");
+  const std::string golden = ReadFile(kGoldenDir + kScenario + kLayerSuffix);
+  struct Edit {
+    std::string from, to, line;
+  };
+  const Edit edits[] = {
+      {"total_latency=2225771590", "total_latency=2225771591", "7"},
+      {"15 3108\n  bucket 16 74\n", "15 3107\n  bucket 16 75\n", "11"},
+  };
+  for (const auto& edit : edits) {
+    std::string drifted = golden;
+    drifted.replace(drifted.find(edit.from), edit.from.size(), edit.to);
+    std::ofstream(prefix_ + kLayerSuffix) << drifted;
+    EXPECT_EQ(Run({kScenario, "--baseline=" + prefix_}), 3);
+    EXPECT_EQ(out_.str().find("flagged:"), std::string::npos) << out_.str();
+    EXPECT_NE(out_.str().find("[bytes] " + prefix_ + kLayerSuffix +
+                              " DIFFERS from line " + edit.line + ":\n"),
+              std::string::npos)
+        << out_.str();
+    EXPECT_NE(out_.str().find("[bytes] " + prefix_ + ".layers identical"),
+              std::string::npos);
+  }
+}
+
 // A scenario that records layered data cannot gate without its .layers
 // golden: profiles alone no longer prove the run matches.
 TEST_F(GateCommandTest, MissingLayersBaselineExits2) {
@@ -273,19 +296,39 @@ TEST_F(GateCommandTest, MissingLayersBaselineExits2) {
 }
 
 // The committed corpus under tests/golden/ must pass for every registered
-// scenario: this is the same invariant the CI gate job enforces, checked
-// here so `ctest` catches a stale or missing golden before a push does.
-// scale_1m runs in the slow tier (tests/CMakeLists.txt).
-class GoldenCorpusTest : public ::testing::TestWithParam<std::string> {};
+// scenario: this is the gate CI runs, checked here so `ctest` catches a
+// stale or missing golden before a push does.  A passing gate proves the
+// run byte-identical to its goldens, so gating with SimRace on and off
+// also proves tracking costs no simulated time.  scale_1m runs in the slow
+// tier (tests/CMakeLists.txt).
+class GoldenCorpusTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  // The gate's stdout; it must exit 0.
+  std::string Gate(std::vector<std::string> args) {
+    args.insert(args.begin(),
+                {GetParam(), "--baseline=" + kGoldenDir + GetParam()});
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(RunGateCommand(args, out, err), 0) << out.str() << err.str();
+    return out.str();
+  }
+};
 
+// Every file the scenario owns in tests/golden (<scenario>.*) is one its
+// gate compares, so no stray golden sits there unchecked.
 TEST_P(GoldenCorpusTest, CommittedGoldenPasses) {
-  const std::string scenario = GetParam();
-  const std::string golden =
-      std::string(OSPROF_SOURCE_DIR) + "/tests/golden/" + scenario;
-  std::ostringstream out;
-  std::ostringstream err;
-  EXPECT_EQ(RunGateCommand({scenario, "--baseline=" + golden}, out, err), 0)
-      << out.str() << err.str();
+  const std::string out = Gate({});
+  for (const std::string& file : ostest::GoldenFileNames()) {
+    if (file.starts_with(GetParam() + ".")) {
+      EXPECT_NE(out.find("[bytes] " + kGoldenDir + file + " identical\n"),
+                std::string::npos)
+          << "the gate does not compare tests/golden/" << file;
+    }
+  }
+}
+
+TEST_P(GoldenCorpusTest, CommittedGoldenPassesWithoutRaces) {
+  Gate({"--no-races"});
 }
 
 INSTANTIATE_TEST_SUITE_P(Registry, GoldenCorpusTest,
@@ -293,38 +336,41 @@ INSTANTIATE_TEST_SUITE_P(Registry, GoldenCorpusTest,
                              osrunner::BuiltinScenarios().Names()),
                          [](const auto& info) { return info.param; });
 
+// ... and every file there is owned by a registered scenario.
+TEST(GoldenCorpusFiles, EachBelongsToARegisteredScenario) {
+  for (const std::string& file : ostest::GoldenFileNames()) {
+    const std::string owner = file.substr(0, file.find('.'));
+    EXPECT_NE(osrunner::BuiltinScenarios().Find(owner), nullptr)
+        << "tests/golden/" << file << " belongs to no registered scenario";
+  }
+}
+
 // The [races] verdict: a seeded fixture must race -- and that is its
 // passing state -- a clean scenario must not, and --no-races skips the
 // check while gating the identical profiles against the same goldens
 // (tracking consumes no simulated time).
 TEST_F(GateCommandTest, RacesVerdictCoversFixturesCleanRunsAndOptOut) {
-  const std::string golden_dir = std::string(OSPROF_SOURCE_DIR) +
-                                 "/tests/golden/";
   const std::string fixture = "race_fixture_counter";
-  EXPECT_EQ(Run({fixture, "--baseline=" + golden_dir + fixture,
+  EXPECT_EQ(Run({fixture, "--baseline=" + kGoldenDir + fixture,
                  "--json=" + json_path_}),
             0)
       << out_.str() << err_.str();
   EXPECT_NE(out_.str().find("[races] fixture raced as designed:"),
             std::string::npos);
-  std::ifstream json_file(json_path_);
-  ASSERT_TRUE(json_file.good());
-  std::stringstream buffer;
-  buffer << json_file.rdbuf();
-  const std::string json = buffer.str();
+  const std::string json = ReadFile(json_path_);
   EXPECT_NE(json.find("\"races\""), std::string::npos);
   EXPECT_NE(json.find("\"expected\": true"), std::string::npos);
   EXPECT_NE(json.find("\"found\": true"), std::string::npos);
   EXPECT_NE(json.find("RaceIncrementOnce"), std::string::npos);
 
-  EXPECT_EQ(Run({fixture, "--baseline=" + golden_dir + fixture,
+  EXPECT_EQ(Run({fixture, "--baseline=" + kGoldenDir + fixture,
                  "--no-races"}),
             0)
       << out_.str() << err_.str();
   EXPECT_NE(out_.str().find("[races] tracking disabled; skipped"),
             std::string::npos);
 
-  EXPECT_EQ(Run({kScenario, "--baseline=" + golden_dir + kScenario}), 0)
+  EXPECT_EQ(Run({kScenario, "--baseline=" + kGoldenDir + kScenario}), 0)
       << out_.str() << err_.str();
   EXPECT_NE(out_.str().find("[races] no data races"), std::string::npos);
 }

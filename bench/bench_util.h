@@ -88,15 +88,13 @@ inline std::uint64_t PreemptedTail(const osprof::Histogram& h,
 // Figure 10's grep -r over CIFS (§6.4), client and server on one 4-CPU
 // box.  Every directory holds 100 files, so a Find transaction takes
 // several batches and a Windows client stalls on delayed ACKs between
-// them.  SimRace stays off: these machines never tracked races, and
-// tracking the CIFS caches multiplies the host time many times over.
+// them.  SimRace tracks the CIFS caches here as in every gated scenario.
 inline osrunner::Scenario CifsGrep(std::uint64_t seed,
                                    osnet::ClientOs client_os,
                                    bool delayed_ack) {
   osrunner::Scenario s;
   s.kernel.num_cpus = 4;
   s.kernel.seed = seed;
-  s.track_races = false;
   osrunner::GrepSpec grep;
   grep.root = "/export";
   grep.tree.top_dirs = 6;

@@ -93,6 +93,8 @@ int main() {
   report.Check("linux_no_stall_peak", lff->histogram().LastNonEmpty() < 26);
   report.Check("only_windows_client_stalls",
                windows_stalls > 0 && linux_stalls == 0);
+  report.Check("race_free",
+               windows.race_reports.empty() && linux.race_reports.empty());
   report.Metric("windows_elapsed_s", windows_elapsed_s);
   report.Metric("linux_elapsed_s", linux_elapsed_s);
   report.Metric("windows_delayed_acks", static_cast<double>(windows_stalls));

@@ -1,48 +1,19 @@
 #include "src/core/histogram.h"
 
 #include <cstdint>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 
 namespace osprof {
-namespace {
 
-int BucketCountFor(int resolution) {
-  if (resolution < 1 || resolution > 16) {
+int BucketCount(int resolution) {
+  if (resolution < 1 || resolution > kMaxResolution) {
     throw std::invalid_argument("histogram resolution must be in [1, 16]");
   }
   return kMaxLog2Buckets * resolution;
 }
-
-// Builds the exact boundary table for one resolution.  Entry b is the
-// smallest integer latency x with x^r >= 2^b, found by binary search over
-// the exact predicate; entries at or beyond 2^64 saturate.
-std::vector<Cycles> BuildBucketBounds(int resolution) {
-  const int buckets = BucketCountFor(resolution);
-  std::vector<Cycles> bounds(static_cast<std::size_t>(buckets) + 1, 0);
-  for (int b = 1; b <= buckets; ++b) {
-    if (b >= kMaxLog2Buckets * resolution) {
-      // The bound would be 2^64, which Cycles cannot represent.
-      bounds[static_cast<std::size_t>(b)] = ~Cycles{0};
-      continue;
-    }
-    Cycles lo = 1;
-    Cycles hi = ~Cycles{0};
-    while (lo < hi) {
-      const Cycles mid = lo + (hi - lo) / 2;
-      if (internal::PowAtLeast(mid, resolution, b)) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    bounds[static_cast<std::size_t>(b)] = lo;
-  }
-  return bounds;
-}
-
-}  // namespace
 
 namespace internal {
 
@@ -71,23 +42,49 @@ bool PowAtLeast(Cycles latency, int resolution, int exponent) {
   return bit_length >= exponent + 1;
 }
 
+// Builds the exact boundary table for one resolution.  Entry b is the
+// smallest integer latency x with x^r >= 2^b, found by binary search over
+// the exact predicate; entries at or beyond 2^64 saturate.
+std::vector<Cycles> BuildBucketBounds(int resolution) {
+  const int buckets = BucketCount(resolution);
+  std::vector<Cycles> bounds(static_cast<std::size_t>(buckets) + 1, 0);
+  for (int b = 1; b <= buckets; ++b) {
+    if (b >= kMaxLog2Buckets * resolution) {
+      // The bound would be 2^64, which Cycles cannot represent.
+      bounds[static_cast<std::size_t>(b)] = ~Cycles{0};
+      continue;
+    }
+    Cycles lo = 1;
+    Cycles hi = ~Cycles{0};
+    while (lo < hi) {
+      const Cycles mid = lo + (hi - lo) / 2;
+      if (PowAtLeast(mid, resolution, b)) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    bounds[static_cast<std::size_t>(b)] = lo;
+  }
+  return bounds;
+}
+
 }  // namespace internal
 
 const std::vector<Cycles>& BucketBounds(int resolution) {
-  BucketCountFor(resolution);  // Validates the range.
-  static const auto* tables = [] {
-    auto* t = new std::vector<std::vector<Cycles>>(17);
-    for (int r = 1; r <= 16; ++r) {
-      (*t)[static_cast<std::size_t>(r)] = BuildBucketBounds(r);
-    }
-    return t;
-  }();
-  return (*tables)[static_cast<std::size_t>(resolution)];
+  BucketCount(resolution);  // Validates the range.
+  // Leaked, so a table outlives every static that might still read it.
+  static auto* const tables = new std::vector<Cycles>[kMaxResolution + 1];
+  static std::once_flag built[kMaxResolution + 1];
+  const auto r = static_cast<std::size_t>(resolution);
+  std::call_once(built[r],
+                 [&] { tables[r] = internal::BuildBucketBounds(resolution); });
+  return tables[r];
 }
 
 Histogram::Histogram(int resolution)
     : resolution_(resolution),
-      buckets_(static_cast<std::size_t>(BucketCountFor(resolution)), 0) {}
+      buckets_(static_cast<std::size_t>(BucketCount(resolution)), 0) {}
 
 void Histogram::Merge(const Histogram& other) {
   if (other.resolution_ != resolution_) {
@@ -176,7 +173,7 @@ void Histogram::Clear() {
 
 AtomicHistogram::AtomicHistogram(int resolution)
     : resolution_(resolution),
-      buckets_(static_cast<std::size_t>(BucketCountFor(resolution))) {}
+      buckets_(static_cast<std::size_t>(BucketCount(resolution))) {}
 
 Histogram AtomicHistogram::Snapshot() const {
   Histogram out(resolution_);

@@ -38,19 +38,29 @@ namespace osprof {
 // With a 64-bit cycle counter, floor(log2(latency)) < 64; resolution r
 // multiplies the bucket count.
 inline constexpr int kMaxLog2Buckets = 64;
+inline constexpr int kMaxResolution = 16;
+
+// The number of buckets at `resolution`, kMaxLog2Buckets * resolution.
+// Throws std::invalid_argument outside [1, kMaxResolution].
+int BucketCount(int resolution);
 
 namespace internal {
 // Exact predicate: latency^resolution >= 2^exponent, evaluated with a small
 // stack big-integer (no floating point).  This is the ground truth behind
 // bucket boundaries: floor(r * log2(x)) >= b  <=>  x^r >= 2^b.
 bool PowAtLeast(Cycles latency, int resolution, int exponent);
+
+// Builds the boundary table BucketBounds(resolution) returns, from scratch.
+std::vector<Cycles> BuildBucketBounds(int resolution);
 }  // namespace internal
 
 // The exact bucket boundary table for `resolution`: entry b is the smallest
 // latency whose bucket is >= b (entry 0 is 0; the one-past-the-end entry
-// saturates to the maximum Cycles value).  Built once per process by binary
-// search over the exact PowAtLeast predicate, so boundaries never suffer
-// floating-point drift.
+// saturates to the maximum Cycles value).  Each resolution's table is built
+// on its first use (thread-safely, once per process) by binary search over
+// the exact PowAtLeast predicate, so boundaries never suffer floating-point
+// drift and a process pays only for the resolutions it asks for.  r = 1
+// needs no table: BucketIndex and BucketLowerBound use the closed form.
 const std::vector<Cycles>& BucketBounds(int resolution);
 
 // Returns floor(r * log2(latency)).  Latencies of 0 and 1 cycles land in

@@ -37,9 +37,9 @@ const char* LayerComponentName(LayerComponent c) {
 
 LayeredProfile::LayeredProfile(int resolution)
     : resolution_(resolution),
-      // BucketBounds validates the resolution range; the planes cover every
+      // BucketCount validates the resolution range; the planes cover every
       // bucket BucketIndex can produce at this resolution.
-      num_buckets_(static_cast<int>(BucketBounds(resolution).size()) - 1),
+      num_buckets_(BucketCount(resolution)),
       stride_(static_cast<std::size_t>(num_buckets_)),
       counts_(stride_, 0),
       forced_(stride_, 0),

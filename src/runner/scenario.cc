@@ -150,7 +150,7 @@ Scenario Scale1M() {
   s.kernel.num_cpus = 64;
   s.kernel.seed = 71;
   s.kernel.reap_finished = true;
-  s.track_races = false;  // Clock growth, untriaged reports; see Scenario.
+  s.track_races = false;  // Untriaged reports, recorded digest; see Scenario.
   s.profilers.per_cpu_shards = true;
   s.profilers.shard_epoch = osim::Cycles{1} << 24;
   TrafficSpec t;
@@ -229,7 +229,7 @@ Scenario ScaleSmoke() {
   s.kernel.num_cpus = 8;
   s.kernel.seed = 71;
   s.kernel.reap_finished = true;
-  s.track_races = false;  // Clock growth, untriaged reports; see Scenario.
+  s.track_races = false;  // Untriaged reports; see Scenario.
   s.profilers.per_cpu_shards = true;
   s.profilers.shard_epoch = osim::Cycles{1} << 22;
   TrafficSpec t;

@@ -170,11 +170,11 @@ struct Scenario {
   ProfilerSpec profilers;
   WorkloadSpec workload = GrepSpec{};
   // SimRace happens-before tracking (src/sim/race_tracker.h).  Free in
-  // simulated time, so profiles are byte-identical either way.  The scale
-  // scenarios turn it off because its per-task clocks grow with every task
-  // ever spawned (thread ids stay monotonic under reaping), and because
-  // `osprof_tool races scale_smoke` reports 11 races not yet sorted into
-  // model bugs and false positives.
+  // simulated time, so profiles are byte-identical either way, and its
+  // clocks are sized by the tasks still live.  Only the scale scenarios
+  // turn it off: `osprof_tool races scale_smoke` reports 11 races not yet
+  // sorted into model bugs and false positives, and tracking would add
+  // race_* counters to the scale_1m digest perfbench records.
   bool track_races = true;
 };
 

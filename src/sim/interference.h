@@ -195,6 +195,10 @@ class InterferenceChannel {
     races_->OnRelease(lock, thread_id);
   }
 
+  // The lock's storage is going away; a lock built at the same address
+  // later must not inherit its release history.
+  void LockDestroyed(const void* lock) { races_->OnLockDestroyed(lock); }
+
   // --- Task lifecycle hooks (race detection) ----------------------------
   // Spawn/exit/wake are the scheduler-level happens-before edges: a child
   // inherits its spawner's history, an exit folds into the root clock,

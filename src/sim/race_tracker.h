@@ -36,8 +36,17 @@
 // between awaits -- zero simulated time, so golden profiles are
 // byte-identical with tracking on or off.  Disabled, every hook is one
 // inline flag test and Capture returns an empty token without touching
-// the heap; the scale scenarios additionally run with tracking off so
-// their callback hot paths skip token capture entirely.
+// the heap.  Enabled, the tracker pays for what is live, not for every
+// task ever spawned: a clock is stored as "the root clock as of version
+// v" plus sparse (tid, epoch) entries above it, so a join, capture or
+// spawn costs the entries of the tasks and tokens still in flight; a
+// task's clock is freed when it exits (its history lives on in the root
+// and in every clock it reached), and a lock's clock when the lock is
+// destroyed.  The root only grows, and only at exits, so it is kept as
+// per-tid (version, epoch) histories -- one stamp per exit that taught
+// it something.  Each cell indexes its read set by tid.  Every clock
+// value is exactly the one a dense FastTrack vector clock would hold
+// (Flanagan & Freund, PLDI 2009); only the representation differs.
 
 #ifndef OSPROF_SRC_SIM_RACE_TRACKER_H_
 #define OSPROF_SRC_SIM_RACE_TRACKER_H_
@@ -45,6 +54,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -56,10 +66,24 @@ namespace osim {
 class Kernel;
 class RequestContext;
 
-// A captured vector clock, carried by value through asynchronous
-// completion callbacks (disk submit -> completion, net send -> delivery).
-// Empty when the tracker is disabled.
-using RaceClock = std::vector<std::uint32_t>;
+// One entry of a sparse clock: task `tid` at `epoch`.
+struct RaceEpoch {
+  int tid = -1;
+  std::uint32_t epoch = 0;
+};
+
+// A vector clock relative to its tracker's root clock: entry t is the
+// root's entry t as of `version`, or t's entry in `above` where there is
+// one (always larger).  Tasks, locks and adopted histories hold one each;
+// captured, it is the causality token carried by value through an
+// asynchronous completion (disk submit -> completion, net send ->
+// delivery).  Empty -- the all-zero clock -- when the tracker is disabled.
+struct RaceClock {
+  std::uint32_t version = 0;
+  std::vector<RaceEpoch> above;  // Sorted by tid.
+
+  bool empty() const { return version == 0 && above.empty(); }
+};
 
 // One recorded access to a shared cell: who, at which epoch, from which
 // function, under which profiled op.  The op table pointer stays valid
@@ -83,8 +107,8 @@ struct RaceCellState {
   bool registered = false;
   bool has_write = false;
   RaceAccess last_write;
-  // Latest read per thread since the last non-racing write.
-  std::vector<RaceAccess> reads;
+  // Latest read per thread since the last non-racing write, by tid.
+  std::unordered_map<int, RaceAccess> reads;
 };
 
 class RaceTracker {
@@ -128,6 +152,13 @@ class RaceTracker {
       ReleaseSlow(lock, tid);
     }
   }
+  // A destroyed lock's clock goes with it, so a lock later built at the
+  // same address starts with no release history.
+  void OnLockDestroyed(const void* lock) {
+    if (!locks_.empty()) {
+      locks_.erase(lock);
+    }
+  }
 
   // --- Causality tokens -------------------------------------------------
   // Capture the current history (task clock, or root+adopted in kernel
@@ -140,8 +171,9 @@ class RaceTracker {
     }
     return CaptureSlow();
   }
+  // Every Adopt pushes (an empty token too), so each Drop pops its own.
   void Adopt(const RaceClock& token) {
-    if (enabled_ && !token.empty()) {
+    if (enabled_) {
       adopted_.push_back(token);
     }
   }
@@ -172,12 +204,21 @@ class RaceTracker {
   std::uint64_t accesses_checked() const { return accesses_checked_; }
   std::uint64_t cells_tracked() const { return cells_tracked_; }
 
+  // Entries held in clocks right now: root stamps plus the sparse entries
+  // of live tasks, locks and adopted tokens.  For tests that pin growth.
+  std::uint64_t clock_entries() const;
+
   // Drops all clocks, tokens and reports (not the enabled flag).  Cell
   // states invalidate lazily via the generation counter.
   void Reset();
 
  private:
-  using VectorClock = std::vector<std::uint32_t>;
+  // One step of a root history: from `version` on, the root's entry for
+  // the history's tid is `epoch`.
+  struct RootStamp {
+    std::uint32_t version;
+    std::uint32_t epoch;
+  };
 
   // Out-of-line slow tails of the edge hooks.
   void SpawnSlow(int parent, int child);
@@ -190,17 +231,27 @@ class RaceTracker {
   // The id of the task executing right now, or -1 in kernel context.
   int CurrentTid() const;
 
-  // The clock of task `tid`, sized and seeded on first sight.
-  VectorClock& ClockOf(int tid);
+  // The clock of task `tid`, seeded on first sight.  May grow clocks_,
+  // so take it after every other clock reference a caller still needs.
+  RaceClock& ClockOf(int tid);
 
-  // Joins root_ plus every adopted token into `out`.
-  void KernelClockInto(VectorClock& out) const;
+  // The root plus every adopted token: what kernel context knows.
+  const RaceClock& KernelClock();
 
-  static void Join(VectorClock& into, const VectorClock& from);
+  // Entry `tid` of the root as of `version`, and of `clock`.
+  std::uint32_t RootAt(int tid, std::uint32_t version) const;
+  std::uint32_t EntryOf(const RaceClock& clock, int tid) const;
+
+  // into = into joined with from, entry by entry.
+  void Join(RaceClock& into, const RaceClock& from);
+
+  // Advances `clock`'s own entry for `tid`: the edge just sent must not
+  // order the sender's later work.
+  void Tick(RaceClock& clock, int tid) const;
 
   // True when `access` happened-before the accessor whose clock is `now`.
-  static bool OrderedBefore(const RaceAccess& access, int tid,
-                            const VectorClock& now);
+  bool OrderedBefore(const RaceAccess& access, int tid,
+                     const RaceClock& now) const;
 
   RaceAccess MakeAccess(int tid, const char* func, bool is_write) const;
   void Report(const char* cell_name, const RaceAccess& prior,
@@ -211,15 +262,22 @@ class RaceTracker {
   const Kernel* kernel_ = nullptr;
   std::uint32_t generation_ = 0;
 
-  // Per-task clocks, indexed by dense thread id.
-  std::vector<VectorClock> clocks_;
+  // Per-task clocks, indexed by dense thread id; empty once a task exits.
+  std::vector<RaceClock> clocks_;
   // The root clock: history of every exited task, joined at exit so
-  // later host-context spawns are ordered after completed phases.
-  VectorClock root_;
+  // later host-context spawns are ordered after completed phases.  Kept
+  // as one stamp history per tid, ascending in version and epoch.  The
+  // version counts the exits that grew the root; it survives Reset, so a
+  // token captured before one never reads a later root.
+  std::vector<std::vector<RootStamp>> root_;
+  std::uint32_t root_version_ = 0;
   // Adopted causality tokens (a stack: completions can nest).
-  std::vector<VectorClock> adopted_;
+  std::vector<RaceClock> adopted_;
   // Per-lock clocks: release joins in, acquire joins out.
-  std::map<const void*, VectorClock> locks_;
+  std::unordered_map<const void*, RaceClock> locks_;
+  // Scratch for KernelClock and Join, reused to spare allocations.
+  RaceClock kernel_clock_;
+  std::vector<RaceEpoch> merged_;
 
   // Deduped reports keyed by the sorted pair of access descriptors
   // (site + op of both sides).  std::map keeps output deterministic.

@@ -44,6 +44,9 @@ class SimSemaphore {
   SimSemaphore(Kernel* kernel, int count, std::string name = "sem")
       : kernel_(kernel), count_(count), name_(std::move(name)) {}
 
+  // The kernel must outlive the semaphore: SimRace forgets its clock here.
+  ~SimSemaphore() { kernel_->channel().LockDestroyed(this); }
+
   SimSemaphore(const SimSemaphore&) = delete;
   SimSemaphore& operator=(const SimSemaphore&) = delete;
 
@@ -128,6 +131,9 @@ class SimSpinlock {
  public:
   explicit SimSpinlock(Kernel* kernel, std::string name = "spinlock")
       : kernel_(kernel), name_(std::move(name)) {}
+
+  // The kernel must outlive the lock, as for SimSemaphore.
+  ~SimSpinlock() { kernel_->channel().LockDestroyed(this); }
 
   SimSpinlock(const SimSpinlock&) = delete;
   SimSpinlock& operator=(const SimSpinlock&) = delete;

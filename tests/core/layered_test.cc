@@ -11,6 +11,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/core/histogram.h"
+
 namespace osprof {
 namespace {
 
@@ -69,6 +71,12 @@ TEST(LayeredMergeTest, MergeIsAssociative) {
   LayeredProfileSet right = MakeSet(1);
   right.Merge(bc);
   EXPECT_EQ(Text(left), Text(right));
+}
+
+TEST(LayeredProfileTest, ResolutionOutsideOneToSixteenThrows) {
+  EXPECT_THROW(LayeredProfile(0), std::invalid_argument);
+  EXPECT_THROW(LayeredProfile(17), std::invalid_argument);
+  EXPECT_EQ(LayeredProfile(16).num_buckets(), kMaxLog2Buckets * 16);
 }
 
 TEST(LayeredMergeTest, ResolutionMismatchThrows) {

@@ -1,7 +1,9 @@
 // Thread-safety targets for the ThreadSanitizer preset (-DOSPROF_SANITIZE=
 // thread, ctest -L tsan): the sharded histogram hammered from real host
-// threads, and the runner's trial pool itself.
+// threads, the lazily built bucket tables, and the runner's trial pool
+// itself.
 
+#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -36,6 +38,40 @@ TEST(ParallelMergeTest, ShardedHistogramUnderConcurrentWriters) {
   EXPECT_EQ(merged.TotalOperations(),
             static_cast<std::uint64_t>(kThreads) * kAddsPerThread);
   EXPECT_EQ(sharded.shard_count(), kThreads);
+}
+
+// Each resolution's boundary table is built on its first use; four
+// threads asking for all sixteen at once must each get one table per
+// resolution, equal to a sequential build.
+TEST(ParallelMergeTest, BucketTablesBuiltConcurrentlyMatchSequentialBuild) {
+  constexpr int kThreads = 4;
+  std::vector<std::vector<const std::vector<osprof::Cycles>*>> seen(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (int r = 1; r <= osprof::kMaxResolution; ++r) {
+        seen[static_cast<std::size_t>(t)].push_back(&osprof::BucketBounds(r));
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (int r = 1; r <= osprof::kMaxResolution; ++r) {
+    const std::vector<osprof::Cycles> expected =
+        osprof::internal::BuildBucketBounds(r);
+    for (int t = 0; t < kThreads; ++t) {
+      const std::vector<osprof::Cycles>* table =
+          seen[static_cast<std::size_t>(t)][static_cast<std::size_t>(r - 1)];
+      EXPECT_EQ(table, &osprof::BucketBounds(r)) << "r=" << r;
+      EXPECT_EQ(*table, expected) << "r=" << r;
+    }
+  }
 }
 
 TEST(ParallelMergeTest, ConcurrentShardRegistration) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,65 @@ Task<void> WriteCaptureAndPark(Kernel* k, Shared<std::uint64_t>* cell,
   OSIM_SHARED_RW(*cell) = 42;
   *token = k->races().Capture();
   co_await k->Sleep(1'000'000);
+}
+
+// The smbd pattern: a request handler spawned by a delivery, which
+// updates the shared cell under the shared lock and wakes its client.
+Task<void> HandleRequest(Kernel* k, Shared<std::uint64_t>* cell,
+                         SimSemaphore* lock, WaitQueue* replies,
+                         bool* replied) {
+  co_await lock->Acquire();
+  const std::uint64_t seen = OSIM_SHARED_RO(*cell);
+  co_await k->Cpu(100);
+  OSIM_SHARED_RW(*cell) = seen + 1;
+  lock->Release();
+  *replied = true;
+  replies->WakeOne();
+}
+
+// Sends `requests` requests one after another.  Each delivery is a
+// kernel-context callback that adopts the send's token and spawns a
+// handler, as the CIFS server does.
+Task<void> SendRequests(Kernel* k, Shared<std::uint64_t>* cell,
+                        SimSemaphore* lock, WaitQueue* replies,
+                        int requests) {
+  for (int i = 0; i < requests; ++i) {
+    bool replied = false;
+    k->events().After(1'000, [k, cell, lock, replies, &replied,
+                              token = k->races().Capture()] {
+      k->races().Adopt(token);
+      k->Spawn("smbd", HandleRequest(k, cell, lock, replies, &replied));
+      k->races().Drop();
+    });
+    while (!replied) {
+      co_await replies->Wait();
+    }
+  }
+}
+
+Task<void> WriteUnderLockAndPark(Kernel* k, Shared<std::uint64_t>* cell,
+                                 SimSemaphore* lock) {
+  co_await lock->Acquire();
+  OSIM_SHARED_RW(*cell) = 1;
+  lock->Release();
+  co_await k->Sleep(1'000'000);
+}
+
+Task<void> ReadUnderLock(Shared<std::uint64_t>* cell, SimSemaphore* lock,
+                         std::uint64_t* out) {
+  co_await lock->Acquire();
+  *out = OSIM_SHARED_RO(*cell);
+  lock->Release();
+}
+
+Task<void> AwaitWakeThenWrite(WaitQueue* queue, Shared<std::uint64_t>* cell) {
+  co_await queue->Wait();
+  OSIM_SHARED_RW(*cell) = 3;
+}
+
+Task<void> WakeOneWaiter(WaitQueue* queue) {
+  queue->WakeOne();
+  co_return;
 }
 
 bool AnyReportMentions(const std::vector<std::string>& reports,
@@ -214,6 +274,89 @@ TEST(RaceTracker, AdoptedTokenOrdersCompletionWork) {
   EXPECT_EQ(saw, 42u);
   EXPECT_FALSE(k.races().RacesFound())
       << k.races().ReportDescriptions().front();
+}
+
+// An empty token (a completion whose submit ran untracked) still pairs
+// with its Drop: dropping it must not drop the outer adoption's history.
+TEST(RaceTracker, EmptyTokenAdoptionPairsWithItsDrop) {
+  Kernel k(QuietConfig());
+  k.races().set_enabled(true);
+  Shared<std::uint64_t> cell(k, "nested.cell");
+  RaceClock token;
+  k.Spawn("writer", WriteCaptureAndPark(&k, &cell, &token));
+  k.RunUntil(10'000);
+  ASSERT_FALSE(token.empty());
+
+  k.races().Adopt(token);
+  k.races().Adopt(RaceClock{});
+  k.races().Drop();
+  std::uint64_t saw = 0;
+  k.Spawn("reader", ReadOnce(&cell, &saw));  // Inside the outer adoption.
+  k.races().Drop();
+  k.RunUntilThreadsFinish();
+  EXPECT_EQ(saw, 42u);
+  EXPECT_FALSE(k.races().RacesFound())
+      << k.races().ReportDescriptions().front();
+}
+
+// Tracking switched on after both tasks were spawned: the wake is the
+// first sighting of both, so one hook seeds the wakee's clock and then
+// the waker's, which grows the clock table.  Run under the asan preset,
+// this catches a wakee clock reference held across that growth.
+TEST(RaceTracker, WakeSeedsBothClocksOfTasksSpawnedBeforeTracking) {
+  Kernel k(QuietConfig());
+  WaitQueue queue(&k);
+  Shared<std::uint64_t> cell(k, "wake.cell");
+  k.Spawn("sleeper", AwaitWakeThenWrite(&queue, &cell));  // tid 0
+  k.Spawn("waker", WakeOneWaiter(&queue));                // tid 1
+  k.races().set_enabled(true);
+  k.RunUntilThreadsFinish();
+  EXPECT_EQ(k.races().accesses_checked(), 1u);
+  EXPECT_FALSE(k.races().RacesFound());
+}
+
+// A lock built where a destroyed lock lived starts with no release
+// history: the reader below is ordered after the writer only through
+// the dead lock, so it must race.
+TEST(RaceTracker, LockAtADestroyedLocksAddressInheritsNoHistory) {
+  Kernel k(QuietConfig());
+  k.races().set_enabled(true);
+  Shared<std::uint64_t> cell(k, "reused.cell");
+  alignas(SimSemaphore) unsigned char storage[sizeof(SimSemaphore)];
+  auto* a = new (storage) SimSemaphore(&k, 1, "a_lock");
+  k.Spawn("writer", WriteUnderLockAndPark(&k, &cell, a));
+  k.RunUntil(10'000);  // Written under `a`, released, parked.
+  a->~SimSemaphore();
+
+  auto* b = new (storage) SimSemaphore(&k, 1, "b_lock");
+  ASSERT_EQ(static_cast<void*>(a), static_cast<void*>(b));
+  std::uint64_t saw = 0;
+  k.Spawn("reader", ReadUnderLock(&cell, b, &saw));
+  k.RunUntilThreadsFinish();
+  b->~SimSemaphore();
+  EXPECT_EQ(saw, 1u);
+  EXPECT_EQ(k.races().report_count(), 1u);
+  EXPECT_TRUE(AnyReportMentions(k.races().ReportDescriptions(),
+                                "write reused.cell@WriteUnderLockAndPark"));
+}
+
+// Clock storage follows what is live, not every task ever spawned: 5,000
+// handlers served one after another leave a few entries each.  Dense
+// per-task clocks would hold about 12.5M entries here.
+TEST(RaceTracker, ClockEntriesStayLinearInTasksSpawned) {
+  constexpr int kRequests = 5'000;
+  Kernel k(QuietConfig());
+  k.races().set_enabled(true);
+  Shared<std::uint64_t> cell(k, "smbd.cell");
+  SimSemaphore lock(&k, 1, "smbd_lock");
+  WaitQueue replies(&k);
+  k.Spawn("client", SendRequests(&k, &cell, &lock, &replies, kRequests));
+  k.RunUntilThreadsFinish();
+  EXPECT_EQ(k.spawned_threads(), static_cast<std::uint64_t>(kRequests) + 1);
+  EXPECT_EQ(k.races().accesses_checked(), 2u * kRequests);
+  EXPECT_FALSE(k.races().RacesFound())
+      << k.races().ReportDescriptions().front();
+  EXPECT_LE(k.races().clock_entries(), 4u * kRequests);
 }
 
 TEST(RaceTracker, ResetClearsStateAndInvalidatesCellsLazily) {

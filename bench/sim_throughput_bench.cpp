@@ -3,8 +3,9 @@
 //
 // Emits BENCH_sim_throughput.json (osprof-bench-v1) with:
 //
-//   ns_per_op_bare          -- one no-op operation (a Cpu(0) burst through
-//                              the calendar event queue), no probe.
+//   ns_per_op_bare          -- one no-op operation (a coroutine whose
+//                              Cpu(0) burst completes without an event),
+//                              no probe.
 //   ns_per_op_wrapped       -- the same operation under SimProfiler::Wrap.
 //   ns_per_wrap             -- the marginal probe cost: wrapped minus
 //                              bare.  This is "ns/Wrap": what one probe

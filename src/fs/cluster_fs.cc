@@ -162,25 +162,6 @@ Task<void> ClusterFsNode::CpuNoisy(osim::Cycles cycles) {
   co_await kernel_->Cpu(noisy);
 }
 
-ClusterFsNode::OpenFile& ClusterFsNode::file(int fd) {
-  if (fd < 0 || fd >= static_cast<int>(fds_.size()) ||
-      !fds_[static_cast<std::size_t>(fd)].in_use) {
-    throw std::invalid_argument("ClusterFsNode: bad file descriptor");
-  }
-  return fds_[static_cast<std::size_t>(fd)];
-}
-
-int ClusterFsNode::AllocFd(int inode) {
-  for (std::size_t i = 0; i < fds_.size(); ++i) {
-    if (!fds_[i].in_use) {
-      fds_[i] = OpenFile{inode, 0, true};
-      return static_cast<int>(i);
-    }
-  }
-  fds_.push_back(OpenFile{inode, 0, true});
-  return static_cast<int>(fds_.size() - 1);
-}
-
 ClusterFsNode::LocalInode& ClusterFsNode::local(int inode) {
   while (static_cast<int>(locals_.size()) <= inode) {
     LocalInode li;
@@ -256,7 +237,7 @@ Task<int> ClusterFsNode::OpenImpl(const std::string& path, bool /*direct_io*/) {
   if (id < 0) {
     co_return -1;
   }
-  co_return AllocFd(id);
+  co_return fds_.Open(OpenFile{id, 0});
 }
 
 Task<void> ClusterFsNode::Close(int fd) {
@@ -265,7 +246,7 @@ Task<void> ClusterFsNode::Close(int fd) {
 
 Task<void> ClusterFsNode::CloseImpl(int fd) {
   co_await CpuNoisy(config_.costs.close_base);
-  file(fd).in_use = false;
+  fds_.Close(fd);
 }
 
 // --- Read -------------------------------------------------------------------
@@ -275,7 +256,7 @@ Task<std::int64_t> ClusterFsNode::Read(int fd, std::uint64_t bytes) {
 }
 
 Task<std::int64_t> ClusterFsNode::ReadImpl(int fd, std::uint64_t bytes) {
-  OpenFile& f = file(fd);
+  OpenFile& f = fds_.at(fd);
   co_await CpuNoisy(config_.costs.read_base);
   const std::string res = InodeResource(f.inode);
   co_await dlm_->Acquire(res, osnet::DlmMode::kProtectedRead);
@@ -329,7 +310,7 @@ Task<std::int64_t> ClusterFsNode::Write(int fd, std::uint64_t bytes) {
 }
 
 Task<std::int64_t> ClusterFsNode::WriteImpl(int fd, std::uint64_t bytes) {
-  OpenFile& f = file(fd);
+  OpenFile& f = fds_.at(fd);
   co_await CpuNoisy(config_.costs.write_base);
   const std::string res = InodeResource(f.inode);
   co_await dlm_->Acquire(res, osnet::DlmMode::kExclusive);
@@ -376,7 +357,7 @@ Task<std::uint64_t> ClusterFsNode::Llseek(int fd, std::uint64_t pos) {
 }
 
 Task<std::uint64_t> ClusterFsNode::LlseekImpl(int fd, std::uint64_t pos) {
-  OpenFile& f = file(fd);
+  OpenFile& f = fds_.at(fd);
   co_await CpuNoisy(config_.costs.llseek_base);
   // generic_file_llseek discipline: the position update holds i_sem.
   LocalInode& li = local(f.inode);
@@ -391,7 +372,7 @@ Task<DirentBatch> ClusterFsNode::Readdir(int fd) {
 }
 
 Task<DirentBatch> ClusterFsNode::ReaddirImpl(int fd) {
-  OpenFile& f = file(fd);
+  OpenFile& f = fds_.at(fd);
   co_await CpuNoisy(config_.costs.readdir_base);
   const std::string res = InodeResource(f.inode);
   co_await dlm_->Acquire(res, osnet::DlmMode::kProtectedRead);
@@ -421,7 +402,7 @@ Task<void> ClusterFsNode::Fsync(int fd) {
 }
 
 Task<void> ClusterFsNode::FsyncImpl(int fd) {
-  OpenFile& f = file(fd);
+  OpenFile& f = fds_.at(fd);
   co_await CpuNoisy(config_.costs.fsync_base);
   // PR, not EX: dirty pages imply this node already holds a cached EX
   // grant, so the acquire is a local hit; if there is nothing dirty the
@@ -484,7 +465,7 @@ Task<int> ClusterFsNode::CreateImpl(const std::string& path) {
   }
   li.i_sem->Release();
   dlm_->Release(res, osnet::DlmMode::kExclusive);
-  co_return AllocFd(id);
+  co_return fds_.Open(OpenFile{id, 0});
 }
 
 Task<void> ClusterFsNode::Unlink(const std::string& path) {

@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/fs/fd_table.h"
 #include "src/fs/page_cache.h"
 #include "src/fs/vfs.h"
 #include "src/net/dlm.h"
@@ -160,7 +161,6 @@ class ClusterFsNode : public Vfs {
   struct OpenFile {
     int inode = -1;
     std::uint64_t pos = 0;
-    bool in_use = false;
   };
 
   // Per-node, per-inode local state.  cached_generation is only touched
@@ -217,8 +217,6 @@ class ClusterFsNode : public Vfs {
 
   Task<void> CpuNoisy(osim::Cycles cycles);
   void ResolveProbes();
-  OpenFile& file(int fd);
-  int AllocFd(int inode);
   LocalInode& local(int inode);
   static std::string InodeResource(int inode) {
     return "inode:" + std::to_string(inode);
@@ -232,9 +230,8 @@ class ClusterFsNode : public Vfs {
   PageCache cache_;
   SimProfiler* profiler_ = nullptr;
   OpProbes probes_;
-  // Deques for reference stability across awaits; the fd allocator is
-  // single-turn-atomic (see Ext2SimFs), so not a Shared cell.
-  std::deque<OpenFile> fds_;
+  FdTable<OpenFile> fds_;
+  // Deque for reference stability across awaits.
   std::deque<LocalInode> locals_;
   std::uint64_t invalidations_ = 0;
   std::uint64_t pages_flushed_ = 0;

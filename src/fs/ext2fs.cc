@@ -164,32 +164,7 @@ int Ext2SimFs::AddFile(const std::string& path, std::uint64_t size_bytes) {
   return id;
 }
 
-Ext2SimFs::OpenFile& Ext2SimFs::file(int fd) {
-  if (fd < 0 || static_cast<std::size_t>(fd) >= fds_.size() ||
-      !fds_[static_cast<std::size_t>(fd)].in_use) {
-    throw std::invalid_argument("bad file descriptor");
-  }
-  return fds_[static_cast<std::size_t>(fd)];
-}
-
-int Ext2SimFs::AllocFd(int inode_id, bool direct_io) {
-  for (std::size_t i = 0; i < fds_.size(); ++i) {
-    if (!fds_[i].in_use) {
-      fds_[i] = OpenFile{inode_id, 0, direct_io, true};
-      return static_cast<int>(i);
-    }
-  }
-  fds_.push_back(OpenFile{inode_id, 0, direct_io, true});
-  return static_cast<int>(fds_.size() - 1);
-}
-
-int Ext2SimFs::open_files() const {
-  int n = 0;
-  for (const OpenFile& f : fds_) {
-    n += f.in_use ? 1 : 0;
-  }
-  return n;
-}
+int Ext2SimFs::open_files() const { return fds_.open_count(); }
 
 bool Ext2SimFs::Exists(const std::string& path) const {
   return ResolvePath(path) >= 0;
@@ -228,7 +203,7 @@ Task<int> Ext2SimFs::OpenImpl(const std::string& path, bool direct_io) {
   if (id < 0) {
     co_return -1;
   }
-  co_return AllocFd(id, direct_io);
+  co_return fds_.Open(OpenFile{id, 0, direct_io});
 }
 
 Task<void> Ext2SimFs::Close(int fd) {
@@ -237,7 +212,7 @@ Task<void> Ext2SimFs::Close(int fd) {
 
 Task<void> Ext2SimFs::CloseImpl(int fd) {
   co_await CpuNoisy(config_.costs.close_base);
-  file(fd).in_use = false;
+  fds_.Close(fd);
 }
 
 // --- Read -------------------------------------------------------------------
@@ -247,7 +222,7 @@ Task<std::int64_t> Ext2SimFs::Read(int fd, std::uint64_t bytes) {
 }
 
 Task<std::int64_t> Ext2SimFs::ReadImpl(int fd, std::uint64_t bytes) {
-  OpenFile& f = file(fd);
+  OpenFile& f = fds_.at(fd);
   Inode& node = inode(f.inode);
   if (node.is_dir) {
     co_return -1;
@@ -323,7 +298,7 @@ Task<std::int64_t> Ext2SimFs::Write(int fd, std::uint64_t bytes) {
 }
 
 Task<std::int64_t> Ext2SimFs::WriteImpl(int fd, std::uint64_t bytes) {
-  OpenFile& f = file(fd);
+  OpenFile& f = fds_.at(fd);
   Inode& node = inode(f.inode);
   if (node.is_dir || bytes == 0) {
     co_return node.is_dir ? -1 : 0;
@@ -365,7 +340,7 @@ Task<void> Ext2SimFs::Fsync(int fd) {
 }
 
 Task<void> Ext2SimFs::FsyncImpl(int fd) {
-  OpenFile& f = file(fd);
+  OpenFile& f = fds_.at(fd);
   Inode& node = inode(f.inode);
   co_await CpuNoisy(config_.costs.fsync_base);
   const std::uint64_t pages = (node.size + kPageBytes - 1) / kPageBytes;
@@ -384,7 +359,7 @@ Task<std::uint64_t> Ext2SimFs::Llseek(int fd, std::uint64_t pos) {
 }
 
 Task<std::uint64_t> Ext2SimFs::LlseekImpl(int fd, std::uint64_t pos) {
-  OpenFile& f = file(fd);
+  OpenFile& f = fds_.at(fd);
   Inode& node = inode(f.inode);
   if (config_.llseek_takes_i_sem) {
     // generic_file_llseek: i_sem protects the f_pos update even though the
@@ -426,7 +401,7 @@ Task<DirentBatch> Ext2SimFs::Readdir(int fd) {
 
 Task<DirentBatch> Ext2SimFs::ReaddirImpl(int fd,
                                          std::uint64_t* past_eof_out) {
-  OpenFile& f = file(fd);
+  OpenFile& f = fds_.at(fd);
   Inode& node = inode(f.inode);
   DirentBatch batch;
   if (!node.is_dir) {
@@ -475,7 +450,7 @@ Task<int> Ext2SimFs::Mmap(int fd) {
 }
 
 Task<int> Ext2SimFs::MmapImpl(int fd) {
-  OpenFile& f = file(fd);
+  OpenFile& f = fds_.at(fd);
   Inode& node = inode(f.inode);
   if (node.is_dir) {
     co_return -1;
@@ -555,7 +530,7 @@ Task<int> Ext2SimFs::CreateImpl(const std::string& path) {
       (p.entry_order.size() - 1) * kDirentBytes / kPageBytes;
   cache_.MarkDirty(PageKey{p.id, entry_page},
                    p.first_block + entry_page * kBlocksPerPage);
-  co_return AllocFd(id, /*direct_io=*/false);
+  co_return fds_.Open(OpenFile{id, 0, /*direct_io=*/false});
 }
 
 Task<void> Ext2SimFs::Unlink(const std::string& path) {

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "src/fs/fd_table.h"
 #include "src/fs/page_cache.h"
 #include "src/fs/vfs.h"
 #include "src/profilers/callgraph_profiler.h"
@@ -167,7 +168,6 @@ class Ext2SimFs : public Vfs {
     int inode = -1;
     std::uint64_t pos = 0;
     bool direct_io = false;
-    bool in_use = false;
   };
 
   // Hook for subclasses (JournalFs wraps reads in the super lock).
@@ -234,8 +234,6 @@ class Ext2SimFs : public Vfs {
   Inode& inode(int id) {
     return *OSIM_SHARED_RO(inodes_)[static_cast<std::size_t>(id)];
   }
-  OpenFile& file(int fd);
-  int AllocFd(int inode_id, bool direct_io);
   int NewInode(bool is_dir);
 
   struct MmapRegion {
@@ -257,11 +255,7 @@ class Ext2SimFs : public Vfs {
   // The inode table's protocol spans awaits (path resolution re-reads it
   // after I/O waits; create/unlink grow it), so it is a race-checked cell.
   osim::Shared<std::vector<std::unique_ptr<Inode>>> inodes_;
-  // Deque: open/close during coroutine suspension must not invalidate
-  // OpenFile references held across awaits.  The fd allocator itself is
-  // single-turn-atomic (no await between probe and claim), so it is
-  // deliberately not a Shared cell.
-  std::deque<OpenFile> fds_;
+  FdTable<OpenFile> fds_;
   // Allocator cursor; create/write paths bump it across awaits.
   // Initialized to 64 to leave room for the "superblock" area.
   osim::Shared<std::uint64_t> next_alloc_;

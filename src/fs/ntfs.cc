@@ -16,13 +16,13 @@ Task<std::uint64_t> NtfsSimFs::LlseekNtfsImpl(int fd, std::uint64_t pos) {
   // SetFilePointer: the position lives in the handle; no shared state, no
   // lock (§6.1's NTFS result).
   co_await CpuNoisy(ntfs_costs_.set_file_pointer);
-  OpenFile& f = file(fd);
+  OpenFile& f = fds_.at(fd);
   f.pos = pos;
   co_return f.pos;
 }
 
 Task<std::int64_t> NtfsSimFs::ReadImpl(int fd, std::uint64_t bytes) {
-  OpenFile& f = file(fd);
+  OpenFile& f = fds_.at(fd);
   Inode& node = inode(f.inode);
   if (node.is_dir) {
     co_return -1;

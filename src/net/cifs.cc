@@ -1,7 +1,6 @@
 #include "src/net/cifs.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "src/fs/page_cache.h"
 
@@ -41,27 +40,6 @@ void CifsMount::SetProfiler(SimProfiler* profiler) {
   probes_.create = profiler_->Resolve("create");
   probes_.unlink = profiler_->Resolve("unlink");
   probes_.stat = profiler_->Resolve("stat");
-}
-
-CifsMount::ClientFile& CifsMount::file(int fd) {
-  if (fd < 0 || static_cast<std::size_t>(fd) >= fds_.size() ||
-      !fds_[static_cast<std::size_t>(fd)].in_use) {
-    throw std::invalid_argument("CifsMount: bad file descriptor");
-  }
-  return fds_[static_cast<std::size_t>(fd)];
-}
-
-int CifsMount::AllocFd() {
-  for (std::size_t i = 0; i < fds_.size(); ++i) {
-    if (!fds_[i].in_use) {
-      fds_[i] = ClientFile{};
-      fds_[i].in_use = true;
-      return static_cast<int>(i);
-    }
-  }
-  fds_.emplace_back();
-  fds_.back().in_use = true;
-  return static_cast<int>(fds_.size() - 1);
 }
 
 void CifsMount::SendRequest(const std::string& label,
@@ -336,8 +314,8 @@ Task<int> CifsMount::Open(const std::string& path, bool direct_io) {
   co_await kernel_->Cpu(config_.client_op_cpu);
   co_await FetchAttr(path);
   const RemoteAttr attr = OSIM_SHARED_RO(attr_cache_).at(path);
-  const int fd = AllocFd();
-  ClientFile& f = file(fd);
+  const int fd = fds_.Open({});
+  ClientFile& f = fds_.at(fd);
   f.path = path;
   f.attr = attr;
   if (attr.is_dir) {
@@ -355,7 +333,7 @@ Task<void> CifsMount::Close(int fd) {
   }
   const Cycles start = kernel_->ReadTsc();
   co_await kernel_->Cpu(config_.client_op_cpu / 2);
-  file(fd).in_use = false;
+  fds_.Close(fd);
   if (profiler_ != nullptr) {
     profiler_->EndSpan(probes_.close, kernel_->ReadTsc() - start);
   }
@@ -366,7 +344,7 @@ Task<std::int64_t> CifsMount::Read(int fd, std::uint64_t bytes) {
     profiler_->BeginSpan(probes_.read);
   }
   const Cycles start = kernel_->ReadTsc();
-  ClientFile& f = file(fd);
+  ClientFile& f = fds_.at(fd);
   std::int64_t result = 0;
   if (f.attr.is_dir || bytes == 0 || f.pos >= f.attr.size) {
     co_await kernel_->Cpu(config_.client_op_cpu / 4);
@@ -394,7 +372,7 @@ Task<std::int64_t> CifsMount::Write(int fd, std::uint64_t bytes) {
     profiler_->BeginSpan(probes_.write);
   }
   const Cycles start = kernel_->ReadTsc();
-  ClientFile& f = file(fd);
+  ClientFile& f = fds_.at(fd);
   const std::string path = f.path;
   const std::uint64_t pos = f.pos;
   // Write-through: the bytes travel to the server, which applies them to
@@ -406,7 +384,7 @@ Task<std::int64_t> CifsMount::Write(int fd, std::uint64_t bytes) {
   args.pos = pos;
   args.bytes = bytes;
   co_await SmallRoundTrip(std::move(args));
-  ClientFile& f2 = file(fd);
+  ClientFile& f2 = fds_.at(fd);
   f2.pos += bytes;
   f2.attr.size = std::max(f2.attr.size, f2.pos);
   OSIM_SHARED_RW(attr_cache_)[path] = f2.attr;
@@ -422,7 +400,7 @@ Task<std::uint64_t> CifsMount::Llseek(int fd, std::uint64_t pos) {
   }
   const Cycles start = kernel_->ReadTsc();
   co_await kernel_->Cpu(config_.client_op_cpu / 4);
-  ClientFile& f = file(fd);
+  ClientFile& f = fds_.at(fd);
   f.pos = pos;
   if (profiler_ != nullptr) {
     profiler_->EndSpan(probes_.llseek, kernel_->ReadTsc() - start);
@@ -435,7 +413,7 @@ Task<osfs::DirentBatch> CifsMount::Readdir(int fd) {
     profiler_->BeginSpan(probes_.readdir);
   }
   const Cycles start = kernel_->ReadTsc();
-  ClientFile& f = file(fd);
+  ClientFile& f = fds_.at(fd);
   osfs::DirentBatch batch;
   if (f.dir == nullptr) {
     batch.at_end = true;
@@ -473,7 +451,7 @@ Task<void> CifsMount::Fsync(int fd) {
     profiler_->BeginSpan(probes_.fsync);
   }
   const Cycles start = kernel_->ReadTsc();
-  const std::string path = file(fd).path;
+  const std::string path = fds_.at(fd).path;
   SmallOpArgs args;
   args.op = SmallOp::kFlush;
   args.path = path;
@@ -493,8 +471,8 @@ Task<int> CifsMount::Create(const std::string& path) {
   args.path = path;
   co_await SmallRoundTrip(std::move(args));
   OSIM_SHARED_RW(attr_cache_)[path] = RemoteAttr{0, false};
-  const int fd = AllocFd();
-  ClientFile& f = file(fd);
+  const int fd = fds_.Open({});
+  ClientFile& f = fds_.at(fd);
   f.path = path;
   f.attr = OSIM_SHARED_RO(attr_cache_).at(path);
   if (profiler_ != nullptr) {

@@ -30,13 +30,13 @@
 #ifndef OSPROF_SRC_NET_CIFS_H_
 #define OSPROF_SRC_NET_CIFS_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "src/fs/fd_table.h"
 #include "src/fs/vfs.h"
 #include "src/net/net.h"
 #include "src/profilers/sim_profiler.h"
@@ -115,7 +115,6 @@ class CifsMount : public osfs::Vfs {
     std::uint64_t pos = 0;
     RemoteAttr attr;
     std::unique_ptr<DirState> dir;
-    bool in_use = false;
   };
 
   // The state of one in-flight Find transaction.
@@ -130,8 +129,6 @@ class CifsMount : public osfs::Vfs {
   };
 
   // --- Client-side helpers -------------------------------------------------
-  ClientFile& file(int fd);
-  int AllocFd();
   Task<void> FetchAttr(const std::string& path);  // Network stat if uncached.
 
   // Runs one Find transaction (FindFirst when cookie == 0).  Latency of
@@ -191,8 +188,7 @@ class CifsMount : public osfs::Vfs {
   };
   Probes probes_;
 
-  // Single-turn-atomic fd allocator: not a Shared cell (see race_tracker.h).
-  std::deque<ClientFile> fds_;
+  osfs::FdTable<ClientFile> fds_;
   // Client- and server-side caches whose fill protocols span network
   // round trips; the request/reply token chain provides their
   // happens-before cover, so unsynchronized access is a real race.

@@ -1,7 +1,6 @@
 #include "src/net/nfs.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "src/fs/ext2fs.h"
 #include "src/fs/page_cache.h"
@@ -56,27 +55,6 @@ void NfsMount::SetProfiler(osprofilers::SimProfiler* profiler) {
   probes_.create = profiler_->Resolve("create");
   probes_.unlink = profiler_->Resolve("unlink");
   probes_.stat = profiler_->Resolve("stat");
-}
-
-NfsMount::ClientFile& NfsMount::file(int fd) {
-  if (fd < 0 || static_cast<std::size_t>(fd) >= fds_.size() ||
-      !fds_[static_cast<std::size_t>(fd)].in_use) {
-    throw std::invalid_argument("NfsMount: bad file descriptor");
-  }
-  return fds_[static_cast<std::size_t>(fd)];
-}
-
-int NfsMount::AllocFd() {
-  for (std::size_t i = 0; i < fds_.size(); ++i) {
-    if (!fds_[i].in_use) {
-      fds_[i] = ClientFile{};
-      fds_[i].in_use = true;
-      return static_cast<int>(i);
-    }
-  }
-  fds_.emplace_back();
-  fds_.back().in_use = true;
-  return static_cast<int>(fds_.size() - 1);
 }
 
 bool NfsMount::AttrFresh(const std::string& path) const {
@@ -244,8 +222,8 @@ Task<int> NfsMount::Open(const std::string& path, bool direct_io) {
   } else {
     ++attr_hits_;
   }
-  const int fd = AllocFd();
-  ClientFile& f = file(fd);
+  const int fd = fds_.Open({});
+  ClientFile& f = fds_.at(fd);
   f.path = path;
   f.attr = attr_cache_[path].attr;
   if (profiler_ != nullptr) {
@@ -257,7 +235,7 @@ Task<int> NfsMount::Open(const std::string& path, bool direct_io) {
 Task<void> NfsMount::Close(int fd) {
   const Cycles start = kernel_->ReadTsc();
   co_await kernel_->Cpu(config_.client_op_cpu / 2);
-  file(fd).in_use = false;
+  fds_.Close(fd);
   if (profiler_ != nullptr) {
     profiler_->Record(probes_.close, kernel_->ReadTsc() - start);
   }
@@ -265,7 +243,7 @@ Task<void> NfsMount::Close(int fd) {
 
 Task<std::int64_t> NfsMount::Read(int fd, std::uint64_t bytes) {
   const Cycles start = kernel_->ReadTsc();
-  ClientFile& f = file(fd);
+  ClientFile& f = fds_.at(fd);
   std::int64_t result = 0;
   if (f.attr.is_dir || bytes == 0 || f.pos >= f.attr.size) {
     co_await kernel_->Cpu(config_.client_op_cpu / 4);
@@ -296,11 +274,11 @@ Task<std::int64_t> NfsMount::Read(int fd, std::uint64_t bytes) {
 
 Task<std::int64_t> NfsMount::Write(int fd, std::uint64_t bytes) {
   const Cycles start = kernel_->ReadTsc();
-  ClientFile& f = file(fd);
+  ClientFile& f = fds_.at(fd);
   Rpc rpc;
   co_await Call(probes_.nfs_write, "nfs_write", config_.small_reply_bytes,
                 ServerWrite(f.path, f.pos, bytes, &rpc), &rpc);
-  ClientFile& f2 = file(fd);
+  ClientFile& f2 = fds_.at(fd);
   f2.pos += bytes;
   f2.attr.size = std::max(f2.attr.size, f2.pos);
   attr_cache_[f2.path] = CachedAttr{f2.attr, kernel_->now()};
@@ -313,7 +291,7 @@ Task<std::int64_t> NfsMount::Write(int fd, std::uint64_t bytes) {
 Task<std::uint64_t> NfsMount::Llseek(int fd, std::uint64_t pos) {
   const Cycles start = kernel_->ReadTsc();
   co_await kernel_->Cpu(config_.client_op_cpu / 4);
-  ClientFile& f = file(fd);
+  ClientFile& f = fds_.at(fd);
   f.pos = pos;
   if (profiler_ != nullptr) {
     profiler_->Record(probes_.llseek, kernel_->ReadTsc() - start);
@@ -323,7 +301,7 @@ Task<std::uint64_t> NfsMount::Llseek(int fd, std::uint64_t pos) {
 
 Task<osfs::DirentBatch> NfsMount::Readdir(int fd) {
   const Cycles start = kernel_->ReadTsc();
-  ClientFile& f = file(fd);
+  ClientFile& f = fds_.at(fd);
   osfs::DirentBatch batch;
   if (!f.attr.is_dir) {
     batch.at_end = true;
@@ -335,14 +313,14 @@ Task<osfs::DirentBatch> NfsMount::Readdir(int fd) {
           config_.entries_per_readdir * config_.bytes_per_entry);
       co_await Call(probes_.nfs_readdir, "nfs_readdir", reply_bytes,
                     ServerReaddir(f.path, f.dir_cookie, &rpc), &rpc);
-      ClientFile& f2 = file(fd);
+      ClientFile& f2 = fds_.at(fd);
       for (std::string& name : rpc.names) {
         f2.dir_names.push_back(std::move(name));
       }
       f2.dir_cookie = rpc.cookie;
       f2.dir_eof = rpc.eof;
     }
-    ClientFile& f3 = file(fd);
+    ClientFile& f3 = fds_.at(fd);
     if (f3.dir_served >= f3.dir_names.size()) {
       batch.at_end = true;
       co_await kernel_->Cpu(90);
@@ -366,7 +344,7 @@ Task<osfs::DirentBatch> NfsMount::Readdir(int fd) {
 
 Task<void> NfsMount::Fsync(int fd) {
   const Cycles start = kernel_->ReadTsc();
-  const std::string path = file(fd).path;
+  const std::string path = fds_.at(fd).path;
   Rpc rpc;
   co_await Call(probes_.commit, "commit", config_.small_reply_bytes,
                 ServerCommit(path, &rpc), &rpc);
@@ -389,8 +367,8 @@ Task<int> NfsMount::Create(const std::string& path) {
   }
   attr_cache_[path] = CachedAttr{osfs::FileAttr{0, false}, kernel_->now()};
   dentry_cache_[path] = kernel_->now();
-  const int fd = AllocFd();
-  ClientFile& f = file(fd);
+  const int fd = fds_.Open({});
+  ClientFile& f = fds_.at(fd);
   f.path = path;
   f.attr = attr_cache_[path].attr;
   if (profiler_ != nullptr) {

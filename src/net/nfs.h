@@ -21,13 +21,13 @@
 #ifndef OSPROF_SRC_NET_NFS_H_
 #define OSPROF_SRC_NET_NFS_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "src/fs/fd_table.h"
 #include "src/fs/vfs.h"
 #include "src/net/net.h"
 #include "src/profilers/sim_profiler.h"
@@ -87,7 +87,6 @@ class NfsMount : public osfs::Vfs {
     std::size_t dir_served = 0;
     std::uint64_t dir_cookie = 0;
     bool dir_eof = false;
-    bool in_use = false;
   };
   // One in-flight RPC: the client blocks until `complete`.
   struct Rpc {
@@ -101,8 +100,6 @@ class NfsMount : public osfs::Vfs {
     std::int64_t result = 0;
   };
 
-  ClientFile& file(int fd);
-  int AllocFd();
 
   // Issues one RPC: request packet, server handler, single reply burst.
   // The request consumes any pending ACK state implicitly (every reply is
@@ -145,7 +142,7 @@ class NfsMount : public osfs::Vfs {
   };
   Probes probes_;
 
-  std::deque<ClientFile> fds_;
+  osfs::FdTable<ClientFile> fds_;
   std::map<std::string, CachedAttr> attr_cache_;
   std::map<std::string, osim::Cycles> dentry_cache_;  // path -> cached at.
   std::set<std::pair<std::string, std::uint64_t>> page_cache_;

@@ -1,213 +1,89 @@
 #include "src/sim/event_queue.h"
 
-#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <utility>
 
 namespace osim {
-namespace {
-
-// Calendar sizing bounds.  64 buckets is plenty for an idle queue; the
-// upper bound keeps a resize from allocating absurdly for huge backlogs.
-constexpr std::size_t kMinBuckets = 64;
-constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
-// Widths above 2^40 cycles (~11 min simulated) add nothing: the global-
-// minimum fallback handles arbitrarily sparse queues.
-constexpr int kMaxWidthLog2 = 40;
-
-// After this many consecutive empty-year scans, the width no longer
-// matches the event population; re-profile the calendar in place.
-constexpr int kMaxGlobalScans = 4;
-
-// A day longer than this flips from scan-on-extract to a min-heap (see
-// heaped_ in event_queue.h).  Resizing keeps typical days near one event,
-// so only same-timestamp pileups -- which no width can spread -- cross it.
-constexpr std::size_t kHeapThreshold = 64;
-
-}  // namespace
-
-EventQueue::EventQueue() : buckets_(kMinBuckets), heaped_(kMinBuckets, 0) {
-  cursor_day_end_ = width();
-}
-
-void EventQueue::HeapifyBucket(std::size_t b) {
-  std::make_heap(buckets_[b].begin(), buckets_[b].end(), LaterEvent);
-  heaped_[b] = 1;
-}
 
 void EventQueue::At(Cycles when, Action action) {
   if (when < now_) {
     throw std::logic_error("EventQueue: scheduling into the past");
   }
-  const bool was_empty = size_ == 0;
-  const std::size_t b = BucketFor(when);
-  std::vector<Event>& day = buckets_[b];
-  day.push_back(Event{when, next_seq_++, std::move(action)});
-  if (heaped_[b]) {
-    std::push_heap(day.begin(), day.end(), LaterEvent);
-  } else if (day.size() > kHeapThreshold) {
-    HeapifyBucket(b);
+  const int b = std::bit_width(when ^ last_);
+  buckets_[static_cast<std::size_t>(b)].emplace_back(when, std::move(action));
+  if (b > 0) {
+    occupied_ |= std::uint64_t{1} << (b - 1);
   }
   ++size_;
-  min_valid_ = false;
-  if (was_empty || when < cursor_day_end_ - width()) {
-    // The new event is the earliest (or the queue restarted): snap the
-    // cursor to its day so the invariant -- nothing before the current
-    // day -- holds without scanning.
-    SeekTo(when);
-  }
-  if (size_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
-    Resize(buckets_.size() * 2);
-  }
 }
 
-void EventQueue::FindMin() {
-  if (min_valid_) {
-    return;
+std::pair<int, Cycles> EventQueue::Lowest() const {
+  const int b = std::countr_zero(occupied_) + 1;
+  Cycles min = ~Cycles{0};
+  for (const Event& e : buckets_[static_cast<std::size_t>(b)]) {
+    min = e.when < min ? e.when : min;
   }
-  std::size_t nbuckets = buckets_.size();
-  std::size_t scanned = 0;
-  while (true) {
-    const std::vector<Event>& day = buckets_[cursor_bucket_];
-    std::size_t best = day.size();
-    if (heaped_[cursor_bucket_]) {
-      // front() is the bucket's global minimum; if it lies in a later
-      // year, so does every event here and the day is empty.
-      if (!day.empty() && day.front().when < cursor_day_end_) {
-        best = 0;
-      }
-    } else {
-      for (std::size_t i = 0; i < day.size(); ++i) {
-        const Event& e = day[i];
-        if (e.when >= cursor_day_end_) {
-          continue;  // Same bucket, a later year.
-        }
-        if (best == day.size() || e.when < day[best].when ||
-            (e.when == day[best].when && e.seq < day[best].seq)) {
-          best = i;
-        }
-      }
-    }
-    if (best != day.size()) {
-      min_bucket_ = cursor_bucket_;
-      min_index_ = best;
-      min_valid_ = true;
-      return;
-    }
-    cursor_bucket_ = (cursor_bucket_ + 1) & (nbuckets - 1);
-    cursor_day_end_ += width();
-    if (++scanned < nbuckets) {
-      continue;
-    }
-    // A whole year without an event: the population is sparse relative to
-    // the year span.  Find the global minimum directly and jump the
-    // cursor to its day; if this keeps happening, the width is stale --
-    // re-profile the calendar and retry (the rebuilt cursor starts at the
-    // minimum's day, so the next scan hits immediately).
-    if (++global_scans_ >= kMaxGlobalScans) {
-      global_scans_ = 0;
-      Resize(buckets_.size());
-      nbuckets = buckets_.size();
-      scanned = 0;
-      continue;
-    }
-    std::size_t gb = 0;
-    std::size_t gi = 0;
-    bool found = false;
-    for (std::size_t b = 0; b < nbuckets; ++b) {
-      for (std::size_t i = 0; i < buckets_[b].size(); ++i) {
-        const Event& e = buckets_[b][i];
-        if (!found || e.when < buckets_[gb][gi].when ||
-            (e.when == buckets_[gb][gi].when &&
-             e.seq < buckets_[gb][gi].seq)) {
-          gb = b;
-          gi = i;
-          found = true;
-        }
-      }
-    }
-    // size_ > 0, so the scan found something.
-    SeekTo(buckets_[gb][gi].when);
-    min_bucket_ = gb;
-    min_index_ = gi;
-    min_valid_ = true;
-    return;
-  }
+  return {b, min};
 }
 
-void EventQueue::Resize(std::size_t nbuckets) {
-  std::vector<std::vector<Event>> old = std::move(buckets_);
-  buckets_.assign(nbuckets, {});
-  heaped_.assign(nbuckets, 0);
-  if (size_ == 0) {
-    SeekTo(now_);
-    min_valid_ = false;
-    return;
-  }
-  // Width tracks the mean event gap (rounded up to a power of two for
-  // shift indexing): about one event per day keeps extraction scans O(1).
-  Cycles min_when = ~Cycles{0};
-  Cycles max_when = 0;
-  for (const std::vector<Event>& day : old) {
-    for (const Event& e : day) {
-      min_when = e.when < min_when ? e.when : min_when;
-      max_when = e.when > max_when ? e.when : max_when;
+void EventQueue::Redistribute(int b, Cycles min) {
+  last_ = min;
+  std::vector<Event>& from = buckets_[static_cast<std::size_t>(b)];
+  // Every event here agrees with `min` above bit b-1, so each lands in a
+  // bucket below b; appending in order keeps every bucket FIFO.
+  for (Event& e : from) {
+    const int to = std::bit_width(e.when ^ min);
+    buckets_[static_cast<std::size_t>(to)].push_back(std::move(e));
+    if (to > 0) {
+      occupied_ |= std::uint64_t{1} << (to - 1);
     }
   }
-  const Cycles gap = (max_when - min_when) / size_;
-  int log2 = static_cast<int>(std::bit_width(gap));
-  width_log2_ = log2 > kMaxWidthLog2 ? kMaxWidthLog2 : log2;
-  for (std::vector<Event>& day : old) {
-    for (Event& e : day) {
-      buckets_[BucketFor(e.when)].push_back(std::move(e));
-    }
+  from.clear();
+  occupied_ &= ~(std::uint64_t{1} << (b - 1));
+}
+
+void EventQueue::Pop() {
+  std::vector<Event>& due = buckets_[0];
+  // Move the action out first: running it may append to this bucket and
+  // reallocate it.
+  Action action = std::move(due[head_].action);
+  if (++head_ == due.size()) {
+    due.clear();
+    head_ = 0;
   }
-  for (std::size_t b = 0; b < nbuckets; ++b) {
-    if (buckets_[b].size() > kHeapThreshold) {
-      HeapifyBucket(b);
-    }
-  }
-  SeekTo(min_when);
-  min_valid_ = false;
+  --size_;
+  now_ = last_;
+  action();
 }
 
 bool EventQueue::Step() {
   if (size_ == 0) {
     return false;
   }
-  FindMin();
-  std::vector<Event>& day = buckets_[min_bucket_];
-  Event event;
-  if (heaped_[min_bucket_]) {
-    // FindMin on a heaped bucket always selects front().
-    std::pop_heap(day.begin(), day.end(), LaterEvent);
-    event = std::move(day.back());
-  } else {
-    event = std::move(day[min_index_]);
-    if (min_index_ != day.size() - 1) {
-      day[min_index_] = std::move(day.back());
-    }
+  if (buckets_[0].empty()) {
+    const auto [b, min] = Lowest();
+    Redistribute(b, min);
   }
-  day.pop_back();
-  --size_;
-  min_valid_ = false;
-  now_ = event.when;
-  if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 4) {
-    Resize(buckets_.size() / 2);
-  }
-  event.action();
+  Pop();
   return true;
 }
 
 std::uint64_t EventQueue::RunUntil(Cycles until) {
   std::uint64_t executed = 0;
   while (size_ > 0) {
-    FindMin();
-    if (buckets_[min_bucket_][min_index_].when > until) {
+    if (buckets_[0].empty()) {
+      // Peek before redistributing: `last_` must not pass `until`, or a
+      // later At() between the two would land below the radix base.
+      const auto [b, min] = Lowest();
+      if (min > until) {
+        break;
+      }
+      Redistribute(b, min);
+    } else if (last_ > until) {
       break;
     }
-    Step();  // Reuses the cached minimum.
+    Pop();
     ++executed;
   }
   if (now_ < until) {

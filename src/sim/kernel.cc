@@ -1,6 +1,7 @@
 #include "src/sim/kernel.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace osim {
@@ -23,7 +24,6 @@ Kernel::Kernel(KernelConfig config)
     throw std::invalid_argument(
         "num_nodes must divide num_cpus (contiguous even partition)");
   }
-  cpus_.resize(static_cast<std::size_t>(config_.num_cpus));
   config_.tsc_skew.resize(static_cast<std::size_t>(config_.num_cpus), 0);
   const int per_node = config_.num_cpus / config_.num_nodes;
   nodes_.resize(static_cast<std::size_t>(config_.num_nodes));
@@ -33,9 +33,10 @@ Kernel::Kernel(KernelConfig config)
     node.id_ = n;
     node.first_cpu_ = n * per_node;
     node.num_cpus_ = per_node;
-    node.idle_cpus_ = per_node;
+    node.idle_.resize(static_cast<std::size_t>(per_node + 63) / 64);
     for (int c = node.first_cpu_; c < node.first_cpu_ + per_node; ++c) {
       node_of_cpu_[static_cast<std::size_t>(c)] = n;
+      node.SetIdle(c, true);
     }
   }
   lock_order_.set_context(&context_);
@@ -107,41 +108,34 @@ void Kernel::MakeRunnable(SimThread* t) {
 }
 
 void Kernel::DispatchIdle(Node& node) {
-  // Fast path: under load every CPU is busy, and a wakeup must not pay an
-  // O(num_cpus) scan to learn that (million-task churn makes this the
-  // hottest scheduler branch).  The counter only skips the scan; when a
-  // CPU is free the scan below runs in the same ascending order as
-  // always, so thread placement -- and with it per-CPU TSC skew -- is
-  // unchanged.  The scan covers only this node's CPU slice: a node's run
-  // queue never feeds another node's CPUs.
-  if (node.idle_cpus_ == 0) {
+  // While the run queue is non-empty, every idle CPU of this node begins a
+  // switch, lowest CPU first: placement -- and with it per-CPU TSC skew --
+  // follows CPU order.  A switch that finds the queue drained leaves its
+  // CPU idle again (CompleteSwitch).  Under load the bitmap is all zero
+  // and a wakeup costs one word test per 64 CPUs.  A node's run queue
+  // never feeds another node's CPUs.
+  if (node.run_queue_.empty()) {
     return;
   }
-  for (int c = node.first_cpu_; c < node.first_cpu_ + node.num_cpus_; ++c) {
-    if (node.run_queue_.empty()) {
-      return;
-    }
-    CpuState& cpu = cpus_[static_cast<std::size_t>(c)];
-    if (cpu.running == nullptr && !cpu.switching) {
-      BeginSwitch(node, c);
+  for (std::size_t w = 0; w < node.idle_.size(); ++w) {
+    for (std::uint64_t bits = node.idle_[w]; bits != 0; bits &= bits - 1) {
+      BeginSwitch(node, node.first_cpu_ + static_cast<int>(w * 64) +
+                            std::countr_zero(bits));
     }
   }
 }
 
 void Kernel::BeginSwitch(Node& node, int c) {
-  cpus_[static_cast<std::size_t>(c)].switching = true;
-  --node.idle_cpus_;
+  node.SetIdle(c, false);
   ++context_switches_;
   events_.After(config_.context_switch_cost, [this, c] { CompleteSwitch(c); });
 }
 
 void Kernel::CompleteSwitch(int c) {
-  CpuState& cpu = cpus_[static_cast<std::size_t>(c)];
   Node& node = nodes_[static_cast<std::size_t>(
       node_of_cpu_[static_cast<std::size_t>(c)])];
-  cpu.switching = false;
   if (node.run_queue_.empty()) {
-    ++node.idle_cpus_;
+    node.SetIdle(c, true);
     return;  // Everyone found a CPU elsewhere; stay idle.
   }
   SimThread* t = node.run_queue_.front();
@@ -153,7 +147,6 @@ void Kernel::CompleteSwitch(int c) {
                     events_.now(), t->node_);
   t->last_cpu_ = c;
   t->cpu_ = c;
-  cpu.running = t;
   t->quantum_remaining_ = config_.quantum;
   if (t->burst_remaining_ > 0) {
     // The thread was preempted mid-burst; continue the burst rather than
@@ -191,10 +184,9 @@ void Kernel::ResumeThread(SimThread* t) {
 
 void Kernel::ReleaseCpuOf(SimThread* t) {
   if (t->cpu_ >= 0) {
-    cpus_[static_cast<std::size_t>(t->cpu_)].running = nullptr;
-    t->cpu_ = -1;
     Node& node = nodes_[static_cast<std::size_t>(t->node_)];
-    ++node.idle_cpus_;
+    node.SetIdle(t->cpu_, true);
+    t->cpu_ = -1;
     DispatchIdle(node);
   }
 }

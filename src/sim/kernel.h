@@ -186,7 +186,8 @@ struct KernelMemoryStats {
   // deepest the queue has ever been.
   std::size_t run_queue_bytes = 0;
   std::size_t run_queue_peak_depth = 0;
-  // Calendar event queue: bucket arrays plus queued events.
+  // Radix-heap event queue: its buckets' arrays, which hold the queued
+  // events and keep their high-water capacity.
   std::size_t event_queue_bytes = 0;
   std::size_t events_pending = 0;
   // Request-context span arena: frame pool plus per-thread tops.
@@ -220,10 +221,15 @@ class Node {
   int first_cpu_ = 0;
   int num_cpus_ = 0;
   // CPUs of this node with no running thread and no switch in flight:
-  // a wakeup skips the per-CPU scan entirely when this is zero (the
-  // common case under load; the scan was O(num_cpus) per wakeup).
-  int idle_cpus_ = 0;
+  // bit i % 64 of word i / 64 is CPU first_cpu_ + i.
+  std::vector<std::uint64_t> idle_;
   ChunkedQueue<SimThread*> run_queue_;
+
+  void SetIdle(int cpu, bool idle) {
+    const auto i = static_cast<std::size_t>(cpu - first_cpu_);
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    idle_[i / 64] = idle ? idle_[i / 64] | bit : idle_[i / 64] & ~bit;
+  }
 };
 
 class Kernel {
@@ -372,11 +378,6 @@ class Kernel {
   friend class WaitQueue;
   friend class SimDisk;
 
-  struct CpuState {
-    SimThread* running = nullptr;
-    bool switching = false;
-  };
-
   struct CpuAwaitable {
     Kernel* kernel;
     Cycles cycles;
@@ -436,8 +437,7 @@ class Kernel {
   RaceTracker race_tracker_;
   RequestContext context_;
   InterferenceChannel channel_;
-  std::vector<CpuState> cpus_;
-  // Per-node scheduling state (run queue + idle-CPU count), deque because
+  // Per-node scheduling state (run queue + idle-CPU bitmap), deque because
   // Node embeds a non-movable ChunkedQueue.  Sized once at construction.
   std::deque<Node> nodes_;
   std::vector<int> node_of_cpu_;

@@ -80,6 +80,24 @@ TEST(Ext2Edge, FdsAreRecycledAfterClose) {
     const int fd2 = co_await vfs->Open("/f", false);
     EXPECT_EQ(fd2, fd1);  // Slot reuse.
     co_await vfs->Close(fd2);
+    // Two holes: whichever closed last, the lowest free fd comes back
+    // first, then the next, then a fresh one.
+    const int a = co_await vfs->Open("/f", false);
+    const int b = co_await vfs->Open("/f", false);
+    const int c = co_await vfs->Open("/f", false);
+    co_await vfs->Close(b);
+    co_await vfs->Close(a);
+    EXPECT_EQ(co_await vfs->Open("/f", false), a);
+    EXPECT_EQ(co_await vfs->Open("/f", false), b);
+    EXPECT_EQ(co_await vfs->Open("/f", false), c + 1);
+    co_await vfs->Close(a);
+    co_await vfs->Close(b);
+    EXPECT_EQ(co_await vfs->Open("/f", false), a);
+    EXPECT_EQ(co_await vfs->Open("/f", false), b);
+    co_await vfs->Close(a);
+    co_await vfs->Close(b);
+    co_await vfs->Close(c);
+    co_await vfs->Close(c + 1);
   };
   fx.kernel.Spawn("t", body(&fx.fs));
   fx.kernel.RunUntilThreadsFinish();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -88,14 +89,16 @@ TEST(EventQueue, SchedulingIntoThePastThrows) {
   EXPECT_THROW(q.At(50, [] {}), std::logic_error);
 }
 
-// The calendar queue must be observationally identical to the
-// std::priority_queue scheduler it replaced: ascending `when`, ties in
-// ascending insertion order.  A reference model with exactly the old
-// comparator runs in lockstep over a million randomly seeded events --
-// timestamps drawn across twenty binary orders of magnitude (so day
-// buckets see dense ties, sparse far-future years, and everything
+// The radix heap must be observationally identical to the
+// std::priority_queue scheduler the engine started with: ascending
+// `when`, ties in ascending insertion order.  A reference model with
+// exactly that comparator runs in lockstep over a million randomly seeded
+// events -- timestamps drawn across twenty binary orders of magnitude (so
+// buckets see dense ties, sparse far-future stretches, and everything
 // between), plus follow-up events scheduled mid-run the way simulated
-// threads schedule wakeups.
+// threads schedule wakeups.  RunUntil(t) calls are interleaved, some with
+// `t` just short of the next event (the peek must not move the radix base
+// past `t`), each followed by At(t), At(t + 1) and Now().
 TEST(EventQueue, MatchesReferencePriorityQueueOnRandomLoad) {
   struct Ref {
     Cycles when;
@@ -110,6 +113,7 @@ TEST(EventQueue, MatchesReferencePriorityQueueOnRandomLoad) {
 
   constexpr int kInitialEvents = 1'000'000;
   constexpr int kFollowUps = 200'000;
+  constexpr int kRunUntilCalls = 50'000;
 
   EventQueue q;
   std::uint64_t state = 0x9e3779b97f4a7c15ull;  // Deterministic LCG.
@@ -122,10 +126,13 @@ TEST(EventQueue, MatchesReferencePriorityQueueOnRandomLoad) {
   std::uint64_t mismatches = 0;
   int follow_ups_left = kFollowUps;
 
-  std::function<void(Cycles)> schedule = [&](Cycles when) {
+  // Enters an event at `when` into the reference and returns the action
+  // that checks, when it runs, that it is the reference's minimum.
+  std::function<void(Cycles)> schedule;
+  const auto tracked = [&](Cycles when) -> EventQueue::Action {
     const std::uint64_t id = seq++;
     ref.push(Ref{when, id});
-    q.At(when, [&, when, id] {
+    return [&, when, id] {
       if (ref.empty() || ref.top().when != when || ref.top().seq != id) {
         ++mismatches;
       } else {
@@ -143,8 +150,9 @@ TEST(EventQueue, MatchesReferencePriorityQueueOnRandomLoad) {
                 : next_random() & ((1ull << (8 + id % 21)) - 1);
         schedule(q.now() + gap);
       }
-    });
+    };
   };
+  schedule = [&](Cycles when) { q.At(when, tracked(when)); };
 
   // Times come from a random walk of mixed-magnitude gaps: zero gaps
   // make exact ties, small gaps make dense micro-bursts, 2^20-cycle
@@ -163,21 +171,38 @@ TEST(EventQueue, MatchesReferencePriorityQueueOnRandomLoad) {
   for (const Cycles when : times) {
     schedule(when);
   }
+
+  std::uint64_t bad_stops = 0;
+  for (int i = 0; i < kRunUntilCalls && !ref.empty(); ++i) {
+    Cycles until = q.now() + (next_random() & ((Cycles{1} << (i % 24)) - 1));
+    if (i % 3 == 0 && ref.top().when > q.now()) {
+      until = ref.top().when - 1;  // Just short of the next event.
+    }
+    const Cycles before = q.now();
+    q.RunUntil(until);
+    if (q.now() != std::max(before, until) ||
+        (!ref.empty() && ref.top().when <= until)) {
+      ++bad_stops;
+    }
+    schedule(until);
+    schedule(until + 1);
+    q.Now(tracked(q.now()));
+  }
   q.RunAll();
 
-  EXPECT_EQ(executed, static_cast<std::uint64_t>(kInitialEvents) + kFollowUps);
+  EXPECT_EQ(bad_stops, 0u);
+  EXPECT_EQ(executed, seq);
+  EXPECT_GE(executed, static_cast<std::uint64_t>(kInitialEvents) + kFollowUps);
   EXPECT_TRUE(ref.empty());
   EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(EventQueue, MillionSameTimestampEventsExtractLinearly) {
-  // Every event hashes to one day no matter the calendar width, the
-  // degenerate load PR 7 flagged: scan-on-extract rescanned the full
-  // million-entry day per event (~10^12 comparisons, hours).  The bucket
-  // flips to a min-heap past kHeapThreshold, so this must finish well
-  // inside the quick-tier timeout -- while preserving exact insertion
-  // order across the pileup and correct ordering for events scheduled
-  // after it.
+  // A million events on one timestamp share one radix bucket: a single
+  // redistribution moves them into bucket 0, which then drains front to
+  // back.  So the pileup must extract in linear time, well inside the
+  // quick-tier timeout, in exact insertion order, and an event scheduled
+  // far after it must still run last.
   constexpr std::uint64_t kEvents = 1'000'000;
   constexpr Cycles kWhen = 123'456;
 
@@ -192,7 +217,6 @@ TEST(EventQueue, MillionSameTimestampEventsExtractLinearly) {
       ++executed;
     });
   }
-  // A straggler after the pileup, in the same bucket's next year.
   bool straggler_ran = false;
   q.At(kWhen + (Cycles{1} << 40), [&] {
     straggler_ran = executed == kEvents;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -123,6 +124,47 @@ TEST(NodeTopology, SchedulerNeverMigratesAcrossNodes) {
     for (const int c : cpus[t]) {
       EXPECT_EQ(k.node_of_cpu(c), 0);
     }
+  }
+}
+
+Task<void> RecordCpuThenBurn(Kernel* k, int* cpu_seen) {
+  *cpu_seen = k->current()->cpu();
+  co_await k->Cpu(10'000'000);
+}
+
+TEST(NodeTopology, IdleCpusBeyondOneWordDispatchInCpuOrder) {
+  // Nodes wider than one 64-bit word of the idle-CPU bitmap.  Thread i of
+  // a node is spawned after threads 0..i-1 hold CPUs 0..i-1, so while the
+  // run queue holds it every still-idle CPU of its node begins a switch:
+  // the lowest one takes it, the rest find the queue drained and go idle
+  // again.  A node of n CPUs thus counts n + (n-1) + ... + 1 switches.
+  struct Case {
+    int cpus;
+    int nodes;
+    std::uint64_t switches;
+  };
+  for (const Case& c : {Case{130, 1, 130 * 131 / 2},
+                        Case{140, 2, 2 * (70 * 71 / 2)}}) {
+    Kernel k(NodeConfig(c.cpus, c.nodes));
+    const int per_node = c.cpus / c.nodes;
+    std::vector<int> cpu_seen(static_cast<std::size_t>(c.cpus), -2);
+    for (int i = 0; i < per_node; ++i) {
+      for (int n = 0; n < c.nodes; ++n) {
+        k.SpawnOn(n, "burn",
+                  RecordCpuThenBurn(&k, &cpu_seen[static_cast<std::size_t>(
+                                             n * per_node + i)]));
+      }
+      k.RunFor(1);
+    }
+    k.RunUntilThreadsFinish();
+    for (int n = 0; n < c.nodes; ++n) {
+      for (int i = 0; i < per_node; ++i) {
+        EXPECT_EQ(cpu_seen[static_cast<std::size_t>(n * per_node + i)],
+                  k.node(n).first_cpu() + i)
+            << c.cpus << " CPUs, node " << n << ", thread " << i;
+      }
+    }
+    EXPECT_EQ(k.context_switches(), c.switches) << c.cpus << " CPUs";
   }
 }
 

@@ -70,9 +70,10 @@ TEST(ScaleArena, KernelSustainsMillionLiveTasks) {
 
   // Every task parks immediately for a long simulated sleep, so the whole
   // population is concurrently live before anyone finishes.  Wakeups are
-  // staggered: a million events on one timestamp would degenerate the
-  // calendar queue into a single always-rescanned day, which is an event
-  // scheduling pattern no open-loop workload produces.
+  // staggered, as an open-loop workload's timers are, so the drain takes
+  // a million distinct timestamps through the event queue's buckets; the
+  // one-timestamp pileup is EventQueue.MillionSameTimestampEventsExtract-
+  // Linearly's case.
   constexpr int kTasks = kMillion + 50'000;
   const auto body = [](Kernel* k, Cycles nap) -> Task<void> {
     co_await k->Sleep(nap);

@@ -16,7 +16,7 @@
 #include "bench/bench_util.h"
 #include "src/core/analysis.h"
 #include "src/fs/ext2fs.h"
-#include "src/profilers/callgraph_profiler.h"
+#include "src/profilers/sim_profiler.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
 #include "src/sim/disk.h"
@@ -48,8 +48,9 @@ int main(int argc, char** argv) {
   osbench::ShowDispersion(result, "fs");
 
   // Second run with function-granularity profiling (§3.1's gcc -p mode):
-  // the readdir -> readpage call edge, captured directly.  Kept as a
-  // bespoke single run; the call-graph report has no merge story yet.
+  // the readdir -> readpage call edge, captured directly by SimProfiler's
+  // call edges.  Kept as a bespoke single run; the call-graph report has
+  // no merge story yet.
   {
     const auto* grep = std::get_if<osrunner::GrepSpec>(&scenario->workload);
     osim::KernelConfig kcfg2 = scenario->kernel;
@@ -57,15 +58,27 @@ int main(int argc, char** argv) {
     osim::SimDisk disk2(&kernel2);
     osfs::Ext2SimFs fs2(&kernel2, &disk2);
     osworkloads::BuildSourceTree(&fs2, grep->root, grep->tree);
-    osprofilers::CallGraphProfiler callgraph(&kernel2);
-    fs2.SetCallGraphProfiler(&callgraph);
+    osprofilers::SimProfiler callgraph(&kernel2);
+    fs2.SetProfiler(&callgraph);
     osworkloads::GrepStats stats2;
     kernel2.Spawn("grep",
                   osworkloads::GrepWorkload(&kernel2, &fs2, grep->root,
                                             grep->per_byte_cpu, &stats2));
     kernel2.RunUntilThreadsFinish();
     osbench::Section("Function-granularity layered profile (§3.1)");
-    std::printf("%s", callgraph.Report(osprof::kPaperCpuHz).c_str());
+    std::printf("%s", callgraph.CallGraphReport(osprof::kPaperCpuHz).c_str());
+    // Every readpage runs under read or readdir, so the two edges account
+    // for its whole flat count.
+    const osprof::Profile* from_read = callgraph.edges().Find("read->readpage");
+    const osprof::Profile* from_readdir =
+        callgraph.edges().Find("readdir->readpage");
+    const osprof::Profile* readpage = callgraph.profiles().Find("readpage");
+    report.Check("readpage_edges_sum_to_flat_count",
+                 from_read != nullptr && from_readdir != nullptr &&
+                     readpage != nullptr &&
+                     from_read->total_operations() +
+                             from_readdir->total_operations() ==
+                         readpage->total_operations());
   }
 
   osbench::Section("Profile preprocessing: ops by total latency (§3.1)");

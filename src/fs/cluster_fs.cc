@@ -133,7 +133,11 @@ ClusterFsNode::ClusterFsNode(ClusterVolume* volume, osnet::Dlm* dlm,
       });
 }
 
-void ClusterFsNode::ResolveProbes() {
+void ClusterFsNode::SetProfiler(SimProfiler* profiler) {
+  profiler_ = profiler;
+  if (profiler_ == nullptr) {
+    return;
+  }
   const struct {
     osprof::ProbeHandle* probe;
     const char* name;
@@ -146,9 +150,7 @@ void ClusterFsNode::ResolveProbes() {
       {&probes_.stat, "stat"},
   };
   for (const auto& entry : kProbes) {
-    if (profiler_ != nullptr) {
-      *entry.probe = profiler_->Resolve(entry.name);
-    }
+    *entry.probe = profiler_->Resolve(entry.name);
   }
 }
 
@@ -225,10 +227,6 @@ Task<std::pair<int, std::string>> ClusterFsNode::ResolveParentLocked(
 
 // --- Open / Close -----------------------------------------------------------
 
-Task<int> ClusterFsNode::Open(const std::string& path, bool direct_io) {
-  return Profiled(probes_.open, OpenImpl(path, direct_io));
-}
-
 Task<int> ClusterFsNode::OpenImpl(const std::string& path, bool /*direct_io*/) {
   const std::size_t components = SplitPath(path).size();
   co_await CpuNoisy(config_.costs.open_base +
@@ -240,20 +238,12 @@ Task<int> ClusterFsNode::OpenImpl(const std::string& path, bool /*direct_io*/) {
   co_return fds_.Open(OpenFile{id, 0});
 }
 
-Task<void> ClusterFsNode::Close(int fd) {
-  return Profiled(probes_.close, CloseImpl(fd));
-}
-
 Task<void> ClusterFsNode::CloseImpl(int fd) {
   co_await CpuNoisy(config_.costs.close_base);
   fds_.Close(fd);
 }
 
 // --- Read -------------------------------------------------------------------
-
-Task<std::int64_t> ClusterFsNode::Read(int fd, std::uint64_t bytes) {
-  return Profiled(probes_.read, ReadImpl(fd, bytes));
-}
 
 Task<std::int64_t> ClusterFsNode::ReadImpl(int fd, std::uint64_t bytes) {
   OpenFile& f = fds_.at(fd);
@@ -292,11 +282,6 @@ Task<std::int64_t> ClusterFsNode::ReadImpl(int fd, std::uint64_t bytes) {
   co_return static_cast<std::int64_t>(n);
 }
 
-Task<void> ClusterFsNode::ReadPage(int inode, std::uint64_t page,
-                                   std::uint64_t first_block) {
-  return Profiled(probes_.readpage, ReadPageImpl(inode, page, first_block));
-}
-
 Task<void> ClusterFsNode::ReadPageImpl(int inode, std::uint64_t page,
                                        std::uint64_t first_block) {
   co_await CpuNoisy(config_.costs.readpage_base);
@@ -304,10 +289,6 @@ Task<void> ClusterFsNode::ReadPageImpl(int inode, std::uint64_t page,
 }
 
 // --- Write ------------------------------------------------------------------
-
-Task<std::int64_t> ClusterFsNode::Write(int fd, std::uint64_t bytes) {
-  return Profiled(probes_.write, WriteImpl(fd, bytes));
-}
 
 Task<std::int64_t> ClusterFsNode::WriteImpl(int fd, std::uint64_t bytes) {
   OpenFile& f = fds_.at(fd);
@@ -352,10 +333,6 @@ Task<std::int64_t> ClusterFsNode::WriteImpl(int fd, std::uint64_t bytes) {
 
 // --- Llseek / Readdir / Fsync ----------------------------------------------
 
-Task<std::uint64_t> ClusterFsNode::Llseek(int fd, std::uint64_t pos) {
-  return Profiled(probes_.llseek, LlseekImpl(fd, pos));
-}
-
 Task<std::uint64_t> ClusterFsNode::LlseekImpl(int fd, std::uint64_t pos) {
   OpenFile& f = fds_.at(fd);
   co_await CpuNoisy(config_.costs.llseek_base);
@@ -365,10 +342,6 @@ Task<std::uint64_t> ClusterFsNode::LlseekImpl(int fd, std::uint64_t pos) {
   f.pos = pos;
   li.i_sem->Release();
   co_return pos;
-}
-
-Task<DirentBatch> ClusterFsNode::Readdir(int fd) {
-  return Profiled(probes_.readdir, ReaddirImpl(fd));
 }
 
 Task<DirentBatch> ClusterFsNode::ReaddirImpl(int fd) {
@@ -395,10 +368,6 @@ Task<DirentBatch> ClusterFsNode::ReaddirImpl(int fd) {
   li.i_sem->Release();
   dlm_->Release(res, osnet::DlmMode::kProtectedRead);
   co_return batch;
-}
-
-Task<void> ClusterFsNode::Fsync(int fd) {
-  return Profiled(probes_.fsync, FsyncImpl(fd));
 }
 
 Task<void> ClusterFsNode::FsyncImpl(int fd) {
@@ -428,10 +397,6 @@ Task<void> ClusterFsNode::FsyncImpl(int fd) {
 }
 
 // --- Create / Unlink / Stat -------------------------------------------------
-
-Task<int> ClusterFsNode::Create(const std::string& path) {
-  return Profiled(probes_.create, CreateImpl(path));
-}
 
 Task<int> ClusterFsNode::CreateImpl(const std::string& path) {
   const std::size_t components = SplitPath(path).size();
@@ -468,10 +433,6 @@ Task<int> ClusterFsNode::CreateImpl(const std::string& path) {
   co_return fds_.Open(OpenFile{id, 0});
 }
 
-Task<void> ClusterFsNode::Unlink(const std::string& path) {
-  return Profiled(probes_.unlink, UnlinkImpl(path));
-}
-
 Task<void> ClusterFsNode::UnlinkImpl(const std::string& path) {
   const std::size_t components = SplitPath(path).size();
   co_await CpuNoisy(config_.costs.unlink_base +
@@ -498,10 +459,6 @@ Task<void> ClusterFsNode::UnlinkImpl(const std::string& path) {
   }
   li.i_sem->Release();
   dlm_->Release(res, osnet::DlmMode::kExclusive);
-}
-
-Task<FileAttr> ClusterFsNode::Stat(const std::string& path) {
-  return Profiled(probes_.stat, StatImpl(path));
 }
 
 Task<FileAttr> ClusterFsNode::StatImpl(const std::string& path) {

@@ -46,6 +46,7 @@
 namespace osfs {
 
 using osprofilers::SimProfiler;
+using osprofilers::WrapIfAttached;
 
 struct ClusterCosts {
   osim::Cycles open_base = 520;
@@ -134,23 +135,41 @@ class ClusterFsNode : public Vfs {
   ClusterFsNode(ClusterVolume* volume, osnet::Dlm* dlm, int node,
                 ClusterFsConfig config = {});
 
-  Task<int> Open(const std::string& path, bool direct_io) override;
-  Task<void> Close(int fd) override;
-  Task<std::int64_t> Read(int fd, std::uint64_t bytes) override;
-  Task<std::int64_t> Write(int fd, std::uint64_t bytes) override;
-  Task<std::uint64_t> Llseek(int fd, std::uint64_t pos) override;
-  Task<DirentBatch> Readdir(int fd) override;
-  Task<void> Fsync(int fd) override;
-  Task<int> Create(const std::string& path) override;
-  Task<void> Unlink(const std::string& path) override;
-  Task<FileAttr> Stat(const std::string& path) override;
+  // Each operation runs its body (the ...Impl below) under WrapIfAttached.
+  Task<int> Open(const std::string& path, bool direct_io) override {
+    return WrapIfAttached(profiler_, probes_.open, OpenImpl(path, direct_io));
+  }
+  Task<void> Close(int fd) override {
+    return WrapIfAttached(profiler_, probes_.close, CloseImpl(fd));
+  }
+  Task<std::int64_t> Read(int fd, std::uint64_t bytes) override {
+    return WrapIfAttached(profiler_, probes_.read, ReadImpl(fd, bytes));
+  }
+  Task<std::int64_t> Write(int fd, std::uint64_t bytes) override {
+    return WrapIfAttached(profiler_, probes_.write, WriteImpl(fd, bytes));
+  }
+  Task<std::uint64_t> Llseek(int fd, std::uint64_t pos) override {
+    return WrapIfAttached(profiler_, probes_.llseek, LlseekImpl(fd, pos));
+  }
+  Task<DirentBatch> Readdir(int fd) override {
+    return WrapIfAttached(profiler_, probes_.readdir, ReaddirImpl(fd));
+  }
+  Task<void> Fsync(int fd) override {
+    return WrapIfAttached(profiler_, probes_.fsync, FsyncImpl(fd));
+  }
+  Task<int> Create(const std::string& path) override {
+    return WrapIfAttached(profiler_, probes_.create, CreateImpl(path));
+  }
+  Task<void> Unlink(const std::string& path) override {
+    return WrapIfAttached(profiler_, probes_.unlink, UnlinkImpl(path));
+  }
+  Task<FileAttr> Stat(const std::string& path) override {
+    return WrapIfAttached(profiler_, probes_.stat, StatImpl(path));
+  }
 
   // FoSgen-style instrumentation, like Ext2SimFs: probe names resolve
   // once, at attach time.
-  void SetProfiler(SimProfiler* profiler) {
-    profiler_ = profiler;
-    ResolveProbes();
-  }
+  void SetProfiler(SimProfiler* profiler);
 
   PageCache& page_cache() { return cache_; }
   int node() const { return node_; }
@@ -187,7 +206,10 @@ class ClusterFsNode : public Vfs {
   Task<void> UnlinkImpl(const std::string& path);
   Task<FileAttr> StatImpl(const std::string& path);
   Task<void> ReadPage(int inode, std::uint64_t page,
-                      std::uint64_t first_block);
+                      std::uint64_t first_block) {
+    return WrapIfAttached(profiler_, probes_.readpage,
+                          ReadPageImpl(inode, page, first_block));
+  }
   Task<void> ReadPageImpl(int inode, std::uint64_t page,
                           std::uint64_t first_block);
 
@@ -207,16 +229,7 @@ class ClusterFsNode : public Vfs {
   // The DLM downgrade hook: write back the inode's dirty pages.
   Task<void> FlushResource(const std::string& resource);
 
-  template <typename T>
-  Task<T> Profiled(osprof::ProbeHandle op, Task<T> inner) {
-    if (profiler_ == nullptr) {
-      co_return co_await std::move(inner);
-    }
-    co_return co_await profiler_->Wrap(op, std::move(inner));
-  }
-
   Task<void> CpuNoisy(osim::Cycles cycles);
-  void ResolveProbes();
   LocalInode& local(int inode);
   static std::string InodeResource(int inode) {
     return "inode:" + std::to_string(inode);

@@ -34,9 +34,13 @@ Ext2SimFs::Ext2SimFs(osim::Kernel* kernel, osim::SimDisk* disk,
   NewInode(/*is_dir=*/true);  // Root directory, inode 0.
 }
 
-void Ext2SimFs::ResolveProbes() {
+void Ext2SimFs::SetProfiler(SimProfiler* profiler) {
+  profiler_ = profiler;
+  if (profiler_ == nullptr) {
+    return;
+  }
   const struct {
-    OpProbe* probe;
+    osprof::ProbeHandle* probe;
     const char* name;
   } kProbes[] = {
       {&probes_.open, "open"},       {&probes_.close, "close"},
@@ -48,12 +52,7 @@ void Ext2SimFs::ResolveProbes() {
       {&probes_.stat, "stat"},       {&probes_.write_super, "write_super"},
   };
   for (const auto& entry : kProbes) {
-    if (profiler_ != nullptr) {
-      entry.probe->fs = profiler_->Resolve(entry.name);
-    }
-    if (callgraph_ != nullptr) {
-      entry.probe->cg = callgraph_->Resolve(entry.name);
-    }
+    *entry.probe = profiler_->Resolve(entry.name);
   }
 }
 
@@ -191,10 +190,6 @@ Task<void> Ext2SimFs::CpuNoisy(osim::Cycles cycles) {
 
 // --- Open / Close -----------------------------------------------------------
 
-Task<int> Ext2SimFs::Open(const std::string& path, bool direct_io) {
-  return Profiled(probes_.open, OpenImpl(path, direct_io));
-}
-
 Task<int> Ext2SimFs::OpenImpl(const std::string& path, bool direct_io) {
   const std::size_t components = SplitPath(path).size();
   co_await CpuNoisy(config_.costs.open_base +
@@ -206,20 +201,12 @@ Task<int> Ext2SimFs::OpenImpl(const std::string& path, bool direct_io) {
   co_return fds_.Open(OpenFile{id, 0, direct_io});
 }
 
-Task<void> Ext2SimFs::Close(int fd) {
-  return Profiled(probes_.close, CloseImpl(fd));
-}
-
 Task<void> Ext2SimFs::CloseImpl(int fd) {
   co_await CpuNoisy(config_.costs.close_base);
   fds_.Close(fd);
 }
 
 // --- Read -------------------------------------------------------------------
-
-Task<std::int64_t> Ext2SimFs::Read(int fd, std::uint64_t bytes) {
-  return Profiled(probes_.read, ReadImpl(fd, bytes));
-}
 
 Task<std::int64_t> Ext2SimFs::ReadImpl(int fd, std::uint64_t bytes) {
   OpenFile& f = fds_.at(fd);
@@ -277,10 +264,6 @@ Task<std::int64_t> Ext2SimFs::DirectRead(OpenFile& f, Inode& node,
   co_return read;
 }
 
-Task<void> Ext2SimFs::ReadPage(int inode_id, std::uint64_t page_index) {
-  return Profiled(probes_.readpage, ReadPageImpl(inode_id, page_index));
-}
-
 Task<void> Ext2SimFs::ReadPageImpl(int inode_id, std::uint64_t page_index) {
   // Submission only: allocate the page, build the bio, queue it.  The
   // caller waits for completion separately, so this profile stays cheap
@@ -292,10 +275,6 @@ Task<void> Ext2SimFs::ReadPageImpl(int inode_id, std::uint64_t page_index) {
 }
 
 // --- Write / Fsync ----------------------------------------------------------
-
-Task<std::int64_t> Ext2SimFs::Write(int fd, std::uint64_t bytes) {
-  return Profiled(probes_.write, WriteImpl(fd, bytes));
-}
 
 Task<std::int64_t> Ext2SimFs::WriteImpl(int fd, std::uint64_t bytes) {
   OpenFile& f = fds_.at(fd);
@@ -335,10 +314,6 @@ Task<std::int64_t> Ext2SimFs::WriteImpl(int fd, std::uint64_t bytes) {
   co_return static_cast<std::int64_t>(bytes);
 }
 
-Task<void> Ext2SimFs::Fsync(int fd) {
-  return Profiled(probes_.fsync, FsyncImpl(fd));
-}
-
 Task<void> Ext2SimFs::FsyncImpl(int fd) {
   OpenFile& f = fds_.at(fd);
   Inode& node = inode(f.inode);
@@ -353,10 +328,6 @@ Task<void> Ext2SimFs::FsyncImpl(int fd) {
 }
 
 // --- Llseek (§6.1) ----------------------------------------------------------
-
-Task<std::uint64_t> Ext2SimFs::Llseek(int fd, std::uint64_t pos) {
-  return Profiled(probes_.llseek, LlseekImpl(fd, pos));
-}
 
 Task<std::uint64_t> Ext2SimFs::LlseekImpl(int fd, std::uint64_t pos) {
   OpenFile& f = fds_.at(fd);
@@ -381,22 +352,14 @@ Task<std::uint64_t> Ext2SimFs::LlseekImpl(int fd, std::uint64_t pos) {
 // --- Readdir (§6.2) ---------------------------------------------------------
 
 Task<DirentBatch> Ext2SimFs::Readdir(int fd) {
-  if (callgraph_ != nullptr) {
-    // Call-graph mode records the readdir->readpage nesting; value
-    // correlation is a plain-profiler feature.
-    std::uint64_t ignored = 0;
-    co_return co_await callgraph_->Wrap(probes_.readdir.cg,
-                                        ReaddirImpl(fd, &ignored));
-  }
-  if (profiler_ == nullptr) {
-    std::uint64_t ignored = 0;
-    co_return co_await ReaddirImpl(fd, &ignored);
-  }
   // Record with the readdir_past_EOF * 1024 value of Figure 8, so an
   // attached ValueCorrelator can bind peaks to the EOF fast path.
   std::uint64_t past_eof_value = 0;
+  if (profiler_ == nullptr) {
+    co_return co_await ReaddirImpl(fd, &past_eof_value);
+  }
   co_return co_await profiler_->WrapWithValue(
-      probes_.readdir.fs, ReaddirImpl(fd, &past_eof_value), &past_eof_value);
+      probes_.readdir, ReaddirImpl(fd, &past_eof_value), &past_eof_value);
 }
 
 Task<DirentBatch> Ext2SimFs::ReaddirImpl(int fd,
@@ -445,10 +408,6 @@ Task<DirentBatch> Ext2SimFs::ReaddirImpl(int fd,
 
 // --- Memory mapping -----------------------------------------------------------
 
-Task<int> Ext2SimFs::Mmap(int fd) {
-  return Profiled(probes_.mmap, MmapImpl(fd));
-}
-
 Task<int> Ext2SimFs::MmapImpl(int fd) {
   OpenFile& f = fds_.at(fd);
   Inode& node = inode(f.inode);
@@ -483,7 +442,7 @@ Task<void> Ext2SimFs::MemAccess(int mapping, std::uint64_t offset) {
     co_await kernel_->CpuUser(4);
     co_return;
   }
-  co_await Profiled(probes_.nopage, NopageImpl(mapping, page));
+  co_await WrapIfAttached(profiler_, probes_.nopage, NopageImpl(mapping, page));
 }
 
 Task<void> Ext2SimFs::NopageImpl(int mapping, std::uint64_t page) {
@@ -504,10 +463,6 @@ Task<void> Ext2SimFs::NopageImpl(int mapping, std::uint64_t page) {
 }
 
 // --- Namespace operations ---------------------------------------------------
-
-Task<int> Ext2SimFs::Create(const std::string& path) {
-  return Profiled(probes_.create, CreateImpl(path));
-}
 
 Task<int> Ext2SimFs::CreateImpl(const std::string& path) {
   co_await CpuNoisy(config_.costs.create_base);
@@ -533,10 +488,6 @@ Task<int> Ext2SimFs::CreateImpl(const std::string& path) {
   co_return fds_.Open(OpenFile{id, 0, /*direct_io=*/false});
 }
 
-Task<void> Ext2SimFs::Unlink(const std::string& path) {
-  return Profiled(probes_.unlink, UnlinkImpl(path));
-}
-
 Task<void> Ext2SimFs::UnlinkImpl(const std::string& path) {
   co_await CpuNoisy(config_.costs.unlink_base);
   const auto [parent, name] = ResolveParent(path);
@@ -553,10 +504,6 @@ Task<void> Ext2SimFs::UnlinkImpl(const std::string& path) {
   p.entry_order.erase(
       std::find(p.entry_order.begin(), p.entry_order.end(), name));
   cache_.MarkDirty(PageKey{p.id, 0}, p.first_block);
-}
-
-Task<FileAttr> Ext2SimFs::Stat(const std::string& path) {
-  return Profiled(probes_.stat, StatImpl(path));
 }
 
 Task<FileAttr> Ext2SimFs::StatImpl(const std::string& path) {

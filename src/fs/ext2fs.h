@@ -33,7 +33,6 @@
 #include "src/fs/fd_table.h"
 #include "src/fs/page_cache.h"
 #include "src/fs/vfs.h"
-#include "src/profilers/callgraph_profiler.h"
 #include "src/profilers/sim_profiler.h"
 #include "src/sim/disk.h"
 #include "src/sim/kernel.h"
@@ -44,6 +43,7 @@
 namespace osfs {
 
 using osprofilers::SimProfiler;
+using osprofilers::WrapIfAttached;
 
 // Per-operation CPU costs in cycles, tuned so that the resulting profile
 // peaks land in the paper's buckets at 1.7 GHz.
@@ -101,20 +101,41 @@ class Ext2SimFs : public Vfs {
   int AddFile(const std::string& path, std::uint64_t size_bytes);
 
   // --- VFS operations ----------------------------------------------------
-  Task<int> Open(const std::string& path, bool direct_io) override;
-  Task<void> Close(int fd) override;
-  Task<std::int64_t> Read(int fd, std::uint64_t bytes) override;
-  Task<std::int64_t> Write(int fd, std::uint64_t bytes) override;
-  Task<std::uint64_t> Llseek(int fd, std::uint64_t pos) override;
+  // Each operation runs its body (the ...Impl below) under WrapIfAttached.
+  Task<int> Open(const std::string& path, bool direct_io) override {
+    return WrapIfAttached(profiler_, probes_.open, OpenImpl(path, direct_io));
+  }
+  Task<void> Close(int fd) override {
+    return WrapIfAttached(profiler_, probes_.close, CloseImpl(fd));
+  }
+  Task<std::int64_t> Read(int fd, std::uint64_t bytes) override {
+    return WrapIfAttached(profiler_, probes_.read, ReadImpl(fd, bytes));
+  }
+  Task<std::int64_t> Write(int fd, std::uint64_t bytes) override {
+    return WrapIfAttached(profiler_, probes_.write, WriteImpl(fd, bytes));
+  }
+  Task<std::uint64_t> Llseek(int fd, std::uint64_t pos) override {
+    return WrapIfAttached(profiler_, probes_.llseek, LlseekImpl(fd, pos));
+  }
   Task<DirentBatch> Readdir(int fd) override;
-  Task<void> Fsync(int fd) override;
-  Task<int> Create(const std::string& path) override;
-  Task<void> Unlink(const std::string& path) override;
-  Task<FileAttr> Stat(const std::string& path) override;
+  Task<void> Fsync(int fd) override {
+    return WrapIfAttached(profiler_, probes_.fsync, FsyncImpl(fd));
+  }
+  Task<int> Create(const std::string& path) override {
+    return WrapIfAttached(profiler_, probes_.create, CreateImpl(path));
+  }
+  Task<void> Unlink(const std::string& path) override {
+    return WrapIfAttached(profiler_, probes_.unlink, UnlinkImpl(path));
+  }
+  Task<FileAttr> Stat(const std::string& path) override {
+    return WrapIfAttached(profiler_, probes_.stat, StatImpl(path));
+  }
 
   // --- Memory mapping (local file systems only) --------------------------
   // Maps the open file; returns a mapping id.  Profiled as "mmap".
-  Task<int> Mmap(int fd);
+  Task<int> Mmap(int fd) {
+    return WrapIfAttached(profiler_, probes_.mmap, MmapImpl(fd));
+  }
   // Simulates a load/store at `offset` within the mapping.  Accesses with
   // the PTE already present cost almost nothing and never enter the
   // kernel; otherwise the fault handler runs -- profiled as "nopage"
@@ -126,21 +147,11 @@ class Ext2SimFs : public Vfs {
   std::uint64_t major_faults() const { return major_faults_; }
 
   // Attaches FoSgen-style in-fs instrumentation: every operation
-  // (including the internal readpage) records into `profiler`.  All probe
-  // names are resolved here, once, so the per-operation path dispatches on
-  // pre-resolved handles.
-  void SetProfiler(SimProfiler* profiler) {
-    profiler_ = profiler;
-    ResolveProbes();
-  }
-
-  // Alternative instrumentation: function-granularity call-graph
-  // profiling (§3.1's gcc -p analogue).  Takes precedence over the plain
-  // profiler when both are set.
-  void SetCallGraphProfiler(osprofilers::CallGraphProfiler* profiler) {
-    callgraph_ = profiler;
-    ResolveProbes();
-  }
+  // (including the internal readpage) records into `profiler`, and the
+  // profiler's call edges capture readdir/read -> readpage nesting (§3.1's
+  // function granularity).  All probe names are resolved here, once, so
+  // the per-operation path dispatches on pre-resolved handles.
+  void SetProfiler(SimProfiler* profiler);
 
   PageCache& page_cache() { return cache_; }
   const Ext2Config& config() const { return config_; }
@@ -178,7 +189,10 @@ class Ext2SimFs : public Vfs {
   Task<std::int64_t> DirectRead(OpenFile& file, Inode& inode,
                                 std::uint64_t bytes);
   // The profiled internal readpage operation: submits the backing I/O.
-  Task<void> ReadPage(int inode_id, std::uint64_t page_index);
+  Task<void> ReadPage(int inode_id, std::uint64_t page_index) {
+    return WrapIfAttached(profiler_, probes_.readpage,
+                          ReadPageImpl(inode_id, page_index));
+  }
   Task<void> ReadPageImpl(int inode_id, std::uint64_t page_index);
 
   Task<std::int64_t> WriteImpl(int fd, std::uint64_t bytes);
@@ -193,34 +207,12 @@ class Ext2SimFs : public Vfs {
   Task<void> UnlinkImpl(const std::string& path);
   Task<FileAttr> StatImpl(const std::string& path);
 
-  // One operation's pre-resolved probes: a handle per attachable
-  // profiler (the two have independent op tables).
-  struct OpProbe {
-    osprof::ProbeHandle fs;  // Into profiler_'s table.
-    osprof::ProbeHandle cg;  // Into callgraph_'s table.
-  };
-
   // Every probe this file system (or a subclass) can fire, resolved by
-  // ResolveProbes() when instrumentation attaches.
+  // SetProfiler() when instrumentation attaches.
   struct OpProbes {
-    OpProbe open, close, read, readpage, write, fsync, llseek, readdir,
-        mmap, nopage, create, unlink, stat, write_super;
+    osprof::ProbeHandle open, close, read, readpage, write, fsync, llseek,
+        readdir, mmap, nopage, create, unlink, stat, write_super;
   };
-
-  // (Re-)resolves probes_ against whichever profilers are attached.
-  void ResolveProbes();
-
-  // Wraps `inner` with whichever profiler is attached.
-  template <typename T>
-  Task<T> Profiled(OpProbe op, Task<T> inner) {
-    if (callgraph_ != nullptr) {
-      co_return co_await callgraph_->Wrap(op.cg, std::move(inner));
-    }
-    if (profiler_ == nullptr) {
-      co_return co_await std::move(inner);
-    }
-    co_return co_await profiler_->Wrap(op.fs, std::move(inner));
-  }
 
   // CPU burst with multiplicative log-normal noise.
   Task<void> CpuNoisy(osim::Cycles cycles);
@@ -250,7 +242,6 @@ class Ext2SimFs : public Vfs {
   std::uint64_t minor_faults_ = 0;
   std::uint64_t major_faults_ = 0;
   SimProfiler* profiler_ = nullptr;
-  osprofilers::CallGraphProfiler* callgraph_ = nullptr;
   OpProbes probes_;
   // The inode table's protocol spans awaits (path resolution re-reads it
   // after I/O waits; create/unlink grow it), so it is a race-checked cell.

@@ -27,7 +27,7 @@ Task<std::int64_t> JournalFs::ReadImpl(int fd, std::uint64_t bytes) {
 }
 
 Task<void> JournalFs::WriteSuper() {
-  return Profiled(probes_.write_super, WriteSuperImpl());
+  return WrapIfAttached(profiler_, probes_.write_super, WriteSuperImpl());
 }
 
 Task<void> JournalFs::WriteSuperImpl() {

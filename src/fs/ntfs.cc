@@ -9,7 +9,7 @@ NtfsSimFs::NtfsSimFs(osim::Kernel* kernel, osim::SimDisk* disk,
     : Ext2SimFs(kernel, disk, config), ntfs_costs_(ntfs_costs) {}
 
 Task<std::uint64_t> NtfsSimFs::Llseek(int fd, std::uint64_t pos) {
-  return Profiled(probes_.llseek, LlseekNtfsImpl(fd, pos));
+  return WrapIfAttached(profiler_, probes_.llseek, LlseekNtfsImpl(fd, pos));
 }
 
 Task<std::uint64_t> NtfsSimFs::LlseekNtfsImpl(int fd, std::uint64_t pos) {

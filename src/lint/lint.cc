@@ -66,7 +66,6 @@ bool DeterminismAllowlisted(const std::string& path) {
 const std::unordered_set<std::string>& RecordEntryPoints() {
   static const std::unordered_set<std::string> kSet = {
       "Record",
-      "RecordWithValue",
       "Wrap",
       "WrapWithValue",
   };
@@ -75,10 +74,9 @@ const std::unordered_set<std::string>& RecordEntryPoints() {
 
 // probe-discipline: the profiling spine that is allowed to touch the
 // kernel's RequestContext.  Span frames are pushed/popped only inside
-// SimProfiler::Wrap / BeginSpan / EndSpan (and consumed by the callgraph
-// and lock-order layers); workload or filesystem code must never
-// manipulate frames by hand, or the layered decomposition stops being
-// exact.
+// SimProfiler::Wrap (and read by the lock-order and race layers);
+// workload or filesystem code must never manipulate frames by hand, or
+// the layered decomposition stops being exact.
 bool RequestContextAllowlisted(const std::string& path) {
   static const std::vector<std::string> kSpine = {
       "src/sim/request_context.h",      "src/sim/request_context.cc",
@@ -87,8 +85,6 @@ bool RequestContextAllowlisted(const std::string& path) {
       "src/sim/lock_order.h",           "src/sim/lock_order.cc",
       "src/sim/race_tracker.h",         "src/sim/race_tracker.cc",
       "src/profilers/sim_profiler.h",   "src/profilers/sim_profiler.cc",
-      "src/profilers/callgraph_profiler.h",
-      "src/profilers/callgraph_profiler.cc",
       // The context's own unit tests drive frames by hand, by design.
       "tests/sim/request_context_test.cc",
       "tests/sim/scale_arena_test.cc",
@@ -326,8 +322,7 @@ void CheckProbeDiscipline(const std::string& path,
         findings->push_back(Finding{
             kRuleProbeDiscipline, path, tok.line,
             "direct RequestContext use outside the profiling spine; span "
-            "frames are pushed/popped only by SimProfiler::Wrap/"
-            "BeginSpan/EndSpan"});
+            "frames are pushed/popped only by SimProfiler::Wrap"});
         continue;
       }
       if ((tok.text == "Push" || tok.text == "Pop") && i >= 1 &&
@@ -337,8 +332,8 @@ void CheckProbeDiscipline(const std::string& path,
         findings->push_back(Finding{
             kRuleProbeDiscipline, path, tok.line,
             "manual span-frame " + tok.text +
-                "() outside the profiling spine; only SimProfiler::Wrap/"
-                "BeginSpan/EndSpan may manipulate RequestContext frames"});
+                "() outside the profiling spine; only SimProfiler::Wrap "
+                "may manipulate RequestContext frames"});
         continue;
       }
     }

@@ -9,10 +9,10 @@
 //                     observes a nondeterminism source (wall clocks,
 //                     rand(), std::random_device);
 //  * probe-discipline -- the ISSUE-3 hot-path contract: no string-literal
-//                     op names at Record/RecordWithValue/Wrap/
-//                     WrapWithValue call sites (those must resolve a
-//                     ProbeHandle at attach time), and no resurrection of
-//                     removed accessors (mutable_profiles);
+//                     op names at Record/Wrap/WrapWithValue call sites
+//                     (those must resolve a ProbeHandle at attach time),
+//                     and no resurrection of removed accessors
+//                     (mutable_profiles);
 //  * locking       -- simulated task code in src/sim, src/fs and src/net
 //                     must block through the sim/sync primitives, never
 //                     real std::mutex / std::thread (which would desync

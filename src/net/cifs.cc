@@ -172,15 +172,9 @@ Task<void> CifsMount::ServerReadPageHandler(std::string path,
 
 // --- Client-side transactions ------------------------------------------------
 
-Task<void> CifsMount::FindTransactionOp(const std::string& path,
-                                        DirState* dir) {
+Task<void> CifsMount::FindTransactionImpl(const std::string& path,
+                                          DirState* dir) {
   const bool first = !dir->started;
-  const osprof::ProbeHandle probe =
-      first ? probes_.findfirst : probes_.findnext;
-  if (profiler_ != nullptr) {
-    profiler_->BeginSpan(probe);
-  }
-  const Cycles start = kernel_->ReadTsc();
   co_await kernel_->Cpu(config_.client_op_cpu);
   FindTransaction txn;
   txn.done = std::make_unique<osim::WaitQueue>(kernel_, osprof::kLayerNet);
@@ -202,9 +196,6 @@ Task<void> CifsMount::FindTransactionOp(const std::string& path,
   }
   dir->cookie = txn.next_cookie;
   dir->end_of_dir = txn.end_of_dir;
-  if (profiler_ != nullptr) {
-    profiler_->EndSpan(probe, kernel_->ReadTsc() - start);
-  }
 }
 
 Task<void> CifsMount::RemoteReadPage(const std::string& path,
@@ -305,12 +296,7 @@ Task<void> CifsMount::FetchAttr(const std::string& path) {
 
 // --- Vfs operations -----------------------------------------------------------
 
-Task<int> CifsMount::Open(const std::string& path, bool direct_io) {
-  (void)direct_io;  // CIFS reads always go through the client cache here.
-  if (profiler_ != nullptr) {
-    profiler_->BeginSpan(probes_.open);
-  }
-  const Cycles start = kernel_->ReadTsc();
+Task<int> CifsMount::OpenImpl(const std::string& path) {
   co_await kernel_->Cpu(config_.client_op_cpu);
   co_await FetchAttr(path);
   const RemoteAttr attr = OSIM_SHARED_RO(attr_cache_).at(path);
@@ -321,29 +307,15 @@ Task<int> CifsMount::Open(const std::string& path, bool direct_io) {
   if (attr.is_dir) {
     f.dir = std::make_unique<DirState>();
   }
-  if (profiler_ != nullptr) {
-    profiler_->EndSpan(probes_.open, kernel_->ReadTsc() - start);
-  }
   co_return fd;
 }
 
-Task<void> CifsMount::Close(int fd) {
-  if (profiler_ != nullptr) {
-    profiler_->BeginSpan(probes_.close);
-  }
-  const Cycles start = kernel_->ReadTsc();
+Task<void> CifsMount::CloseImpl(int fd) {
   co_await kernel_->Cpu(config_.client_op_cpu / 2);
   fds_.Close(fd);
-  if (profiler_ != nullptr) {
-    profiler_->EndSpan(probes_.close, kernel_->ReadTsc() - start);
-  }
 }
 
-Task<std::int64_t> CifsMount::Read(int fd, std::uint64_t bytes) {
-  if (profiler_ != nullptr) {
-    profiler_->BeginSpan(probes_.read);
-  }
-  const Cycles start = kernel_->ReadTsc();
+Task<std::int64_t> CifsMount::ReadImpl(int fd, std::uint64_t bytes) {
   ClientFile& f = fds_.at(fd);
   std::int64_t result = 0;
   if (f.attr.is_dir || bytes == 0 || f.pos >= f.attr.size) {
@@ -361,17 +333,10 @@ Task<std::int64_t> CifsMount::Read(int fd, std::uint64_t bytes) {
     result = static_cast<std::int64_t>(end - f.pos);
     f.pos = end;
   }
-  if (profiler_ != nullptr) {
-    profiler_->EndSpan(probes_.read, kernel_->ReadTsc() - start);
-  }
   co_return result;
 }
 
-Task<std::int64_t> CifsMount::Write(int fd, std::uint64_t bytes) {
-  if (profiler_ != nullptr) {
-    profiler_->BeginSpan(probes_.write);
-  }
-  const Cycles start = kernel_->ReadTsc();
+Task<std::int64_t> CifsMount::WriteImpl(int fd, std::uint64_t bytes) {
   ClientFile& f = fds_.at(fd);
   const std::string path = f.path;
   const std::uint64_t pos = f.pos;
@@ -388,31 +353,17 @@ Task<std::int64_t> CifsMount::Write(int fd, std::uint64_t bytes) {
   f2.pos += bytes;
   f2.attr.size = std::max(f2.attr.size, f2.pos);
   OSIM_SHARED_RW(attr_cache_)[path] = f2.attr;
-  if (profiler_ != nullptr) {
-    profiler_->EndSpan(probes_.write, kernel_->ReadTsc() - start);
-  }
   co_return static_cast<std::int64_t>(bytes);
 }
 
-Task<std::uint64_t> CifsMount::Llseek(int fd, std::uint64_t pos) {
-  if (profiler_ != nullptr) {
-    profiler_->BeginSpan(probes_.llseek);
-  }
-  const Cycles start = kernel_->ReadTsc();
+Task<std::uint64_t> CifsMount::LlseekImpl(int fd, std::uint64_t pos) {
   co_await kernel_->Cpu(config_.client_op_cpu / 4);
   ClientFile& f = fds_.at(fd);
   f.pos = pos;
-  if (profiler_ != nullptr) {
-    profiler_->EndSpan(probes_.llseek, kernel_->ReadTsc() - start);
-  }
   co_return f.pos;
 }
 
-Task<osfs::DirentBatch> CifsMount::Readdir(int fd) {
-  if (profiler_ != nullptr) {
-    profiler_->BeginSpan(probes_.readdir);
-  }
-  const Cycles start = kernel_->ReadTsc();
+Task<osfs::DirentBatch> CifsMount::ReaddirImpl(int fd) {
   ClientFile& f = fds_.at(fd);
   osfs::DirentBatch batch;
   if (f.dir == nullptr) {
@@ -440,32 +391,18 @@ Task<osfs::DirentBatch> CifsMount::Readdir(int fd) {
       co_await kernel_->Cpu(500 + 55 * take);
     }
   }
-  if (profiler_ != nullptr) {
-    profiler_->EndSpan(probes_.readdir, kernel_->ReadTsc() - start);
-  }
   co_return batch;
 }
 
-Task<void> CifsMount::Fsync(int fd) {
-  if (profiler_ != nullptr) {
-    profiler_->BeginSpan(probes_.fsync);
-  }
-  const Cycles start = kernel_->ReadTsc();
+Task<void> CifsMount::FsyncImpl(int fd) {
   const std::string path = fds_.at(fd).path;
   SmallOpArgs args;
   args.op = SmallOp::kFlush;
   args.path = path;
   co_await SmallRoundTrip(std::move(args));
-  if (profiler_ != nullptr) {
-    profiler_->EndSpan(probes_.fsync, kernel_->ReadTsc() - start);
-  }
 }
 
-Task<int> CifsMount::Create(const std::string& path) {
-  if (profiler_ != nullptr) {
-    profiler_->BeginSpan(probes_.create);
-  }
-  const Cycles start = kernel_->ReadTsc();
+Task<int> CifsMount::CreateImpl(const std::string& path) {
   SmallOpArgs args;
   args.op = SmallOp::kCreate;
   args.path = path;
@@ -475,32 +412,18 @@ Task<int> CifsMount::Create(const std::string& path) {
   ClientFile& f = fds_.at(fd);
   f.path = path;
   f.attr = OSIM_SHARED_RO(attr_cache_).at(path);
-  if (profiler_ != nullptr) {
-    profiler_->EndSpan(probes_.create, kernel_->ReadTsc() - start);
-  }
   co_return fd;
 }
 
-Task<void> CifsMount::Unlink(const std::string& path) {
-  if (profiler_ != nullptr) {
-    profiler_->BeginSpan(probes_.unlink);
-  }
-  const Cycles start = kernel_->ReadTsc();
+Task<void> CifsMount::UnlinkImpl(const std::string& path) {
   SmallOpArgs args;
   args.op = SmallOp::kUnlink;
   args.path = path;
   co_await SmallRoundTrip(std::move(args));
   OSIM_SHARED_RW(attr_cache_).erase(path);
-  if (profiler_ != nullptr) {
-    profiler_->EndSpan(probes_.unlink, kernel_->ReadTsc() - start);
-  }
 }
 
-Task<osfs::FileAttr> CifsMount::Stat(const std::string& path) {
-  if (profiler_ != nullptr) {
-    profiler_->BeginSpan(probes_.stat);
-  }
-  const Cycles start = kernel_->ReadTsc();
+Task<osfs::FileAttr> CifsMount::StatImpl(const std::string& path) {
   co_await kernel_->Cpu(config_.client_op_cpu / 4);
   co_await FetchAttr(path);
   osfs::FileAttr attr;
@@ -508,9 +431,6 @@ Task<osfs::FileAttr> CifsMount::Stat(const std::string& path) {
   const RemoteAttr& cached = OSIM_SHARED_RO(attr_cache_).at(path);
   attr.size = cached.size;
   attr.is_dir = cached.is_dir;
-  if (profiler_ != nullptr) {
-    profiler_->EndSpan(probes_.stat, kernel_->ReadTsc() - start);
-  }
   co_return attr;
 }
 

@@ -45,6 +45,7 @@
 namespace osnet {
 
 using osprofilers::SimProfiler;
+using osprofilers::WrapIfAttached;
 
 enum class ClientOs { kWindows, kLinux };
 
@@ -69,16 +70,39 @@ class CifsMount : public osfs::Vfs {
   CifsMount(osim::Kernel* kernel, osfs::Vfs* server_fs, CifsConfig config);
 
   // --- Vfs ----------------------------------------------------------------
-  Task<int> Open(const std::string& path, bool direct_io) override;
-  Task<void> Close(int fd) override;
-  Task<std::int64_t> Read(int fd, std::uint64_t bytes) override;
-  Task<std::int64_t> Write(int fd, std::uint64_t bytes) override;
-  Task<std::uint64_t> Llseek(int fd, std::uint64_t pos) override;
-  Task<osfs::DirentBatch> Readdir(int fd) override;
-  Task<void> Fsync(int fd) override;
-  Task<int> Create(const std::string& path) override;
-  Task<void> Unlink(const std::string& path) override;
-  Task<osfs::FileAttr> Stat(const std::string& path) override;
+  // Each operation runs its body (the ...Impl below) under WrapIfAttached.
+  // CIFS reads always go through the client cache here, so direct_io is
+  // ignored.
+  Task<int> Open(const std::string& path, bool /*direct_io*/) override {
+    return WrapIfAttached(profiler_, probes_.open, OpenImpl(path));
+  }
+  Task<void> Close(int fd) override {
+    return WrapIfAttached(profiler_, probes_.close, CloseImpl(fd));
+  }
+  Task<std::int64_t> Read(int fd, std::uint64_t bytes) override {
+    return WrapIfAttached(profiler_, probes_.read, ReadImpl(fd, bytes));
+  }
+  Task<std::int64_t> Write(int fd, std::uint64_t bytes) override {
+    return WrapIfAttached(profiler_, probes_.write, WriteImpl(fd, bytes));
+  }
+  Task<std::uint64_t> Llseek(int fd, std::uint64_t pos) override {
+    return WrapIfAttached(profiler_, probes_.llseek, LlseekImpl(fd, pos));
+  }
+  Task<osfs::DirentBatch> Readdir(int fd) override {
+    return WrapIfAttached(profiler_, probes_.readdir, ReaddirImpl(fd));
+  }
+  Task<void> Fsync(int fd) override {
+    return WrapIfAttached(profiler_, probes_.fsync, FsyncImpl(fd));
+  }
+  Task<int> Create(const std::string& path) override {
+    return WrapIfAttached(profiler_, probes_.create, CreateImpl(path));
+  }
+  Task<void> Unlink(const std::string& path) override {
+    return WrapIfAttached(profiler_, probes_.unlink, UnlinkImpl(path));
+  }
+  Task<osfs::FileAttr> Stat(const std::string& path) override {
+    return WrapIfAttached(profiler_, probes_.stat, StatImpl(path));
+  }
 
   // Records FindFirst / FindNext / remote-read latencies (the client-side
   // profile of Figure 10) under ops "findfirst", "findnext", "read",
@@ -128,12 +152,29 @@ class CifsMount : public osfs::Vfs {
     std::unique_ptr<osim::WaitQueue> done;
   };
 
+  // --- Vfs operation bodies ------------------------------------------------
+  Task<int> OpenImpl(const std::string& path);
+  Task<void> CloseImpl(int fd);
+  Task<std::int64_t> ReadImpl(int fd, std::uint64_t bytes);
+  Task<std::int64_t> WriteImpl(int fd, std::uint64_t bytes);
+  Task<std::uint64_t> LlseekImpl(int fd, std::uint64_t pos);
+  Task<osfs::DirentBatch> ReaddirImpl(int fd);
+  Task<void> FsyncImpl(int fd);
+  Task<int> CreateImpl(const std::string& path);
+  Task<void> UnlinkImpl(const std::string& path);
+  Task<osfs::FileAttr> StatImpl(const std::string& path);
+
   // --- Client-side helpers -------------------------------------------------
   Task<void> FetchAttr(const std::string& path);  // Network stat if uncached.
 
   // Runs one Find transaction (FindFirst when cookie == 0).  Latency of
   // the whole transaction is the profiled FindFirst/FindNext time.
-  Task<void> FindTransactionOp(const std::string& path, DirState* dir);
+  Task<void> FindTransactionOp(const std::string& path, DirState* dir) {
+    return WrapIfAttached(profiler_,
+                          dir->started ? probes_.findnext : probes_.findfirst,
+                          FindTransactionImpl(path, dir));
+  }
+  Task<void> FindTransactionImpl(const std::string& path, DirState* dir);
 
   // Remote page read: one request, segmented reply.
   Task<void> RemoteReadPage(const std::string& path, std::uint64_t page);

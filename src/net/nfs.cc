@@ -63,11 +63,9 @@ bool NfsMount::AttrFresh(const std::string& path) const {
          kernel_->now() - it->second.fetched_at <= config_.attr_cache_timeout;
 }
 
-Task<void> NfsMount::Call(osprof::ProbeHandle probe, const std::string& op,
-                          std::uint32_t reply_bytes, Task<void> server_work,
-                          Rpc* rpc) {
+Task<void> NfsMount::CallImpl(const std::string& op, std::uint32_t reply_bytes,
+                              Task<void> server_work, Rpc* rpc) {
   ++rpcs_;
-  const Cycles start = kernel_->ReadTsc();
   co_await kernel_->Cpu(config_.client_op_cpu);
   rpc->done = std::make_unique<osim::WaitQueue>(kernel_, osprof::kLayerNet);
   // Wrap the server work in a handler thread spawned at request arrival;
@@ -98,9 +96,6 @@ Task<void> NfsMount::Call(osprof::ProbeHandle probe, const std::string& op,
             });
   while (!rpc->complete) {
     co_await rpc->done->Wait();
-  }
-  if (profiler_ != nullptr) {
-    profiler_->Record(probe, kernel_->ReadTsc() - start);
   }
 }
 
@@ -209,9 +204,7 @@ Task<void> NfsMount::WalkPath(const std::string& path) {
 
 // --- Vfs operations --------------------------------------------------------------
 
-Task<int> NfsMount::Open(const std::string& path, bool direct_io) {
-  (void)direct_io;
-  const Cycles start = kernel_->ReadTsc();
+Task<int> NfsMount::OpenImpl(const std::string& path) {
   co_await kernel_->Cpu(config_.client_op_cpu);
   co_await WalkPath(path);
   if (!AttrFresh(path)) {
@@ -226,23 +219,15 @@ Task<int> NfsMount::Open(const std::string& path, bool direct_io) {
   ClientFile& f = fds_.at(fd);
   f.path = path;
   f.attr = attr_cache_[path].attr;
-  if (profiler_ != nullptr) {
-    profiler_->Record(probes_.open, kernel_->ReadTsc() - start);
-  }
   co_return fd;
 }
 
-Task<void> NfsMount::Close(int fd) {
-  const Cycles start = kernel_->ReadTsc();
+Task<void> NfsMount::CloseImpl(int fd) {
   co_await kernel_->Cpu(config_.client_op_cpu / 2);
   fds_.Close(fd);
-  if (profiler_ != nullptr) {
-    profiler_->Record(probes_.close, kernel_->ReadTsc() - start);
-  }
 }
 
-Task<std::int64_t> NfsMount::Read(int fd, std::uint64_t bytes) {
-  const Cycles start = kernel_->ReadTsc();
+Task<std::int64_t> NfsMount::ReadImpl(int fd, std::uint64_t bytes) {
   ClientFile& f = fds_.at(fd);
   std::int64_t result = 0;
   if (f.attr.is_dir || bytes == 0 || f.pos >= f.attr.size) {
@@ -266,14 +251,10 @@ Task<std::int64_t> NfsMount::Read(int fd, std::uint64_t bytes) {
     result = static_cast<std::int64_t>(end - f.pos);
     f.pos = end;
   }
-  if (profiler_ != nullptr) {
-    profiler_->Record(probes_.read, kernel_->ReadTsc() - start);
-  }
   co_return result;
 }
 
-Task<std::int64_t> NfsMount::Write(int fd, std::uint64_t bytes) {
-  const Cycles start = kernel_->ReadTsc();
+Task<std::int64_t> NfsMount::WriteImpl(int fd, std::uint64_t bytes) {
   ClientFile& f = fds_.at(fd);
   Rpc rpc;
   co_await Call(probes_.nfs_write, "nfs_write", config_.small_reply_bytes,
@@ -282,25 +263,17 @@ Task<std::int64_t> NfsMount::Write(int fd, std::uint64_t bytes) {
   f2.pos += bytes;
   f2.attr.size = std::max(f2.attr.size, f2.pos);
   attr_cache_[f2.path] = CachedAttr{f2.attr, kernel_->now()};
-  if (profiler_ != nullptr) {
-    profiler_->Record(probes_.write, kernel_->ReadTsc() - start);
-  }
   co_return static_cast<std::int64_t>(bytes);
 }
 
-Task<std::uint64_t> NfsMount::Llseek(int fd, std::uint64_t pos) {
-  const Cycles start = kernel_->ReadTsc();
+Task<std::uint64_t> NfsMount::LlseekImpl(int fd, std::uint64_t pos) {
   co_await kernel_->Cpu(config_.client_op_cpu / 4);
   ClientFile& f = fds_.at(fd);
   f.pos = pos;
-  if (profiler_ != nullptr) {
-    profiler_->Record(probes_.llseek, kernel_->ReadTsc() - start);
-  }
   co_return f.pos;
 }
 
-Task<osfs::DirentBatch> NfsMount::Readdir(int fd) {
-  const Cycles start = kernel_->ReadTsc();
+Task<osfs::DirentBatch> NfsMount::ReaddirImpl(int fd) {
   ClientFile& f = fds_.at(fd);
   osfs::DirentBatch batch;
   if (!f.attr.is_dir) {
@@ -336,33 +309,22 @@ Task<osfs::DirentBatch> NfsMount::Readdir(int fd) {
       co_await kernel_->Cpu(500 + 40 * take);
     }
   }
-  if (profiler_ != nullptr) {
-    profiler_->Record(probes_.readdir, kernel_->ReadTsc() - start);
-  }
   co_return batch;
 }
 
-Task<void> NfsMount::Fsync(int fd) {
-  const Cycles start = kernel_->ReadTsc();
+Task<void> NfsMount::FsyncImpl(int fd) {
   const std::string path = fds_.at(fd).path;
   Rpc rpc;
   co_await Call(probes_.commit, "commit", config_.small_reply_bytes,
                 ServerCommit(path, &rpc), &rpc);
-  if (profiler_ != nullptr) {
-    profiler_->Record(probes_.fsync, kernel_->ReadTsc() - start);
-  }
 }
 
-Task<int> NfsMount::Create(const std::string& path) {
-  const Cycles start = kernel_->ReadTsc();
+Task<int> NfsMount::CreateImpl(const std::string& path) {
   co_await WalkPath(path.substr(0, path.find_last_of('/')));
   Rpc rpc;
   co_await Call(probes_.nfs_create, "nfs_create", config_.small_reply_bytes,
                 ServerCreate(path, &rpc), &rpc);
   if (rpc.result < 0) {
-    if (profiler_ != nullptr) {
-      profiler_->Record(probes_.create, kernel_->ReadTsc() - start);
-    }
     co_return -1;
   }
   attr_cache_[path] = CachedAttr{osfs::FileAttr{0, false}, kernel_->now()};
@@ -371,26 +333,18 @@ Task<int> NfsMount::Create(const std::string& path) {
   ClientFile& f = fds_.at(fd);
   f.path = path;
   f.attr = attr_cache_[path].attr;
-  if (profiler_ != nullptr) {
-    profiler_->Record(probes_.create, kernel_->ReadTsc() - start);
-  }
   co_return fd;
 }
 
-Task<void> NfsMount::Unlink(const std::string& path) {
-  const Cycles start = kernel_->ReadTsc();
+Task<void> NfsMount::UnlinkImpl(const std::string& path) {
   Rpc rpc;
   co_await Call(probes_.nfs_remove, "nfs_remove", config_.small_reply_bytes,
                 ServerUnlink(path, &rpc), &rpc);
   attr_cache_.erase(path);
   dentry_cache_.erase(path);
-  if (profiler_ != nullptr) {
-    profiler_->Record(probes_.unlink, kernel_->ReadTsc() - start);
-  }
 }
 
-Task<osfs::FileAttr> NfsMount::Stat(const std::string& path) {
-  const Cycles start = kernel_->ReadTsc();
+Task<osfs::FileAttr> NfsMount::StatImpl(const std::string& path) {
   co_await kernel_->Cpu(config_.client_op_cpu / 4);
   if (!AttrFresh(path)) {
     co_await WalkPath(path);
@@ -404,9 +358,6 @@ Task<osfs::FileAttr> NfsMount::Stat(const std::string& path) {
     ++attr_hits_;
   }
   const osfs::FileAttr attr = attr_cache_[path].attr;
-  if (profiler_ != nullptr) {
-    profiler_->Record(probes_.stat, kernel_->ReadTsc() - start);
-  }
   co_return attr;
 }
 

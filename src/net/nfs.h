@@ -34,6 +34,8 @@
 
 namespace osnet {
 
+using osprofilers::WrapIfAttached;
+
 struct NfsConfig {
   NetConfig net;
   // Attribute-cache lifetime (Linux default acregmin = 3s).
@@ -53,16 +55,38 @@ class NfsMount : public osfs::Vfs {
   NfsMount(osim::Kernel* kernel, osfs::Vfs* server_fs, NfsConfig config);
 
   // --- Vfs ----------------------------------------------------------------
-  Task<int> Open(const std::string& path, bool direct_io) override;
-  Task<void> Close(int fd) override;
-  Task<std::int64_t> Read(int fd, std::uint64_t bytes) override;
-  Task<std::int64_t> Write(int fd, std::uint64_t bytes) override;
-  Task<std::uint64_t> Llseek(int fd, std::uint64_t pos) override;
-  Task<osfs::DirentBatch> Readdir(int fd) override;
-  Task<void> Fsync(int fd) override;
-  Task<int> Create(const std::string& path) override;
-  Task<void> Unlink(const std::string& path) override;
-  Task<osfs::FileAttr> Stat(const std::string& path) override;
+  // Each operation runs its body (the ...Impl below) under WrapIfAttached,
+  // so the RPCs it issues nest inside its span.
+  Task<int> Open(const std::string& path, bool /*direct_io*/) override {
+    return WrapIfAttached(profiler_, probes_.open, OpenImpl(path));
+  }
+  Task<void> Close(int fd) override {
+    return WrapIfAttached(profiler_, probes_.close, CloseImpl(fd));
+  }
+  Task<std::int64_t> Read(int fd, std::uint64_t bytes) override {
+    return WrapIfAttached(profiler_, probes_.read, ReadImpl(fd, bytes));
+  }
+  Task<std::int64_t> Write(int fd, std::uint64_t bytes) override {
+    return WrapIfAttached(profiler_, probes_.write, WriteImpl(fd, bytes));
+  }
+  Task<std::uint64_t> Llseek(int fd, std::uint64_t pos) override {
+    return WrapIfAttached(profiler_, probes_.llseek, LlseekImpl(fd, pos));
+  }
+  Task<osfs::DirentBatch> Readdir(int fd) override {
+    return WrapIfAttached(profiler_, probes_.readdir, ReaddirImpl(fd));
+  }
+  Task<void> Fsync(int fd) override {
+    return WrapIfAttached(profiler_, probes_.fsync, FsyncImpl(fd));
+  }
+  Task<int> Create(const std::string& path) override {
+    return WrapIfAttached(profiler_, probes_.create, CreateImpl(path));
+  }
+  Task<void> Unlink(const std::string& path) override {
+    return WrapIfAttached(profiler_, probes_.unlink, UnlinkImpl(path));
+  }
+  Task<osfs::FileAttr> Stat(const std::string& path) override {
+    return WrapIfAttached(profiler_, probes_.stat, StatImpl(path));
+  }
 
   // Records per-RPC latencies ("lookup", "getattr", "nfs_read", ...) and
   // the Vfs-level operations, like the paper's client-side profiles.
@@ -107,7 +131,25 @@ class NfsMount : public osfs::Vfs {
   // ACKs ever fire.  `probe` is the pre-resolved latency probe; `op` is
   // still needed for the packet-trace and thread labels.
   Task<void> Call(osprof::ProbeHandle probe, const std::string& op,
-                  std::uint32_t reply_bytes, Task<void> server_work, Rpc* rpc);
+                  std::uint32_t reply_bytes, Task<void> server_work, Rpc* rpc) {
+    return WrapIfAttached(
+        profiler_, probe,
+        CallImpl(op, reply_bytes, std::move(server_work), rpc));
+  }
+  Task<void> CallImpl(const std::string& op, std::uint32_t reply_bytes,
+                      Task<void> server_work, Rpc* rpc);
+
+  // --- Vfs operation bodies ------------------------------------------------
+  Task<int> OpenImpl(const std::string& path);
+  Task<void> CloseImpl(int fd);
+  Task<std::int64_t> ReadImpl(int fd, std::uint64_t bytes);
+  Task<std::int64_t> WriteImpl(int fd, std::uint64_t bytes);
+  Task<std::uint64_t> LlseekImpl(int fd, std::uint64_t pos);
+  Task<osfs::DirentBatch> ReaddirImpl(int fd);
+  Task<void> FsyncImpl(int fd);
+  Task<int> CreateImpl(const std::string& path);
+  Task<void> UnlinkImpl(const std::string& path);
+  Task<osfs::FileAttr> StatImpl(const std::string& path);
 
   // Path walk: one LOOKUP RPC per uncached component; fills attr_cache_.
   Task<void> WalkPath(const std::string& path);

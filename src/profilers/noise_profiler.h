@@ -87,16 +87,9 @@ class NoiseProfiler : public ProfilerSink,
   // --- ProfilerSink ------------------------------------------------------
   const std::string& layer() const override { return layer_; }
   int resolution() const override { return resolution_; }
-  using ProfilerSink::Collect;
   // No layered decomposition: noise tasks never open request spans (the
   // whole point is to observe the kernel from outside any request).
-  Collected Collect(const CollectRequest& request) const override {
-    Collected out;
-    if (request.profiles) {
-      out.profiles = profiles_;
-    }
-    return out;
-  }
+  osprof::ProfileSet Collect() const override { return profiles_; }
   void Reset() override;
 
   const std::vector<NoiseTaskStats>& tasks() const { return tasks_; }

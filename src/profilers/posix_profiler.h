@@ -48,16 +48,9 @@ class PosixProfiler : public ProfilerSink {
   // --- ProfilerSink ------------------------------------------------------
   const std::string& layer() const override { return layer_; }
   int resolution() const override { return resolution_; }
-  using ProfilerSink::Collect;
   // No layered decomposition: there is no simulated kernel underneath to
   // attribute waits, so only the flat profiles are collectable.
-  Collected Collect(const CollectRequest& request) const override {
-    Collected out;
-    if (request.profiles) {
-      out.profiles = profiles_;
-    }
-    return out;
-  }
+  osprof::ProfileSet Collect() const override { return profiles_; }
   // Clears counts in place; pre-resolved handles stay valid.
   void Reset() override { profiles_.ClearCounts(); }
 

@@ -1,20 +1,15 @@
 // The unified profiler-sink interface.
 //
 // Every profiler in this tree -- the simulated-kernel layers of Figure 2
-// (user / file-system / driver), the function-granularity call-graph
-// profiler, and the real-OS POSIX interposition profiler -- ultimately
-// collects one ProfileSet.  ProfilerSink is that common surface: a layer
-// tag, the profile resolution, a snapshot of everything recorded so far,
-// and a reset.  Orchestration code (src/runner) collects from any layer
-// through this interface without knowing which profiler produced the data,
-// exactly as the paper's analysis tooling consumes /proc profile dumps
-// from any instrumentation level.
-//
-// Collection goes through one virtual entry point taking a CollectRequest
-// struct, so adding a new kind of collected data extends the request and
-// result structs instead of growing the interface by another virtual per
-// kind.  The per-kind methods survive as thin non-virtual wrappers for one
-// PR; new code should call Collect(CollectRequest).
+// (user / file-system / driver), the noise profiler, and the real-OS POSIX
+// interposition profiler -- ultimately collects one ProfileSet.
+// ProfilerSink is that common surface: a layer tag, the profile
+// resolution, a snapshot of everything recorded so far, the layered
+// decomposition where the sink has one, and a reset.  Orchestration code
+// (src/runner) collects from any layer through this interface without
+// knowing which profiler produced the data, exactly as the paper's
+// analysis tooling consumes /proc profile dumps from any instrumentation
+// level.
 
 #ifndef OSPROF_SRC_PROFILERS_PROFILER_SINK_H_
 #define OSPROF_SRC_PROFILERS_PROFILER_SINK_H_
@@ -26,59 +21,27 @@
 
 namespace osprofilers {
 
-// What one Collect call should gather.  Defaults request everything, so
-// `Collect(CollectRequest{})` is the full snapshot; orchestration that
-// needs only one kind clears the others and the sink skips the copy.
-struct CollectRequest {
-  bool profiles = true;
-  bool layered = true;
-};
-
-// The gathered data.  Fields for kinds that were not requested (or that
-// the sink cannot produce) are empty / null.
-struct Collected {
-  // Snapshot of everything recorded so far; independent of future
-  // recording.  Empty unless `request.profiles`.
-  osprof::ProfileSet profiles;
-  // The exact layered decomposition of this sink's operations, or nullptr
-  // for sinks that cannot decompose -- observer-style profilers that
-  // record outside any request span, and real-OS profilers with no
-  // simulated kernel underneath.  Owned by the sink, valid until the next
-  // Reset().  Null unless `request.layered`.
-  const osprof::LayeredProfileSet* layered = nullptr;
-};
-
 class ProfilerSink {
  public:
   virtual ~ProfilerSink() = default;
 
   // Short tag naming the instrumentation layer this sink collects at
-  // ("user", "fs", "driver", "callgraph", "posix", ...).
+  // ("user", "fs", "driver", "noise", "posix", ...).
   virtual const std::string& layer() const = 0;
 
   // Bucket resolution of the collected profiles.
   virtual int resolution() const = 0;
 
-  // Gathers the requested kinds of collected data.  Safe to call
-  // repeatedly.
-  virtual Collected Collect(const CollectRequest& request) const = 0;
+  // Snapshot of everything recorded so far; independent of future
+  // recording.  Safe to call repeatedly.
+  virtual osprof::ProfileSet Collect() const = 0;
 
-  // --- Compatibility wrappers (pre-CollectRequest surface) ---------------
-  // Derived classes bring these into scope with `using
-  // ProfilerSink::Collect;` next to their Collect(CollectRequest)
-  // override.
-
-  // Snapshot of everything recorded so far.
-  osprof::ProfileSet Collect() const {
-    return Collect(CollectRequest{/*profiles=*/true, /*layered=*/false})
-        .profiles;
-  }
-
-  // The layered decomposition, or nullptr for sinks without one.
-  const osprof::LayeredProfileSet* CollectLayered() const {
-    return Collect(CollectRequest{/*profiles=*/false, /*layered=*/true})
-        .layered;
-  }
+  // The exact layered decomposition of this sink's operations, or nullptr
+  // for sinks that cannot decompose -- observer-style profilers that
+  // record outside any request span, and profilers with no request spans
+  // or no simulated kernel underneath.  Owned by the sink, valid until
+  // the next layered() or Reset().
+  virtual const osprof::LayeredProfileSet* layered() const { return nullptr; }
 
   // Clears collected measurements (configuration is kept).
   virtual void Reset() = 0;

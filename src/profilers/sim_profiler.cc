@@ -1,7 +1,10 @@
 #include "src/profilers/sim_profiler.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <sstream>
 
+#include "src/core/clock.h"
 #include "src/core/histogram.h"
 
 namespace osprofilers {
@@ -24,6 +27,23 @@ osprof::ProbeHandle SimProfiler::Resolve(std::string_view op) {
     }
   }
   return handle;
+}
+
+osprof::ProfileSet SimProfiler::Collect() const {
+  osprof::ProfileSet out = profiles_;
+  if (shards_raw_ != nullptr) {
+    shards_raw_->MergeResidueInto(&out);
+  }
+  return out;
+}
+
+const osprof::LayeredProfileSet* SimProfiler::layered() const {
+  if (shards_raw_ == nullptr) {
+    return &layered_;
+  }
+  layered_snapshot_ = layered_;
+  shards_raw_->MergeLayeredResidueInto(&layered_snapshot_);
+  return &layered_snapshot_;
 }
 
 void SimProfiler::EnableSharding(Cycles epoch_cycles) {
@@ -61,6 +81,104 @@ void SimProfiler::AttachCorrelator(std::string_view op,
   correlators_[static_cast<std::size_t>(handle.id())] = c;
 }
 
+Task<void> SimProfiler::ChargedExit(osprof::ProbeHandle op, int tid,
+                                    Cycles start, const std::uint64_t* value) {
+  if (costs_.InsidePost() > 0) {
+    co_await kernel_->Cpu(costs_.InsidePost());
+  }
+  osprof::ClockSample exit = kernel_->SampleClocks();
+  if (costs_.OutsidePost() > 0) {
+    co_await kernel_->Cpu(costs_.OutsidePost());
+    exit.now = kernel_->now();
+  }
+  const Cycles latency = exit.tsc >= start ? exit.tsc - start : 0;
+  FinishSpan(op, tid, latency, exit.now, value);
+}
+
+void SimProfiler::RecordCallEdge(osprof::OpId caller,
+                                 osprof::ProbeHandle callee, Cycles latency) {
+  const auto [it, first_call] =
+      edge_ids_.try_emplace({caller, callee.id()}, osprof::kInvalidOpId);
+  if (first_call) {
+    const osprof::OpTable& ops = profiles_.ops();
+    const std::string name = ops.Name(caller) + "->" + ops.Name(callee.id());
+    it->second = edges_.Resolve(name).id();
+  }
+  edges_.AddById(it->second, latency);
+}
+
+std::vector<SimProfiler::EdgeSummary> SimProfiler::EdgeSummaries() const {
+  // An op's calls are either nested under a caller of this profiler (an
+  // edge) or top-level, so its top-level row is its flat profile minus
+  // its incoming edges.
+  const osprof::ProfileSet flat = Collect();
+  const osprof::OpTable& ops = flat.ops();
+  std::vector<EdgeSummary> top(ops.size());
+  for (osprof::OpId op = 0; op < ops.size(); ++op) {
+    const osprof::Profile& profile = flat.ById(op);
+    top[op] = {"-", ops.Name(op), profile.total_operations(),
+               profile.total_latency()};
+  }
+  std::vector<EdgeSummary> out;
+  for (const auto& [ends, id] : edge_ids_) {
+    const auto& [caller, callee] = ends;
+    const osprof::Profile& edge = edges_.ById(id);
+    top[callee].calls -= edge.total_operations();
+    top[callee].total_latency -= edge.total_latency();
+    out.push_back({ops.Name(caller), ops.Name(callee),
+                   edge.total_operations(), edge.total_latency()});
+  }
+  out.insert(out.end(), top.begin(), top.end());
+  std::erase_if(out, [](const EdgeSummary& e) { return e.calls == 0; });
+  std::sort(out.begin(), out.end(),
+            [](const EdgeSummary& a, const EdgeSummary& b) {
+              if (a.total_latency != b.total_latency) {
+                return a.total_latency > b.total_latency;
+              }
+              return a.caller != b.caller ? a.caller < b.caller
+                                          : a.callee < b.callee;
+            });
+  return out;
+}
+
+std::string SimProfiler::CallGraphReport(double cpu_hz) const {
+  const auto seconds = [cpu_hz](Cycles cycles) {
+    return osprof::FormatSeconds(static_cast<double>(cycles) / cpu_hz);
+  };
+  const osprof::ProfileSet flat = Collect();
+  const std::vector<EdgeSummary> edges = EdgeSummaries();
+  std::ostringstream os;
+  os << "call-graph profile (gprof-style)\n";
+  os << "  operation        calls        total        self       children\n";
+  for (const std::string& op : flat.ByTotalLatency()) {
+    const osprof::Profile* p = flat.Find(op);
+    const Cycles total = p->total_latency();
+    // Time in profiled children is what the op's outgoing edges recorded.
+    Cycles children = 0;
+    for (const EdgeSummary& e : edges) {
+      children += e.caller == op ? e.total_latency : 0;
+    }
+    const Cycles self = total > children ? total - children : 0;
+    char line[160];
+    std::snprintf(line, sizeof(line), "  %-16s %-12llu %-12s %-12s %-12s\n",
+                  op.c_str(),
+                  static_cast<unsigned long long>(p->total_operations()),
+                  seconds(total).c_str(), seconds(self).c_str(),
+                  seconds(children).c_str());
+    os << line;
+  }
+  os << "  edges (heaviest first):\n";
+  for (const EdgeSummary& e : edges) {
+    char line[160];
+    std::snprintf(line, sizeof(line), "    %s -> %s: %llu calls, %s\n",
+                  e.caller.c_str(), e.callee.c_str(),
+                  static_cast<unsigned long long>(e.calls),
+                  seconds(e.total_latency).c_str());
+    os << line;
+  }
+  return os.str();
+}
+
 void SimProfiler::SampledRecord(osprof::ProbeHandle op, Cycles latency) {
   osprof::SampledProfile*& slot =
       sampled_slots_[static_cast<std::size_t>(op.id())];
@@ -73,6 +191,7 @@ void SimProfiler::SampledRecord(osprof::ProbeHandle op, Cycles latency) {
 void SimProfiler::Reset() {
   profiles_.ClearCounts();
   layered_.ClearCounts();  // In place: cached layered_slots_ stay valid.
+  edges_.ClearCounts();    // In place: edge_ids_ stay valid.
   if (shards_raw_ != nullptr) {
     shards_raw_->ClearCounts();
     next_epoch_flush_ =

@@ -4,7 +4,12 @@
 // instrumentation: operations record their latency (measured with the
 // simulated per-CPU TSC) into a ProfileSet, optionally into a sampled
 // (time-sliced) profile set, and optionally into per-peak value
-// correlators (§3.1's "direct profile and value correlation").
+// correlators (§3.1's "direct profile and value correlation").  Wrap is
+// the one way a simulated operation is timed: it opens a span on the
+// kernel's request context, so every operation also lands in the exact
+// layered decomposition and, when it runs under another operation of the
+// same profiler, on a caller->callee edge (§3.1's function-granularity
+// profiling, the gcc -p analogue).
 //
 // Instrumentation cost model (§5.2): when `charge_overhead` is set, every
 // probe consumes simulated CPU exactly like the paper's FSPROF_PRE/POST
@@ -20,10 +25,12 @@
 #ifndef OSPROF_SRC_PROFILERS_SIM_PROFILER_H_
 #define OSPROF_SRC_PROFILERS_SIM_PROFILER_H_
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/core/correlate.h"
@@ -94,12 +101,11 @@ class SimProfiler : public ProfilerSink {
       : kernel_(kernel),
         profiles_(resolution),
         resolution_(resolution),
-        layered_(resolution) {
+        layered_(resolution),
+        edges_(resolution) {
     span_owner_.ops = &profiles_.ops();
     span_owner_.cls = component_;
   }
-
-  Kernel* kernel() const { return kernel_; }
 
   // --- ProfilerSink ------------------------------------------------------
   // Defaults to "fs" because SimProfiler usually attaches as the FoSgen-
@@ -112,34 +118,14 @@ class SimProfiler : public ProfilerSink {
     span_owner_.cls = component_;
   }
   int resolution() const override { return resolution_; }
-  using ProfilerSink::Collect;
-  // With sharding enabled, collection folds the shards' post-epoch residue
-  // into the returned copies without disturbing the live shards (Collect is
-  // an observer): totals are identical to unsharded recording because shard
-  // merging is pure integer addition.
-  Collected Collect(const CollectRequest& request) const override {
-    Collected out;
-    if (request.profiles) {
-      out.profiles = profiles_;
-      if (shards_raw_ != nullptr) {
-        shards_raw_->MergeResidueInto(&out.profiles);
-      }
-    }
-    if (request.layered) {
-      if (shards_raw_ != nullptr) {
-        layered_snapshot_ = layered_;
-        shards_raw_->MergeLayeredResidueInto(&layered_snapshot_);
-        out.layered = &layered_snapshot_;
-      } else {
-        out.layered = &layered_;
-      }
-    }
-    return out;
-  }
-
+  // With sharding enabled, Collect() and layered() fold the shards'
+  // post-epoch residue into a copy without disturbing the live shards
+  // (collection is an observer): totals are identical to unsharded
+  // recording because shard merging is pure integer addition.
+  osprof::ProfileSet Collect() const override;
   // The exact per-(op, bucket) decomposition recorded by Wrap (empty for
   // record-only consumers that never wrap).
-  const osprof::LayeredProfileSet& layered() const { return layered_; }
+  const osprof::LayeredProfileSet* layered() const override;
 
   // When true, probes consume simulated CPU per `costs()` -- for overhead
   // experiments.  Off by default so behavioural profiles are undisturbed.
@@ -183,7 +169,9 @@ class SimProfiler : public ProfilerSink {
 
   // The hot record path: indexed load, bucket index, increment -- no
   // allocation, no string compare, no tree walk (ISSUE 3 / §5.2's
-  // ~100-cycle sort-and-store budget).
+  // ~100-cycle sort-and-store budget).  Opens no span: for observers that
+  // fire outside any task (DriverProfiler's disk-completion hook); a
+  // simulated operation is timed with Wrap.
   void Record(osprof::ProbeHandle op, Cycles latency) {
     if (shards_raw_ != nullptr) {
       MaybeFlushEpoch();
@@ -195,36 +183,6 @@ class SimProfiler : public ProfilerSink {
       SampledRecord(op, latency);
     }
   }
-  void RecordWithValue(osprof::ProbeHandle op, Cycles latency,
-                       std::uint64_t value) {
-    Record(op, latency);
-    osprof::ValueCorrelator* c =
-        correlators_[static_cast<std::size_t>(op.id())];
-    if (c != nullptr) {
-      c->Record(latency, value);
-    }
-  }
-
-  // Split form of Wrap for coroutine bodies that time themselves with
-  // manual ReadTsc() windows around their co_awaits (the CIFS client):
-  // BeginSpan opens a frame on the kernel's request context so waits are
-  // attributed to the operation, and EndSpan records the latency exactly
-  // like Record and pops the frame into the layered decomposition.  Both
-  // are plain bookkeeping -- zero simulated time, profiles unchanged.
-  // Calls must nest per simulated thread, like Wrap activations do.
-  void BeginSpan(osprof::ProbeHandle op) {
-    const int tid =
-        kernel_->current() != nullptr ? kernel_->current()->id() : -1;
-    if (tid >= 0) {
-      kernel_->context().Push(tid, &span_owner_, op.id(), kernel_->now());
-    }
-  }
-  void EndSpan(osprof::ProbeHandle op, Cycles latency) {
-    const int tid =
-        kernel_->current() != nullptr ? kernel_->current()->id() : -1;
-    FinishSpan(op, tid, latency, kernel_->now());
-  }
-
   // Wraps an operation coroutine with a latency probe:
   //
   //   co_return co_await profiler->Wrap(read_handle, ReadImpl(fd, n));
@@ -240,7 +198,7 @@ class SimProfiler : public ProfilerSink {
   // clock skew and migration behave as on real SMP (§3.4).
   template <typename T>
   WrapAwaitable<T> Wrap(osprof::ProbeHandle op, Task<T> inner) {
-    return WrapAwaitable<T>(this, op, std::move(inner));
+    return WrapAwaitable<T>(this, op, std::move(inner), nullptr);
   }
 
   // Like Wrap, but additionally records *`value` (read after the inner
@@ -249,51 +207,38 @@ class SimProfiler : public ProfilerSink {
   // valid until the inner operation finishes (typically a local in the
   // caller's coroutine frame that the inner operation fills in).
   template <typename T>
-  Task<T> WrapWithValue(osprof::ProbeHandle op, Task<T> inner,
-                        const std::uint64_t* value) {
-    const int tid =
-        kernel_->current() != nullptr ? kernel_->current()->id() : -1;
-    const osprof::ClockSample entry = kernel_->SampleClocks();
-    if (tid >= 0) {
-      kernel_->context().Push(tid, &span_owner_, op.id(), entry.now);
-    }
-    Cycles start = entry.tsc;
-    if (charge_overhead_) {
-      if (costs_.OutsidePre() > 0) {
-        co_await kernel_->Cpu(costs_.OutsidePre());
-        start = kernel_->ReadTsc();
-      }
-      if (costs_.InsidePre() > 0) {
-        co_await kernel_->Cpu(costs_.InsidePre());
-      }
-    }
-    T result = co_await std::move(inner);
-    osprof::ClockSample exit = kernel_->SampleClocks();
-    if (charge_overhead_) {
-      if (costs_.InsidePost() > 0) {
-        co_await kernel_->Cpu(costs_.InsidePost());
-      }
-      exit = kernel_->SampleClocks();
-      if (costs_.OutsidePost() > 0) {
-        co_await kernel_->Cpu(costs_.OutsidePost());
-        exit.now = kernel_->now();
-      }
-    }
-    const Cycles latency = exit.tsc >= start ? exit.tsc - start : 0;
-    FinishSpan(op, tid, latency, exit.now);
-    osprof::ValueCorrelator* c =
-        correlators_[static_cast<std::size_t>(op.id())];
-    if (c != nullptr) {
-      c->Record(latency, *value);
-    }
-    co_return std::move(result);
+  WrapAwaitable<T> WrapWithValue(osprof::ProbeHandle op, Task<T> inner,
+                                 const std::uint64_t* value) {
+    return WrapAwaitable<T>(this, op, std::move(inner), value);
   }
 
   const osprof::ProfileSet& profiles() const { return profiles_; }
 
-  // Clears collected data (not configuration).  Keeps the op table, so
-  // every previously resolved ProbeHandle stays valid and continues to
-  // index the same operation.
+  // --- Call graph (§3.1's function granularity) --------------------------
+  // Edge profiles of operations wrapped while another operation of this
+  // profiler was open on the same thread, keyed "caller->callee".  Frames
+  // of other profilers in between are skipped, so a user-layer wrap does
+  // not hide an FS op's FS caller.  Top-level calls are not stored; see
+  // EdgeSummaries.
+  const osprof::ProfileSet& edges() const { return edges_; }
+
+  struct EdgeSummary {
+    std::string caller;  // "-" for top-level calls.
+    std::string callee;
+    std::uint64_t calls = 0;
+    Cycles total_latency = 0;
+  };
+  // All edges, heaviest (by total latency) first, including the
+  // top-level rows: an op's flat profile minus its incoming edges.
+  std::vector<EdgeSummary> EdgeSummaries() const;
+
+  // gprof-style report: for each operation, total time and how much of it
+  // was spent inside profiled children, then every edge.
+  std::string CallGraphReport(double cpu_hz) const;
+
+  // Clears collected data (not configuration).  Keeps the op and edge
+  // tables, so every previously resolved ProbeHandle stays valid and
+  // continues to index the same operation.
   void Reset() override;
 
  private:
@@ -309,7 +254,8 @@ class SimProfiler : public ProfilerSink {
   // measured window is exactly the uncharged one plus the inside costs,
   // cycle for cycle.
   template <typename T>
-  Task<T> WrapCharged(osprof::ProbeHandle op, Task<T> inner) {
+  Task<T> WrapCharged(osprof::ProbeHandle op, Task<T> inner,
+                      const std::uint64_t* value) {
     const int tid =
         kernel_->current() != nullptr ? kernel_->current()->id() : -1;
     const osprof::ClockSample entry = kernel_->SampleClocks();
@@ -326,31 +272,18 @@ class SimProfiler : public ProfilerSink {
     }
     if constexpr (std::is_void_v<T>) {
       co_await std::move(inner);
-      if (costs_.InsidePost() > 0) {
-        co_await kernel_->Cpu(costs_.InsidePost());
-      }
-      osprof::ClockSample exit = kernel_->SampleClocks();
-      if (costs_.OutsidePost() > 0) {
-        co_await kernel_->Cpu(costs_.OutsidePost());
-        exit.now = kernel_->now();
-      }
-      const Cycles latency = exit.tsc >= start ? exit.tsc - start : 0;
-      FinishSpan(op, tid, latency, exit.now);
+      co_await ChargedExit(op, tid, start, value);
     } else {
       T result = co_await std::move(inner);
-      if (costs_.InsidePost() > 0) {
-        co_await kernel_->Cpu(costs_.InsidePost());
-      }
-      osprof::ClockSample exit = kernel_->SampleClocks();
-      if (costs_.OutsidePost() > 0) {
-        co_await kernel_->Cpu(costs_.OutsidePost());
-        exit.now = kernel_->now();
-      }
-      const Cycles latency = exit.tsc >= start ? exit.tsc - start : 0;
-      FinishSpan(op, tid, latency, exit.now);
+      co_await ChargedExit(op, tid, start, value);
       co_return std::move(result);
     }
   }
+
+  // WrapCharged's exit, shared by every result type: the inside-post
+  // burn, the closing TSC read, the outside-post burn, then FinishSpan.
+  Task<void> ChargedExit(osprof::ProbeHandle op, int tid, Cycles start,
+                         const std::uint64_t* value);
 
   // Cold path of Record when sampling is enabled: the per-op sampled slot
   // is looked up by name once and cached by OpId thereafter.
@@ -379,12 +312,20 @@ class SimProfiler : public ProfilerSink {
   // Cold path of RecordLayered: resolves and caches the op's slot.
   osprof::LayeredProfile* LayeredSlot(osprof::ProbeHandle op);
 
-  // Shared span-exit tail of Wrap / WrapWithValue / EndSpan: one
-  // BucketIndex computation feeds both the flat histogram and the layered
-  // decomposition, and the frame pops only when a span was actually
-  // opened (tid >= 0).
+  // Cold path of FinishSpan: a nested pop records into the caller->callee
+  // edge profile.
+  void RecordCallEdge(osprof::OpId caller, osprof::ProbeHandle callee,
+                      Cycles latency);
+
+  // Shared span-exit tail of every Wrap: one BucketIndex computation
+  // feeds both the flat histogram and the layered decomposition, and the
+  // frame pops only when a span was actually opened (tid >= 0).  A
+  // WrapWithValue exit also feeds the op's correlator, if one is attached.
   void FinishSpan(osprof::ProbeHandle op, int tid, Cycles latency,
-                  Cycles pop_now) {
+                  Cycles pop_now, const std::uint64_t* value) {
+    if (value != nullptr && correlators_[op.id()] != nullptr) {
+      correlators_[op.id()]->Record(latency, *value);
+    }
     const int bucket = osprof::BucketIndex(latency, resolution_);
     if (shards_raw_ != nullptr) {
       ShardedFinishSpan(op, tid, latency, pop_now, bucket);
@@ -395,8 +336,12 @@ class SimProfiler : public ProfilerSink {
       SampledRecord(op, latency);
     }
     if (tid >= 0) {
-      RecordLayered(op, bucket,
-                    kernel_->context().Pop(tid, pop_now, latency));
+      const osim::RequestContext::PopResult span =
+          kernel_->context().Pop(tid, pop_now);
+      RecordLayered(op, bucket, span);
+      if (span.caller != osprof::kInvalidOpId) {
+        RecordCallEdge(span.caller, op, latency);
+      }
     }
   }
 
@@ -414,12 +359,15 @@ class SimProfiler : public ProfilerSink {
     }
     if (tid >= 0) {
       const osim::RequestContext::PopResult span =
-          kernel_->context().Pop(tid, pop_now, latency);
+          kernel_->context().Pop(tid, pop_now);
       if (span.self_only) {
         shards_raw_->AddLayeredSelfOnly(shard, op.id(), bucket,
                                         span.components[osprof::kLayerSelf]);
       } else {
         shards_raw_->AddLayered(shard, op.id(), bucket, span.components);
+      }
+      if (span.caller != osprof::kInvalidOpId) {
+        RecordCallEdge(span.caller, op, latency);
       }
     }
   }
@@ -467,6 +415,10 @@ class SimProfiler : public ProfilerSink {
   std::vector<osprof::ValueCorrelator*> correlators_;
   std::vector<osprof::SampledProfile*> sampled_slots_;
   std::vector<osprof::LayeredProfile*> layered_slots_;
+  osprof::ProfileSet edges_;
+  // (caller, callee) -> edge id in edges_; an edge's name is built once,
+  // the first time it fires, and survives Reset().
+  std::map<std::pair<osprof::OpId, osprof::OpId>, osprof::OpId> edge_ids_;
   Cycles sampling_epoch_ = 0;
   // Per-CPU sharding (EnableSharding): null means the classic unsharded
   // paths above run untouched.  shards_raw_ mirrors shards_.get() so the
@@ -475,21 +427,21 @@ class SimProfiler : public ProfilerSink {
   ShardedProfileArena* shards_raw_ = nullptr;
   Cycles shard_epoch_ = 0;
   Cycles next_epoch_flush_ = 0;
-  // Collect()-time scratch: base layered plus shard residue, handed out as
-  // Collected.layered ("valid until the next Reset()" per the sink
-  // contract -- the snapshot lives until the next Collect or Reset).
+  // layered()'s sharded snapshot: base layered plus shard residue, valid
+  // until the next layered() or Reset() per the sink contract.
   mutable osprof::LayeredProfileSet layered_snapshot_;
 };
 
-// The awaitable returned by SimProfiler::Wrap.  The uncharged fast path
-// allocates nothing: await_ready does the span-entry bookkeeping (clock
-// sample, frame push) and await_suspend starts the inner task by symmetric
-// transfer -- one indirect jump, no extra resume/done round trip -- so the
-// first inner instruction runs with the span already open.  await_resume
-// records the latency and pops the frame once the inner task has
-// completed.  When overhead charging is on, the payload is replaced by the
-// WrapCharged coroutine (which does its own bookkeeping) and awaited like
-// any Task.
+// The awaitable returned by SimProfiler::Wrap and WrapWithValue.  The
+// uncharged fast path allocates nothing: await_ready does the span-entry
+// bookkeeping (clock sample, frame push) and await_suspend starts the
+// inner task by symmetric transfer -- one indirect jump, no extra
+// resume/done round trip -- so the first inner instruction runs with the
+// span already open.  await_resume records the latency (and feeds the
+// correlator when a value pointer rides along) and pops the frame once
+// the inner task has completed.  When overhead charging is on, the
+// payload is replaced by the WrapCharged coroutine (which does its own
+// bookkeeping) and awaited like any Task.
 //
 // The execution order is exactly the old coroutine Wrap's: entry
 // bookkeeping before the inner operation's first instruction, exit
@@ -499,12 +451,13 @@ class SimProfiler : public ProfilerSink {
 template <typename T>
 class [[nodiscard]] WrapAwaitable {
  public:
-  WrapAwaitable(SimProfiler* profiler, osprof::ProbeHandle op, Task<T> inner)
-      : profiler_(profiler), op_(op), inner_(std::move(inner)) {}
+  WrapAwaitable(SimProfiler* profiler, osprof::ProbeHandle op, Task<T> inner,
+                const std::uint64_t* value)
+      : profiler_(profiler), op_(op), inner_(std::move(inner)), value_(value) {}
 
   [[gnu::always_inline]] inline bool await_ready() {
     if (profiler_->charge_overhead_) {
-      inner_ = profiler_->WrapCharged(op_, std::move(inner_));
+      inner_ = profiler_->WrapCharged(op_, std::move(inner_), value_);
       charged_ = true;
       return false;  // The charged wrapper does its own bookkeeping.
     }
@@ -537,7 +490,7 @@ class [[nodiscard]] WrapAwaitable {
       Kernel* kernel = profiler_->kernel_;
       const osprof::ClockSample exit = kernel->SampleClocks();
       const Cycles latency = exit.tsc >= start_ ? exit.tsc - start_ : 0;
-      profiler_->FinishSpan(op_, tid_, latency, exit.now);
+      profiler_->FinishSpan(op_, tid_, latency, exit.now, value_);
     }
     if constexpr (!std::is_void_v<T>) {
       return std::move(inner_.handle().promise().value);
@@ -548,10 +501,24 @@ class [[nodiscard]] WrapAwaitable {
   SimProfiler* profiler_;
   osprof::ProbeHandle op_;
   Task<T> inner_;
+  const std::uint64_t* value_;
   int tid_ = -1;
   Cycles start_ = 0;
   bool charged_ = false;
 };
+
+// Runs `inner` under profiler->Wrap(op, ...) when a profiler is attached,
+// and unwrapped otherwise: how file systems and mounts time their
+// operations, so instrumentation can be attached or left off per
+// instance.
+template <typename T>
+Task<T> WrapIfAttached(SimProfiler* profiler, osprof::ProbeHandle op,
+                       Task<T> inner) {
+  if (profiler == nullptr) {
+    co_return co_await std::move(inner);
+  }
+  co_return co_await profiler->Wrap(op, std::move(inner));
+}
 
 // Driver-level profiler: profiles every disk request's total latency under
 // "disk_read" / "disk_write", and the queueing component separately under
@@ -561,17 +528,13 @@ class DriverProfiler : public ProfilerSink {
   DriverProfiler(Kernel* kernel, SimDisk* disk, int resolution = 1);
 
   const osprof::ProfileSet& profiles() const { return profiler_.profiles(); }
-  SimProfiler& profiler() { return profiler_; }
 
   // --- ProfilerSink ------------------------------------------------------
   const std::string& layer() const override { return layer_; }
   int resolution() const override { return profiler_.resolution(); }
-  using ProfilerSink::Collect;
-  // The layered set is empty by construction: the disk observer records
-  // completed requests from kernel context, outside any request span.
-  Collected Collect(const CollectRequest& request) const override {
-    return profiler_.Collect(request);
-  }
+  // No layered decomposition: the disk observer records completed
+  // requests from kernel context, outside any request span.
+  osprof::ProfileSet Collect() const override { return profiler_.Collect(); }
   void Reset() override { profiler_.Reset(); }
 
  private:

@@ -211,11 +211,10 @@ void Trial::Run() {
 
   result.sim_cycles = kernel.now();
   for (const osprofilers::ProfilerSink* sink : sinks) {
-    osprofilers::Collected collected =
-        sink->Collect(osprofilers::CollectRequest{});
-    result.layers.emplace(sink->layer(), std::move(collected.profiles));
-    if (collected.layered != nullptr && !collected.layered->empty()) {
-      result.layered.emplace(sink->layer(), *collected.layered);
+    result.layers.emplace(sink->layer(), sink->Collect());
+    const osprof::LayeredProfileSet* layered = sink->layered();
+    if (layered != nullptr && !layered->empty()) {
+      result.layered.emplace(sink->layer(), *layered);
     }
   }
 

@@ -56,7 +56,7 @@ struct TrialResult {
   // layer tag -> profiles collected at that layer via ProfilerSink.
   std::map<std::string, osprof::ProfileSet> layers;
   // layer tag -> layered decomposition (self/fs/driver/net/lock/runq
-  // cycles per bucket), for sinks that expose one via CollectLayered().
+  // cycles per bucket), for sinks that expose one via layered().
   std::map<std::string, osprof::LayeredProfileSet> layered;
   // Scalar workload/kernel statistics ("files_read", "acquisitions",
   // "contended_acquisitions", "forced_preemptions", "context_switches", ...).

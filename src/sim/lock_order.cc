@@ -15,8 +15,9 @@ void LockOrderTracker::AcquiredSlow(const void* lock, const std::string& name,
     // per acquisition from the shared context (no per-Wrap string copies).
     const osprof::OpTable* ops = nullptr;
     osprof::OpId op = osprof::kInvalidOpId;
+    osprof::LayerComponent cls = osprof::kLayerSelf;
     const bool in_span = context_ != nullptr && held.depth > 0 &&
-                         context_->TopOp(thread_id, &ops, &op);
+                         context_->TopSpan(thread_id, &ops, &op, &cls);
     for (std::uint32_t i = 0; i < held.depth; ++i) {
       const HeldLock& h = held.At(i);
       if (h.lock == lock) {

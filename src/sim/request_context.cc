@@ -4,8 +4,7 @@
 
 namespace osim {
 
-void RequestContext::PopNested(Frame& frame, PopResult& r,
-                               Cycles recorded_latency) {
+void RequestContext::PopNested(Frame& frame, PopResult& r) {
   // Waits bubble up verbatim; an opaque child's self-CPU is charged to
   // the parent's component for the child's layer class.  A transparent
   // child (kLayerSelf, e.g. the user layer re-wrapping an FS op) lets
@@ -26,13 +25,12 @@ void RequestContext::PopNested(Frame& frame, PopResult& r,
       parent.comp[cls] += r.components[osprof::kLayerSelf];
     }
   }
-  // Lineage is per-owner: the caller edge and child-time must skip frames
-  // interleaved by other profilers.
+  // Lineage is per-owner: the caller edge must skip frames interleaved
+  // by other profilers.
   for (std::uint32_t below = frame.below; below != kNilFrame;
        below = pool_[below].below) {
     if (pool_[below].owner == frame.owner) {
       r.caller = pool_[below].op;
-      pool_[below].owner_child_latency += recorded_latency;
       break;
     }
   }

@@ -3,27 +3,26 @@
 // latency decomposition (ReLayTracer-style request slicing on an
 // LTTng-style kernel-owned context).
 //
-// Every SimProfiler::Wrap / CallGraphProfiler::Wrap pushes a frame at
-// entry and pops it at exit.  While a frame is on top of its thread's
-// stack, the kernel attributes that thread's waits to it (run-queue time
-// at dispatch, lock waits at wakeup/handoff, tagged WaitQueue parks for
-// driver and network waits).  At pop time the frame's duration splits
-// exactly into self-CPU plus the attributed waits; waits propagate to the
-// enclosing frame, and an opaque child's self-CPU is charged to the
-// parent's component for that child's layer class, so a user-level op's
-// decomposition accounts for every cycle below it.
+// Every SimProfiler::Wrap pushes a frame at entry and pops it at exit.
+// While a frame is on top of its thread's stack, the kernel attributes
+// that thread's waits to it (run-queue time at dispatch, lock waits at
+// wakeup/handoff, tagged WaitQueue parks for driver and network waits).
+// At pop time the frame's duration splits exactly into self-CPU plus the
+// attributed waits; waits propagate to the enclosing frame, and an opaque
+// child's self-CPU is charged to the parent's component for that child's
+// layer class, so a user-level op's decomposition accounts for every
+// cycle below it.
 //
 // Frames also carry enough lineage for the consumers that used to keep
 // private stacks: Pop() reports the nearest enclosing frame of the same
-// owner (the caller, for CallGraphProfiler's edges) and the latency its
-// same-owner children recorded under it (gprof-style child time), and
-// TopOp() exposes the innermost active op for LockOrderTracker's edge
-// annotations.
+// owner (the caller, for SimProfiler's call edges), and TopSpan() exposes
+// the innermost active op for LockOrderTracker's edge annotations and the
+// race tracker's report tags.
 //
 // All bookkeeping is plain C++ between awaits: zero simulated time, so
 // committed goldens are byte-identical with or without consumers attached.
-// Only SimProfiler / CallGraphProfiler may push or pop frames -- enforced
-// by osprof_lint's probe-discipline rule.
+// Only SimProfiler may push or pop frames -- enforced by osprof_lint's
+// probe-discipline rule.
 //
 // Storage is a per-kernel free-list arena: every frame lives in one
 // contiguous pool, each thread's stack is an index chain through it, and
@@ -66,8 +65,6 @@ class RequestContext {
     // Op of the nearest enclosing frame pushed by the same owner, or
     // kInvalidOpId for a top-level operation of that owner.
     osprof::OpId caller = osprof::kInvalidOpId;
-    // Total latency recorded by same-owner frames directly under this one.
-    Cycles owner_children = 0;
     // True when no wait was attributed to the span: components[kLayerSelf]
     // equals duration and every other component is zero, so consumers can
     // record the one non-zero component instead of all six.
@@ -98,18 +95,14 @@ class RequestContext {
     // (TouchWaits); most spans never wait, and skipping the six zero
     // stores here and the six reads at Pop is most of the span cost.
     frame.has_waits = false;
-    frame.owner_child_latency = 0;
     frame.below = tops_[index];
     tops_[index] = slot;
   }
 
-  // Closes the innermost span of `tid`.  `recorded_latency` is what the
-  // owner records for this span (its TSC-measured latency); it feeds the
-  // same-owner parent's child-time, not the decomposition.  Inline: runs
-  // at every span exit, and inlining lets the caller keep the whole
-  // PopResult in registers instead of bouncing it through a hidden
-  // return slot.
-  PopResult Pop(int tid, Cycles now, Cycles recorded_latency) {
+  // Closes the innermost span of `tid`.  Inline: runs at every span exit,
+  // and inlining lets the caller keep the whole PopResult in registers
+  // instead of bouncing it through a hidden return slot.
+  PopResult Pop(int tid, Cycles now) {
     if (tid < 0 || static_cast<std::size_t>(tid) >= tops_.size() ||
         tops_[static_cast<std::size_t>(tid)] == kNilFrame) {
       ThrowNoActiveSpan();
@@ -136,11 +129,10 @@ class RequestContext {
       // components stand.  r.self_only stays true.
       r.components[osprof::kLayerSelf] = r.duration;
     }
-    r.owner_children = frame.owner_child_latency;
 
     if (frame.below != kNilFrame) {
-      // Nested span: bubble waits and lineage to the enclosing frames.
-      PopNested(frame, r, recorded_latency);
+      // Nested span: bubble waits to the enclosing frame, find the caller.
+      PopNested(frame, r);
     }
     // Unlink and recycle the slot.
     tops_[static_cast<std::size_t>(tid)] = frame.below;
@@ -168,22 +160,9 @@ class RequestContext {
     frame.comp[component] += cycles;
   }
 
-  // The innermost active op of `tid`, if any.
-  bool TopOp(int tid, const osprof::OpTable** ops, osprof::OpId* op) const {
-    if (tid < 0 || static_cast<std::size_t>(tid) >= tops_.size()) {
-      return false;
-    }
-    const std::uint32_t top = tops_[static_cast<std::size_t>(tid)];
-    if (top == kNilFrame) {
-      return false;
-    }
-    *ops = pool_[top].owner->ops;
-    *op = pool_[top].op;
-    return true;
-  }
-
-  // TopOp plus the owner's layer class, for consumers (the race tracker)
-  // that tag reports with the layer the op belongs to.
+  // The innermost active op of `tid`, if any, with the owner's layer
+  // class (the race tracker tags reports with the layer the op belongs
+  // to; the lock-order tracker reads only the op).
   bool TopSpan(int tid, const osprof::OpTable** ops, osprof::OpId* op,
                osprof::LayerComponent* cls) const {
     if (tid < 0 || static_cast<std::size_t>(tid) >= tops_.size()) {
@@ -237,9 +216,9 @@ class RequestContext {
 
   // Out-of-line tail of Pop for nested spans: charges the popped frame's
   // waits and opaque self-CPU to the parent and walks the lineage chain
-  // for the same-owner caller and child-time.  Top-level pops (the common
-  // case) never call it.
-  void PopNested(Frame& frame, PopResult& r, Cycles recorded_latency);
+  // for the same-owner caller.  Top-level pops (the common case) never
+  // call it.
+  void PopNested(Frame& frame, PopResult& r);
 
   [[noreturn]] static void ThrowNoActiveSpan();
 
@@ -253,7 +232,6 @@ class RequestContext {
     // Attributed waits (index kLayerSelf unused until Pop computes it).
     // Valid only when has_waits; zeroed lazily by TouchWaits.
     Cycles comp[osprof::kNumLayerComponents];
-    Cycles owner_child_latency;
     // Pool index of the frame below this one on the same thread's stack
     // (kNilFrame at the bottom); doubles as the free-list link.
     std::uint32_t below;

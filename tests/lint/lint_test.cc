@@ -154,7 +154,7 @@ TEST(LintRules, ProbeDisciplineAllowsRequestContextOnTheSpine) {
   only_probe.rules = {kRuleProbeDiscipline};
   for (const char* spine : {"src/sim/request_context.cc", "src/sim/kernel.h",
                             "src/profilers/sim_profiler.h",
-                            "src/profilers/callgraph_profiler.cc",
+                            "src/profilers/sim_profiler.cc",
                             "src/sim/lock_order.cc"}) {
     EXPECT_TRUE(LintText(spine, src, only_probe).empty()) << spine;
   }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/layered.h"
 #include "src/fs/ext2fs.h"
+#include "src/profilers/sim_profiler.h"
 #include "src/workloads/workloads.h"
 
 namespace osnet {
@@ -45,6 +47,22 @@ osim::Task<void> ListDir(osfs::Vfs* vfs, std::string path,
     names->insert(names->end(), batch.names.begin(), batch.names.end());
   }
   co_await vfs->Close(fd);
+}
+
+// Builds a small kernel-source-like tree under /export on the server and
+// greps it through the mount.
+osworkloads::BuiltTree GrepExport(Harness* h, osworkloads::GrepStats* stats) {
+  osworkloads::TreeSpec spec;
+  spec.top_dirs = 2;
+  spec.subdirs_per_dir = 1;
+  spec.depth = 1;
+  spec.files_per_dir = 4;
+  osworkloads::BuiltTree tree =
+      osworkloads::BuildSourceTree(&h->server_fs, "/export", spec);
+  h->kernel.Spawn("grep", osworkloads::GrepWorkload(&h->kernel, &h->mount,
+                                                    "/export", 0.5, stats));
+  h->kernel.RunUntilThreadsFinish();
+  return tree;
 }
 
 TEST(NfsMount, EnumeratesRemoteDirectory) {
@@ -172,20 +190,49 @@ TEST(NfsMount, WriteCreateUnlinkRoundTripToServer) {
 
 TEST(NfsMount, GrepWorkloadRunsOverTheMount) {
   Harness h;
-  osworkloads::TreeSpec spec;
-  spec.top_dirs = 2;
-  spec.subdirs_per_dir = 1;
-  spec.depth = 1;
-  spec.files_per_dir = 4;
-  const osworkloads::BuiltTree tree =
-      osworkloads::BuildSourceTree(&h.server_fs, "/export", spec);
   osworkloads::GrepStats stats;
-  h.kernel.Spawn("grep", osworkloads::GrepWorkload(&h.kernel, &h.mount,
-                                                   "/export", 0.5, &stats));
-  h.kernel.RunUntilThreadsFinish();
+  const osworkloads::BuiltTree tree = GrepExport(&h, &stats);
   EXPECT_EQ(stats.files_read, tree.files.size());
   EXPECT_EQ(stats.bytes_read, tree.total_bytes);
   EXPECT_GT(h.mount.lookup_rpcs(), tree.files.size());  // The lookup storm.
+}
+
+// Every NFS operation and RPC is timed through SimProfiler::Wrap, so a
+// profiled grep decomposes: a read's remote page fetches show up as net
+// cycles, and each op's decomposition holds exactly its flat profile --
+// the same bucket counts, component cycles summing to its total latency.
+TEST(NfsMount, ProfiledGrepDecomposesAndConserves) {
+  Harness h;
+  osprofilers::SimProfiler prof(&h.kernel);
+  prof.set_layer("nfs");
+  h.mount.SetProfiler(&prof);
+  osworkloads::GrepStats stats;
+  GrepExport(&h, &stats);
+
+  const osprof::ProfileSet flat = prof.Collect();
+  const osprof::LayeredProfileSet* layered = prof.layered();
+  ASSERT_NE(layered, nullptr);
+  const osprof::LayeredProfile* read = layered->Find("read");
+  ASSERT_NE(read, nullptr);
+  osprof::Cycles read_net = 0;
+  for (const auto& [bucket, data] : read->buckets()) {
+    read_net += data.cycles[osprof::kLayerNet];
+  }
+  EXPECT_GT(read_net, 0u);
+
+  ASSERT_FALSE(flat.empty());
+  for (const auto& [op, profile] : flat) {
+    const osprof::LayeredProfile* decomposed = layered->Find(op);
+    ASSERT_NE(decomposed, nullptr) << op;
+    osprof::Cycles cycles = 0;
+    for (const auto& [bucket, data] : decomposed->buckets()) {
+      EXPECT_EQ(data.count, profile.histogram().bucket(bucket))
+          << op << " bucket " << bucket;
+      cycles += data.TotalCycles();
+    }
+    EXPECT_EQ(decomposed->total_count(), profile.total_operations()) << op;
+    EXPECT_EQ(cycles, profile.total_latency()) << op;
+  }
 }
 
 }  // namespace

@@ -206,10 +206,9 @@ TEST(ShardedProfileArena, SimProfilerShardedCollectMatchesUnsharded) {
       }(&kernel, &prof, op));
     }
     kernel.RunUntilThreadsFinish();
-    const Collected collected = prof.Collect(CollectRequest{});
     std::map<std::string, LayeredProfileSet> layers;
-    layers.emplace("fs", *collected.layered);
-    return collected.profiles.ToString() + osprof::LayersToString(layers);
+    layers.emplace("fs", *prof.layered());
+    return prof.Collect().ToString() + osprof::LayersToString(layers);
   };
   const std::string reference = run(false, 0);
   EXPECT_EQ(run(true, 0), reference);

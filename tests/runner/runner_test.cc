@@ -10,7 +10,7 @@
 #include <string>
 
 #include "gtest/gtest.h"
-#include "src/profilers/callgraph_profiler.h"
+#include "src/profilers/noise_profiler.h"
 #include "src/profilers/posix_profiler.h"
 #include "src/profilers/profiler_sink.h"
 #include "src/profilers/sim_profiler.h"
@@ -254,12 +254,11 @@ TEST(ProfilerSinkTest, AllFourProfilersImplementTheInterface) {
   osprofilers::SimProfiler sim(&kernel, 2);
   osprofilers::DriverProfiler driver(&kernel, &disk, 2);
   osprofilers::PosixProfiler posix(2);
-  osprofilers::CallGraphProfiler callgraph(&kernel, 2);
+  osprofilers::NoiseProfiler noise(&kernel, 2);
 
   const std::vector<osprofilers::ProfilerSink*> sinks = {&sim, &driver, &posix,
-                                                         &callgraph};
-  const std::vector<std::string> layers = {"fs", "driver", "posix",
-                                           "callgraph"};
+                                                         &noise};
+  const std::vector<std::string> layers = {"fs", "driver", "posix", "noise"};
   for (std::size_t i = 0; i < sinks.size(); ++i) {
     EXPECT_EQ(sinks[i]->layer(), layers[i]);
     EXPECT_EQ(sinks[i]->resolution(), 2);
@@ -267,6 +266,13 @@ TEST(ProfilerSinkTest, AllFourProfilersImplementTheInterface) {
     sinks[i]->Reset();  // Reset on an idle profiler is a no-op.
     EXPECT_TRUE(sinks[i]->Collect().empty());
   }
+
+  // Only SimProfiler opens request spans, so only it decomposes.
+  ASSERT_NE(sim.layered(), nullptr);
+  EXPECT_TRUE(sim.layered()->empty());
+  EXPECT_EQ(driver.layered(), nullptr);
+  EXPECT_EQ(posix.layered(), nullptr);
+  EXPECT_EQ(noise.layered(), nullptr);
 
   // Collect() snapshots; Reset() clears.
   posix.Measure("noop", [] { return 0; });

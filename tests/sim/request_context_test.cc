@@ -1,6 +1,6 @@
 // Unit tests for the kernel-owned span stack: frame lifecycle, exact
 // wait decomposition, opaque vs transparent child charging, and the
-// per-owner lineage that CallGraphProfiler derives its edges from.
+// per-owner lineage that SimProfiler derives its call edges from.
 // This file is on the probe-discipline allowlist: it is the one place
 // outside the profiling spine that drives RequestContext by hand.
 
@@ -33,14 +33,13 @@ class RequestContextTest : public ::testing::Test {
 TEST_F(RequestContextTest, PureSelfSpan) {
   const OpId read = ops_.Intern("read");
   ctx_.Push(0, &owner_a_, read, 100);
-  const auto r = ctx_.Pop(0, 350, 250);
+  const auto r = ctx_.Pop(0, 350);
   EXPECT_EQ(r.duration, 250u);
   EXPECT_EQ(r.components[osprof::kLayerSelf], 250u);
   for (int c = osprof::kLayerSelf + 1; c < osprof::kNumLayerComponents; ++c) {
     EXPECT_EQ(r.components[c], 0u) << c;
   }
   EXPECT_EQ(r.caller, kInvalidOpId);
-  EXPECT_EQ(r.owner_children, 0u);
 }
 
 TEST_F(RequestContextTest, WaitsSubtractFromSelfExactly) {
@@ -48,7 +47,7 @@ TEST_F(RequestContextTest, WaitsSubtractFromSelfExactly) {
   ctx_.Push(0, &owner_a_, read, 0);
   ctx_.AttributeWait(0, osprof::kLayerDriver, 600);
   ctx_.AttributeWait(0, osprof::kLayerRunQueue, 100);
-  const auto r = ctx_.Pop(0, 1000, 1000);
+  const auto r = ctx_.Pop(0, 1000);
   EXPECT_EQ(r.components[osprof::kLayerDriver], 600u);
   EXPECT_EQ(r.components[osprof::kLayerRunQueue], 100u);
   EXPECT_EQ(r.components[osprof::kLayerSelf], 300u);
@@ -65,7 +64,7 @@ TEST_F(RequestContextTest, SelfClampsAtZeroWhenWaitsExceedDuration) {
   const OpId op = ops_.Intern("op");
   ctx_.Push(0, &owner_a_, op, 500);
   ctx_.AttributeWait(0, osprof::kLayerLockWait, 900);
-  const auto r = ctx_.Pop(0, 1000, 500);
+  const auto r = ctx_.Pop(0, 1000);
   EXPECT_EQ(r.duration, 500u);
   EXPECT_EQ(r.components[osprof::kLayerSelf], 0u);
   EXPECT_EQ(r.components[osprof::kLayerLockWait], 900u);
@@ -77,8 +76,8 @@ TEST_F(RequestContextTest, WaitsBubbleUpToParentVerbatim) {
   ctx_.Push(0, &owner_a_, user_read, 0);
   ctx_.Push(0, &owner_a_, fs_read, 100);
   ctx_.AttributeWait(0, osprof::kLayerDriver, 300);
-  (void)ctx_.Pop(0, 500, 400);
-  const auto parent = ctx_.Pop(0, 600, 600);
+  (void)ctx_.Pop(0, 500);
+  const auto parent = ctx_.Pop(0, 600);
   // The child's driver wait is the parent's driver wait; the child's
   // transparent self (100) merges into the parent's self.
   EXPECT_EQ(parent.components[osprof::kLayerDriver], 300u);
@@ -94,9 +93,9 @@ TEST_F(RequestContextTest, OpaqueChildChargesSelfToItsLayerClass) {
   ctx_.Push(0, &owner_a_, user_read, 0);
   ctx_.Push(0, &owner_b_, fs_read, 100);
   ctx_.AttributeWait(0, osprof::kLayerDriver, 250);
-  const auto child = ctx_.Pop(0, 500, 400);
+  const auto child = ctx_.Pop(0, 500);
   EXPECT_EQ(child.components[osprof::kLayerSelf], 150u);
-  const auto parent = ctx_.Pop(0, 600, 600);
+  const auto parent = ctx_.Pop(0, 600);
   EXPECT_EQ(parent.components[osprof::kLayerFs], 150u);
   EXPECT_EQ(parent.components[osprof::kLayerDriver], 250u);
   EXPECT_EQ(parent.components[osprof::kLayerSelf], 200u);
@@ -110,15 +109,12 @@ TEST_F(RequestContextTest, CallerIsNearestSameOwnerAncestor) {
   ctx_.Push(0, &owner_a_, grep, 0);
   ctx_.Push(0, &owner_b_, fs_read, 10);
   ctx_.Push(0, &owner_a_, disk, 20);
-  const auto leaf = ctx_.Pop(0, 50, 30);
+  const auto leaf = ctx_.Pop(0, 50);
   EXPECT_EQ(leaf.caller, grep) << "must skip the other owner's frame";
-  const auto mid = ctx_.Pop(0, 80, 70);
+  const auto mid = ctx_.Pop(0, 80);
   EXPECT_EQ(mid.caller, kInvalidOpId) << "no same-owner ancestor";
-  const auto root = ctx_.Pop(0, 100, 100);
+  const auto root = ctx_.Pop(0, 100);
   EXPECT_EQ(root.caller, kInvalidOpId);
-  // Child time is per-owner too: grep saw disk_read's 30, not fs_read's.
-  EXPECT_EQ(root.owner_children, 30u);
-  EXPECT_EQ(mid.owner_children, 0u);
 }
 
 TEST_F(RequestContextTest, ThreadsHaveIndependentStacks) {
@@ -127,26 +123,29 @@ TEST_F(RequestContextTest, ThreadsHaveIndependentStacks) {
   ctx_.Push(3, &owner_a_, a, 0);
   ctx_.Push(7, &owner_a_, b, 0);
   ctx_.AttributeWait(7, osprof::kLayerNet, 40);
-  const auto r3 = ctx_.Pop(3, 100, 100);
+  const auto r3 = ctx_.Pop(3, 100);
   EXPECT_EQ(r3.components[osprof::kLayerNet], 0u);
-  const auto r7 = ctx_.Pop(7, 100, 100);
+  const auto r7 = ctx_.Pop(7, 100);
   EXPECT_EQ(r7.components[osprof::kLayerNet], 40u);
 }
 
 TEST_F(RequestContextTest, TopOpSeesInnermostActiveSpan) {
   const OpTable* ops = nullptr;
   OpId op = kInvalidOpId;
-  EXPECT_FALSE(ctx_.TopOp(0, &ops, &op));
+  osprof::LayerComponent cls = osprof::kLayerSelf;
+  EXPECT_FALSE(ctx_.TopSpan(0, &ops, &op, &cls));
   const OpId outer = ops_.Intern("outer");
   const OpId inner = ops_.Intern("inner");
   ctx_.Push(0, &owner_a_, outer, 0);
-  ctx_.Push(0, &owner_a_, inner, 0);
-  ASSERT_TRUE(ctx_.TopOp(0, &ops, &op));
+  ctx_.Push(0, &owner_b_, inner, 0);
+  ASSERT_TRUE(ctx_.TopSpan(0, &ops, &op, &cls));
   EXPECT_EQ(op, inner);
+  EXPECT_EQ(cls, osprof::kLayerFs);
   EXPECT_EQ(&ops->Name(op), &ops_.Name(inner));
-  (void)ctx_.Pop(0, 10, 10);
-  ASSERT_TRUE(ctx_.TopOp(0, &ops, &op));
+  (void)ctx_.Pop(0, 10);
+  ASSERT_TRUE(ctx_.TopSpan(0, &ops, &op, &cls));
   EXPECT_EQ(op, outer);
+  EXPECT_EQ(cls, osprof::kLayerSelf);
 }
 
 TEST_F(RequestContextTest, NegativeTidIsIgnoredAndEmptyPopThrows) {
@@ -154,9 +153,10 @@ TEST_F(RequestContextTest, NegativeTidIsIgnoredAndEmptyPopThrows) {
   ctx_.Push(-1, &owner_a_, op, 0);  // No-op.
   const OpTable* ops = nullptr;
   OpId top = kInvalidOpId;
-  EXPECT_FALSE(ctx_.TopOp(-1, &ops, &top));
-  EXPECT_THROW(ctx_.Pop(0, 10, 10), std::logic_error);
-  EXPECT_THROW(ctx_.Pop(-1, 10, 10), std::logic_error);
+  osprof::LayerComponent cls = osprof::kLayerSelf;
+  EXPECT_FALSE(ctx_.TopSpan(-1, &ops, &top, &cls));
+  EXPECT_THROW(ctx_.Pop(0, 10), std::logic_error);
+  EXPECT_THROW(ctx_.Pop(-1, 10), std::logic_error);
 }
 
 TEST_F(RequestContextTest, ResetDropsAllFrames) {
@@ -165,8 +165,9 @@ TEST_F(RequestContextTest, ResetDropsAllFrames) {
   ctx_.Reset();
   const OpTable* ops = nullptr;
   OpId top = kInvalidOpId;
-  EXPECT_FALSE(ctx_.TopOp(0, &ops, &top));
-  EXPECT_THROW(ctx_.Pop(0, 10, 10), std::logic_error);
+  osprof::LayerComponent cls = osprof::kLayerSelf;
+  EXPECT_FALSE(ctx_.TopSpan(0, &ops, &top, &cls));
+  EXPECT_THROW(ctx_.Pop(0, 10), std::logic_error);
 }
 
 }  // namespace

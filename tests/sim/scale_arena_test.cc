@@ -50,7 +50,7 @@ TEST(ScaleArena, RequestContextGrowsPastMillionLiveFramesIntact) {
     for (int tid = 0; tid < kThreads; ++tid) {
       const auto stamp =
           static_cast<Cycles>(tid) * kDepth + static_cast<Cycles>(depth);
-      const RequestContext::PopResult r = context.Pop(tid, now, 0);
+      const RequestContext::PopResult r = context.Pop(tid, now);
       ASSERT_EQ(r.duration, now - stamp)
           << "frame (tid " << tid << ", depth " << depth
           << ") corrupted by pool growth";

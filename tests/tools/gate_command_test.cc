@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/core/histogram.h"
+#include "src/core/layered.h"
 #include "src/core/profile.h"
 #include "src/runner/scenario.h"
 #include "tests/test_files.h"
@@ -329,6 +330,38 @@ TEST_P(GoldenCorpusTest, CommittedGoldenPasses) {
 
 TEST_P(GoldenCorpusTest, CommittedGoldenPassesWithoutRaces) {
   Gate({"--no-races"});
+}
+
+// The decomposition and the flat profile record the same spans: every
+// decomposed op's bucket counts are its .prof bucket counts, and its
+// component cycles sum to its total latency.  Scenarios that record no
+// decomposition (the noise modes) have no .layers golden to check.
+TEST_P(GoldenCorpusTest, LayersAgreeWithFlatProfiles) {
+  const std::string prefix = kGoldenDir + GetParam();
+  const std::string layers_text = ReadFile(prefix + ".layers");
+  if (layers_text.empty()) {
+    return;
+  }
+  for (const auto& [layer, ops] : osprof::ParseLayersString(layers_text)) {
+    const osprof::ProfileSet flat = osprof::ProfileSet::ParseString(
+        ReadFile(prefix + "." + layer + ".prof"));
+    for (const auto& [op, decomposed] : ops) {
+      if (decomposed.empty()) {
+        continue;
+      }
+      const osprof::Profile* profile = flat.Find(op);
+      ASSERT_NE(profile, nullptr) << layer << " " << op;
+      osprof::Cycles cycles = 0;
+      for (const auto& [bucket, data] : decomposed.buckets()) {
+        EXPECT_EQ(data.count, profile->histogram().bucket(bucket))
+            << layer << " " << op << " bucket " << bucket;
+        cycles += data.TotalCycles();
+      }
+      EXPECT_EQ(decomposed.total_count(), profile->total_operations())
+          << layer << " " << op;
+      EXPECT_EQ(cycles, profile->total_latency()) << layer << " " << op;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Registry, GoldenCorpusTest,

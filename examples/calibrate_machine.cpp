@@ -50,7 +50,7 @@ Cycles MeasureQuantum() {
   osprofilers::SimProfiler prof(&kernel);
   fs.SetProfiler(&prof);
   for (int p = 0; p < 2; ++p) {
-    kernel.Spawn("p" + std::to_string(p),
+    kernel.Spawn(std::string("p").append(std::to_string(p)),
                  osworkloads::ZeroByteReadWorkload(&kernel, &fs, "/probe",
                                                    800'000, 120));
   }

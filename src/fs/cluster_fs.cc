@@ -7,25 +7,6 @@ namespace osfs {
 
 namespace {
 
-std::vector<std::string> SplitPath(const std::string& path) {
-  std::vector<std::string> parts;
-  std::string part;
-  for (const char c : path) {
-    if (c == '/') {
-      if (!part.empty()) {
-        parts.push_back(std::move(part));
-        part.clear();
-      }
-    } else {
-      part.push_back(c);
-    }
-  }
-  if (!part.empty()) {
-    parts.push_back(std::move(part));
-  }
-  return parts;
-}
-
 constexpr std::uint64_t kReaddirBatch = 32;
 constexpr std::uint64_t kClusterDirentBytes = 64;
 
@@ -152,16 +133,6 @@ void ClusterFsNode::SetProfiler(SimProfiler* profiler) {
   for (const auto& entry : kProbes) {
     *entry.probe = profiler_->Resolve(entry.name);
   }
-}
-
-Task<void> ClusterFsNode::CpuNoisy(osim::Cycles cycles) {
-  double factor = 1.0;
-  if (config_.cpu_noise_sigma > 0.0) {
-    factor = kernel_->rng().LogNormal(1.0, config_.cpu_noise_sigma);
-  }
-  const auto noisy = static_cast<osim::Cycles>(
-      std::max(1.0, static_cast<double>(cycles) * factor));
-  co_await kernel_->Cpu(noisy);
 }
 
 ClusterFsNode::LocalInode& ClusterFsNode::local(int inode) {

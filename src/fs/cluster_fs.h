@@ -229,7 +229,10 @@ class ClusterFsNode : public Vfs {
   // The DLM downgrade hook: write back the inode's dirty pages.
   Task<void> FlushResource(const std::string& resource);
 
-  Task<void> CpuNoisy(osim::Cycles cycles);
+  // CPU burst with multiplicative log-normal noise.
+  auto CpuNoisy(osim::Cycles cycles) {
+    return kernel_->CpuNoisy(cycles, config_.cpu_noise_sigma);
+  }
   LocalInode& local(int inode);
   static std::string InodeResource(int inode) {
     return "inode:" + std::to_string(inode);

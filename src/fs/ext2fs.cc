@@ -4,23 +4,6 @@
 #include <stdexcept>
 
 namespace osfs {
-namespace {
-
-std::vector<std::string> SplitPath(const std::string& path) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (start < path.size()) {
-    const std::size_t slash = path.find('/', start);
-    const std::size_t end = slash == std::string::npos ? path.size() : slash;
-    if (end > start) {
-      parts.push_back(path.substr(start, end - start));
-    }
-    start = end + 1;
-  }
-  return parts;
-}
-
-}  // namespace
 
 Ext2SimFs::Ext2SimFs(osim::Kernel* kernel, osim::SimDisk* disk,
                      Ext2Config config)
@@ -176,16 +159,6 @@ std::uint64_t Ext2SimFs::FileSize(const std::string& path) const {
   }
   const Inode& node = *OSIM_SHARED_RO(inodes_)[static_cast<std::size_t>(id)];
   return node.is_dir ? DirSizeBytes(node) : node.size;
-}
-
-Task<void> Ext2SimFs::CpuNoisy(osim::Cycles cycles) {
-  double factor = 1.0;
-  if (config_.cpu_noise_sigma > 0.0) {
-    factor = kernel_->rng().LogNormal(1.0, config_.cpu_noise_sigma);
-  }
-  const auto noisy = static_cast<osim::Cycles>(
-      std::max(1.0, static_cast<double>(cycles) * factor));
-  co_await kernel_->Cpu(noisy);
 }
 
 // --- Open / Close -----------------------------------------------------------

@@ -215,7 +215,9 @@ class Ext2SimFs : public Vfs {
   };
 
   // CPU burst with multiplicative log-normal noise.
-  Task<void> CpuNoisy(osim::Cycles cycles);
+  auto CpuNoisy(osim::Cycles cycles) {
+    return kernel_->CpuNoisy(cycles, config_.cpu_noise_sigma);
+  }
 
   int ResolvePath(const std::string& path) const;  // -1 if absent.
   std::pair<int, std::string> ResolveParent(const std::string& path) const;

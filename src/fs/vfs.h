@@ -23,6 +23,21 @@ struct FileAttr {
   bool is_dir = false;
 };
 
+// The non-empty components of `path` in order: "/a//b/" gives {"a", "b"}.
+inline std::vector<std::string> SplitPath(const std::string& path) {
+  std::vector<std::string> parts;
+  std::size_t start = 0;
+  while (start < path.size()) {
+    const std::size_t slash = path.find('/', start);
+    const std::size_t end = slash == std::string::npos ? path.size() : slash;
+    if (end > start) {
+      parts.push_back(path.substr(start, end - start));
+    }
+    start = end + 1;
+  }
+  return parts;
+}
+
 // One readdir call returns the entries of one directory page, like the
 // getdents buffer fills the paper's workloads issue repeatedly until an
 // empty (past-EOF) result.

@@ -6,23 +6,6 @@
 #include "src/fs/page_cache.h"
 
 namespace osnet {
-namespace {
-
-std::vector<std::string> SplitPath(const std::string& path) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (start < path.size()) {
-    const std::size_t slash = path.find('/', start);
-    const std::size_t end = slash == std::string::npos ? path.size() : slash;
-    if (end > start) {
-      parts.push_back(path.substr(start, end - start));
-    }
-    start = end + 1;
-  }
-  return parts;
-}
-
-}  // namespace
 
 NfsMount::NfsMount(osim::Kernel* kernel, osfs::Vfs* server_fs,
                    NfsConfig config)
@@ -184,7 +167,7 @@ Task<void> NfsMount::ServerCommit(std::string path, Rpc* rpc) {
 Task<void> NfsMount::WalkPath(const std::string& path) {
   // One LOOKUP per component not in the dentry cache: the NFS lookup
   // storm.  Each lookup also refreshes the component's attributes.
-  const std::vector<std::string> parts = SplitPath(path);
+  const std::vector<std::string> parts = osfs::SplitPath(path);
   std::string prefix;
   for (const std::string& part : parts) {
     prefix += "/" + part;

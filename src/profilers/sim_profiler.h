@@ -168,17 +168,13 @@ class SimProfiler : public ProfilerSink {
   void AttachCorrelator(std::string_view op, osprof::ValueCorrelator* c);
 
   // The hot record path: indexed load, bucket index, increment -- no
-  // allocation, no string compare, no tree walk (ISSUE 3 / §5.2's
-  // ~100-cycle sort-and-store budget).  Opens no span: for observers that
-  // fire outside any task (DriverProfiler's disk-completion hook); a
-  // simulated operation is timed with Wrap.
+  // allocation, no string compare, no tree walk (§5.2's ~100-cycle
+  // sort-and-store budget).  Opens no span: for observers that fire
+  // outside any task (DriverProfiler's disk-completion hook); a simulated
+  // operation is timed with Wrap.  Always adds to the base set, sharded
+  // or not: Collect sums the base set and the shards.
   void Record(osprof::ProbeHandle op, Cycles latency) {
-    if (shards_raw_ != nullptr) {
-      MaybeFlushEpoch();
-      shards_raw_->AddById(CurrentShard(), op.id(), latency);
-    } else {
-      profiles_.AddById(op.id(), latency);
-    }
+    profiles_.AddById(op.id(), latency);
     if (sampled_ != nullptr) {
       SampledRecord(op, latency);
     }

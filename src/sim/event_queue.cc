@@ -70,6 +70,12 @@ bool EventQueue::Step() {
 }
 
 std::uint64_t EventQueue::RunUntil(Cycles until) {
+  // Restores the enclosing bound however the loop exits.
+  struct BoundScope {
+    Cycles& bound;
+    Cycles outer;
+    ~BoundScope() { bound = outer; }
+  } scope{bound_, std::exchange(bound_, until)};
   std::uint64_t executed = 0;
   while (size_ > 0) {
     if (buckets_[0].empty()) {

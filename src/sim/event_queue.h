@@ -23,13 +23,30 @@
 // grew past 64 buckets, and 99.2% of extractions popped from buckets that
 // had flipped to binary-heap mode, sifting 48-byte events on every step
 // (43% of host time in the event queue).
+//
+// TryAdvance(when) lets a caller skip an event it would otherwise queue:
+// if nothing queued is due at or before `when`, the event it stands for
+// would be the next to run, so the caller moves the clock and does the
+// work in place.  The kernel ends CPU bursts this way (Figure 3's two
+// processes on one CPU queue almost nothing else).  The test is O(1)
+// and may refuse when nothing is actually due, which only costs the
+// caller an event: it refuses while bucket 0 holds an unrun event (due at
+// `last_`, no later than now), and when `when` reaches the floor of the
+// lowest occupied bucket -- the least timestamp that bucket can hold,
+// `last_`'s bits above bit b-1 with bit b-1 set -- without scanning the
+// bucket for its true minimum.  Refusing at equality keeps FIFO ties: an
+// event due exactly at `when` was queued first and runs first.  It also
+// refuses past the bound of a running RunUntil, which must stop there.
+// It moves `now_` only, so `last_` stays a valid radix base.
 
 #ifndef OSPROF_SRC_SIM_EVENT_QUEUE_H_
 #define OSPROF_SRC_SIM_EVENT_QUEUE_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -55,6 +72,28 @@ class EventQueue {
   // same-timestamp events.
   void Now(Action action) { At(now_, std::move(action)); }
 
+  // Moves the clock to `when` (>= now) and returns true when no queued
+  // event is due at or before `when` and `when` is within the bound of a
+  // running RunUntil; otherwise changes nothing and returns false.  O(1);
+  // see the header comment for when it refuses.
+  bool TryAdvance(Cycles when) {
+    if (when < now_) {
+      throw std::logic_error("EventQueue: advancing into the past");
+    }
+    if (when > bound_ || !buckets_[0].empty()) {
+      return false;
+    }
+    if (occupied_ != 0) {
+      // Bucket low+1's floor; low <= 63, and bit low of last_ is clear.
+      const int low = std::countr_zero(occupied_);
+      if (when >= ((last_ >> low) | 1) << low) {
+        return false;
+      }
+    }
+    now_ = when;
+    return true;
+  }
+
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
@@ -62,7 +101,8 @@ class EventQueue {
   bool Step();
 
   // Runs events until the queue is empty or time would exceed `until`.
-  // Returns the number of events executed.
+  // Returns the number of events executed.  While it runs, TryAdvance
+  // stays at or below `until`; Step and RunAll leave it unbounded.
   std::uint64_t RunUntil(Cycles until);
 
   // Runs events until the queue drains.
@@ -97,6 +137,8 @@ class EventQueue {
   // The radix base: the timestamp of the last extraction, never above
   // now_ so that every event At() accepts lands at or above it.
   Cycles last_ = 0;
+  // The running RunUntil's `until`, the most TryAdvance may move now_ to.
+  Cycles bound_ = ~Cycles{0};
   std::size_t size_ = 0;
   // Bit i-1 set iff bucket i (1..64) is non-empty.
   std::uint64_t occupied_ = 0;

@@ -3,11 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 namespace osim {
 namespace {
 
 Cycles SaturatingSub(Cycles a, Cycles b) { return a > b ? a - b : 0; }
+
+std::uintptr_t FrameAddress() {
+  return reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+}
 
 }  // namespace
 
@@ -150,18 +155,20 @@ void Kernel::CompleteSwitch(int c) {
   t->quantum_remaining_ = config_.quantum;
   if (t->burst_remaining_ > 0) {
     // The thread was preempted mid-burst; continue the burst rather than
-    // resuming the coroutine.
+    // resuming the coroutine, unless the rest of it ends inline.
     t->state_ = ThreadState::kOnBurst;
-    ScheduleSlice(t);
-  } else {
-    ResumeThread(t);
+    if (!ScheduleSlice(t)) {
+      return;
+    }
   }
+  ResumeThread(t);
 }
 
 void Kernel::ResumeThread(SimThread* t) {
   t->state_ = ThreadState::kRunning;
   SimThread* const prev = current_;
   current_ = t;
+  resume_frame_ = FrameAddress();
   t->resume_point_.resume();
   current_ = prev;
   if (t->body_.done()) {
@@ -195,14 +202,24 @@ bool Kernel::BurstPreemptible(const SimThread* t) const {
   return t->burst_mode_ == ExecMode::kUser || config_.kernel_preemption;
 }
 
-void Kernel::StartBurst(SimThread* t, Cycles cycles, ExecMode mode) {
+bool Kernel::StartBurst(std::coroutine_handle<> h, Cycles cycles,
+                        ExecMode mode) {
+  SimThread* t = current_;
+  if (t == nullptr) {
+    throw std::logic_error("Cpu awaited outside thread context");
+  }
+  t->resume_point_ = h;
   t->burst_remaining_ = cycles;
   t->burst_mode_ = mode;
   t->state_ = ThreadState::kOnBurst;
-  ScheduleSlice(t);
+  if (!ScheduleSlice(t)) {
+    return false;
+  }
+  t->state_ = ThreadState::kRunning;
+  return true;
 }
 
-void Kernel::ScheduleSlice(SimThread* t) {
+bool Kernel::ScheduleSlice(SimThread* t) {
   const bool preemptible = BurstPreemptible(t);
   Node& node = nodes_[static_cast<std::size_t>(t->node_)];
   if (t->quantum_remaining_ == 0) {
@@ -215,7 +232,7 @@ void Kernel::ScheduleSlice(SimThread* t) {
       t->state_ = ThreadState::kRunnable;
       node.run_queue_.push_back(t);
       ReleaseCpuOf(t);
-      return;
+      return false;
     }
     t->quantum_remaining_ = config_.quantum;
   }
@@ -223,23 +240,39 @@ void Kernel::ScheduleSlice(SimThread* t) {
   if (preemptible && slice > t->quantum_remaining_) {
     slice = t->quantum_remaining_;
   }
-  t->slice_in_flight_ = slice;
+  // Timer ticks inside the slice are published here, at its start, on
+  // both paths.
   const Cycles wall = WallClockFor(t, events_.now(), slice);
+  // When nothing queued is due by the slice's end, its end event would run
+  // next: each caller is the last thing its own event does.  That event
+  // would only do EndSlice and resume the thread, so do both now (the
+  // caller resumes).
+  // The stack grows down: a positive distance is depth below the frame.
+  const auto depth = static_cast<std::intptr_t>(resume_frame_ - FrameAddress());
+  if (slice == t->burst_remaining_ && depth < kInlineStackBytes &&
+      events_.TryAdvance(events_.now() + wall)) {
+    EndSlice(t, slice);
+    return true;
+  }
+  t->slice_in_flight_ = slice;
   events_.After(wall, [this, t] { OnSliceEnd(t); });
+  return false;
 }
 
-void Kernel::OnSliceEnd(SimThread* t) {
-  const Cycles slice = t->slice_in_flight_;
-  t->slice_in_flight_ = 0;
+void Kernel::EndSlice(SimThread* t, Cycles slice) {
   t->burst_remaining_ -= slice;
   t->quantum_remaining_ = SaturatingSub(t->quantum_remaining_, slice);
   t->cpu_time_ += slice;
   if (t->burst_mode_ == ExecMode::kUser) {
     t->user_time_ += slice;
   }
-  if (t->burst_remaining_ > 0) {
-    // Quantum expired mid-burst; ScheduleSlice preempts or refreshes.
-    ScheduleSlice(t);
+}
+
+void Kernel::OnSliceEnd(SimThread* t) {
+  EndSlice(t, std::exchange(t->slice_in_flight_, 0));
+  // Quantum expired mid-burst: ScheduleSlice preempts or refreshes, and
+  // the thread resumes here only if the rest of the burst ended inline.
+  if (t->burst_remaining_ > 0 && !ScheduleSlice(t)) {
     return;
   }
   ResumeThread(t);
@@ -345,15 +378,6 @@ KernelMemoryStats Kernel::MemoryStats() const {
 }
 
 // --- Awaitable implementations ---------------------------------------------
-
-void Kernel::CpuAwaitable::await_suspend(std::coroutine_handle<> h) {
-  SimThread* t = kernel->current();
-  if (t == nullptr) {
-    throw std::logic_error("Cpu awaited outside thread context");
-  }
-  t->resume_point_ = h;
-  kernel->StartBurst(t, cycles, mode);
-}
 
 void Kernel::SleepAwaitable::await_suspend(std::coroutine_handle<> h) {
   SimThread* t = kernel->current();

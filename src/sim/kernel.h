@@ -18,9 +18,11 @@
 //    skew.
 //
 // Simulated code advances time only through awaitables (Cpu, CpuUser,
-// Sleep, Yield and the sync/disk primitives); the C++ code between awaits
-// is zero simulated time.  The kernel is single-real-threaded and
-// deterministic.
+// CpuNoisy, Sleep, Yield and the sync/disk primitives); the C++ code
+// between awaits is zero simulated time.  The kernel is single-real-
+// threaded and deterministic.  A CPU burst whose end no queued event
+// precedes ends inline, without an event or a suspension; everything
+// runs in the same order and at the same simulated times either way.
 //
 // One Kernel event loop can simulate an N-node cluster: KernelConfig
 // partitions the CPUs into `num_nodes` contiguous slices, each owned by an
@@ -34,6 +36,7 @@
 #ifndef OSPROF_SRC_SIM_KERNEL_H_
 #define OSPROF_SRC_SIM_KERNEL_H_
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
@@ -334,9 +337,25 @@ class Kernel {
 
   // Consumes `cycles` of CPU in kernel mode.  May be forcibly preempted at
   // quantum expiry if kernel preemption is enabled.
-  auto Cpu(Cycles cycles) { return CpuAwaitable{this, cycles, ExecMode::kKernel}; }
+  auto Cpu(Cycles cycles) {
+    return CpuAwaitable<ExecMode::kKernel>{this, cycles};
+  }
   // Consumes CPU in user mode (always preemptible at quantum expiry).
-  auto CpuUser(Cycles cycles) { return CpuAwaitable{this, cycles, ExecMode::kUser}; }
+  auto CpuUser(Cycles cycles) {
+    return CpuAwaitable<ExecMode::kUser>{this, cycles};
+  }
+  // Consumes kernel-mode CPU: `cycles` scaled by a log-normal factor with
+  // median 1 and log-space sigma `sigma`, at least one cycle.  The factor
+  // is drawn from rng() when the call is evaluated (no draw if sigma is
+  // 0), so `co_await CpuNoisy(...)` draws right before the burst starts.
+  auto CpuNoisy(Cycles cycles, double sigma) {
+    double factor = 1.0;
+    if (sigma > 0.0) {
+      factor = rng_.LogNormal(1.0, sigma);
+    }
+    return Cpu(static_cast<Cycles>(
+        std::max(1.0, static_cast<double>(cycles) * factor)));
+  }
   // Blocks off-CPU for `cycles` (e.g. a daemon sleeping between runs).
   auto Sleep(Cycles cycles) { return SleepAwaitable{this, cycles}; }
   // Voluntarily yields the CPU, going to the back of the run queue.
@@ -378,14 +397,23 @@ class Kernel {
   friend class WaitQueue;
   friend class SimDisk;
 
+  // A CPU burst.  When no queued event is due before the burst would end,
+  // it ends inline: the clock moves to its end, await_suspend returns
+  // false and the coroutine carries on with no event and no suspension
+  // (see ScheduleSlice).  The mode is a template parameter, not a field,
+  // so the awaitable stays 16 bytes: every coroutine that holds one across
+  // a suspension keeps it in its frame.
+  template <ExecMode kMode>
   struct CpuAwaitable {
     Kernel* kernel;
     Cycles cycles;
-    ExecMode mode;
     bool await_ready() const noexcept { return cycles == 0; }
-    void await_suspend(std::coroutine_handle<> h);
+    bool await_suspend(std::coroutine_handle<> h) {
+      return !kernel->StartBurst(h, cycles, kMode);
+    }
     void await_resume() const noexcept {}
   };
+  static_assert(sizeof(CpuAwaitable<ExecMode::kKernel>) == 16);
 
   struct SleepAwaitable {
     Kernel* kernel;
@@ -411,9 +439,19 @@ class Kernel {
   void BeginSwitch(Node& node, int cpu);
   void CompleteSwitch(int cpu);
   void ResumeThread(SimThread* t);
-  void StartBurst(SimThread* t, Cycles cycles, ExecMode mode);
-  void ScheduleSlice(SimThread* t);
+  // Starts a burst for the current thread, suspended at `h`.  Returns true
+  // when the burst ended inline and the thread carries on running.
+  bool StartBurst(std::coroutine_handle<> h, Cycles cycles, ExecMode mode);
+  // Runs `t`'s next slice.  A slice that is the rest of the burst ends
+  // inline when the event queue can advance to its end (TryAdvance) and
+  // the native stack is shallow enough (kInlineStackBytes); the function
+  // then returns true and the caller resumes `t` itself.  Otherwise it
+  // queues OnSliceEnd at the slice's end, or preempts `t` (quantum gone, a
+  // thread waiting) and queues nothing, and returns false.
+  bool ScheduleSlice(SimThread* t);
   void OnSliceEnd(SimThread* t);
+  // A finished slice's bookkeeping: burst, quantum, CPU and user time.
+  void EndSlice(SimThread* t, Cycles slice);
   void ReleaseCpuOf(SimThread* t);
   bool BurstPreemptible(const SimThread* t) const;
   // Wall-clock duration of `t`'s CPU slice including timer-interrupt
@@ -443,6 +481,15 @@ class Kernel {
   std::vector<int> node_of_cpu_;
   std::vector<std::unique_ptr<SimThread>> threads_;
   SimThread* current_ = nullptr;
+  // A thread's coroutines run on the native stack of the ResumeThread that
+  // resumed them, and a build without tail calls (the sanitizer presets,
+  // -O0) grows that stack at every symmetric transfer between tasks.  A
+  // queued burst end unwinds it; an inline one does not.  So a burst ends
+  // inline only while the stack is less than kInlineStackBytes below
+  // ResumeThread's frame, recorded here.  An optimized build transfers by
+  // tail call and never gets near the limit.
+  static constexpr std::intptr_t kInlineStackBytes = 64 * 1024;
+  std::uintptr_t resume_frame_ = 0;
   int live_threads_ = 0;
   std::uint64_t context_switches_ = 0;
   std::uint64_t timer_irqs_ = 0;

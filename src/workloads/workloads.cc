@@ -39,17 +39,12 @@ BuiltTree BuildSourceTree(osfs::Ext2SimFs* fs, const std::string& root,
   osim::Rng rng(spec.seed);
   // Create the root and any missing intermediate directories.
   std::string prefix;
-  std::size_t start = 0;
-  while (start < root.size()) {
-    const std::size_t slash = root.find('/', start);
-    const std::size_t end = slash == std::string::npos ? root.size() : slash;
-    if (end > start) {
-      prefix += "/" + root.substr(start, end - start);
-      if (!fs->Exists(prefix)) {
-        fs->AddDir(prefix);
-      }
+  for (const std::string& part : osfs::SplitPath(root)) {
+    prefix += '/';
+    prefix += part;
+    if (!fs->Exists(prefix)) {
+      fs->AddDir(prefix);
     }
-    start = end + 1;
   }
   for (int t = 0; t < spec.top_dirs; ++t) {
     const std::string top = root + "/top" + std::to_string(t);

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <stdexcept>
 #include <vector>
 
 namespace osim {
@@ -89,6 +90,63 @@ TEST(EventQueue, SchedulingIntoThePastThrows) {
   EXPECT_THROW(q.At(50, [] {}), std::logic_error);
 }
 
+TEST(EventQueue, TryAdvanceRefusesAnEventDueByWhen) {
+  EventQueue q;
+  std::vector<int> order;
+  // From radix base 0, an event at 64 sits in bucket 7, whose floor -- the
+  // least timestamp the bucket can hold -- is 64 itself.
+  q.At(64, [&] { order.push_back(1); });
+  EXPECT_FALSE(q.TryAdvance(64));
+  EXPECT_FALSE(q.TryAdvance(1'000));
+  EXPECT_EQ(q.now(), 0u);
+  EXPECT_TRUE(q.TryAdvance(63));
+  EXPECT_EQ(q.now(), 63u);
+  EXPECT_THROW(q.TryAdvance(62), std::logic_error);
+  // The advanced clock is where later events are measured from.
+  q.Now([&] { order.push_back(0); });
+  q.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(q.now(), 64u);
+}
+
+TEST(EventQueue, TryAdvanceRefusesAnUnrunSameTimeEvent) {
+  EventQueue q;
+  bool advanced = true;
+  q.At(10, [&] { advanced = q.TryAdvance(11); });
+  q.At(10, [] {});
+  q.RunAll();
+  EXPECT_FALSE(advanced);
+}
+
+TEST(EventQueue, TryAdvanceReachesTheTopBucket) {
+  // Bucket 64 holds timestamps with bit 63 set; its floor is 2^63.
+  constexpr Cycles kTop = Cycles{1} << 63;
+  EventQueue q;
+  q.At(kTop, [] {});
+  EXPECT_FALSE(q.TryAdvance(kTop));
+  EXPECT_TRUE(q.TryAdvance(kTop - 1));
+  EXPECT_EQ(q.RunAll(), 1u);
+  EXPECT_EQ(q.now(), kTop);
+}
+
+TEST(EventQueue, TryAdvanceStaysWithinTheRunUntilBound) {
+  EventQueue q;
+  bool past_bound = true;
+  bool at_bound = false;
+  q.At(10, [&] {
+    past_bound = q.TryAdvance(51);
+    at_bound = q.TryAdvance(50);
+  });
+  q.RunUntil(50);
+  EXPECT_FALSE(past_bound);
+  EXPECT_TRUE(at_bound);
+  EXPECT_EQ(q.now(), 50u);
+  // The bound ends with the RunUntil, even one an action throws out of.
+  q.At(60, [] { throw std::runtime_error("action failed"); });
+  EXPECT_THROW(q.RunUntil(70), std::runtime_error);
+  EXPECT_TRUE(q.TryAdvance(1'000));
+}
+
 // The radix heap must be observationally identical to the
 // std::priority_queue scheduler the engine started with: ascending
 // `when`, ties in ascending insertion order.  A reference model with
@@ -98,7 +156,11 @@ TEST(EventQueue, SchedulingIntoThePastThrows) {
 // between), plus follow-up events scheduled mid-run the way simulated
 // threads schedule wakeups.  RunUntil(t) calls are interleaved, some with
 // `t` just short of the next event (the peek must not move the radix base
-// past `t`), each followed by At(t), At(t + 1) and Now().
+// past `t`), each followed by At(t) and At(t + 1), or by TryAdvance to
+// just short of, at or past the next event, and then by Now().
+// TryAdvance is also tried inside actions, as the kernel does.  Whenever
+// it moves the clock to `t`, nothing in the reference is due at or before
+// `t`, and `t` is within the running RunUntil's bound.
 TEST(EventQueue, MatchesReferencePriorityQueueOnRandomLoad) {
   struct Ref {
     Cycles when;
@@ -125,6 +187,18 @@ TEST(EventQueue, MatchesReferencePriorityQueueOnRandomLoad) {
   std::uint64_t executed = 0;
   std::uint64_t mismatches = 0;
   int follow_ups_left = kFollowUps;
+  Cycles bound = ~Cycles{0};
+  std::uint64_t advances = 0;
+  std::uint64_t bad_advances = 0;
+  // Tries to advance to `when`; a granted advance must skip nothing.
+  const auto try_advance = [&](Cycles when) {
+    if (q.TryAdvance(when)) {
+      ++advances;
+      if ((!ref.empty() && ref.top().when <= when) || when > bound) {
+        ++bad_advances;
+      }
+    }
+  };
 
   // Enters an event at `when` into the reference and returns the action
   // that checks, when it runs, that it is the reference's minimum.
@@ -139,6 +213,9 @@ TEST(EventQueue, MatchesReferencePriorityQueueOnRandomLoad) {
         ref.pop();
       }
       ++executed;
+      if (id % 7 == 3) {
+        try_advance(q.now() + (next_random() & ((1ull << (id % 24)) - 1)));
+      }
       if (follow_ups_left > 0 && (id & 3u) == 0) {
         --follow_ups_left;
         // Mixed-magnitude gap, sometimes exactly zero: a same-timestamp
@@ -179,18 +256,27 @@ TEST(EventQueue, MatchesReferencePriorityQueueOnRandomLoad) {
       until = ref.top().when - 1;  // Just short of the next event.
     }
     const Cycles before = q.now();
+    bound = until;
     q.RunUntil(until);
+    bound = ~Cycles{0};
     if (q.now() != std::max(before, until) ||
         (!ref.empty() && ref.top().when <= until)) {
       ++bad_stops;
     }
-    schedule(until);
-    schedule(until + 1);
+    if (i % 4 == 3 && !ref.empty() && ref.top().when > q.now()) {
+      // Just short of, at, or past the next event.
+      try_advance(ref.top().when - 1 + i % 3);
+    } else {
+      schedule(until);
+      schedule(until + 1);
+    }
     q.Now(tracked(q.now()));
   }
   q.RunAll();
 
   EXPECT_EQ(bad_stops, 0u);
+  EXPECT_EQ(bad_advances, 0u);
+  EXPECT_GT(advances, 10'000u);
   EXPECT_EQ(executed, seq);
   EXPECT_GE(executed, static_cast<std::uint64_t>(kInitialEvents) + kFollowUps);
   EXPECT_TRUE(ref.empty());

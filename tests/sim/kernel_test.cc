@@ -221,6 +221,85 @@ TEST(Kernel, ValidatesConfig) {
   EXPECT_THROW(Kernel{cfg2}, std::invalid_argument);
 }
 
+Task<void> ManyBursts(Kernel& k, int bursts, Cycles each) {
+  for (int i = 0; i < bursts; ++i) {
+    co_await k.Cpu(each);
+  }
+}
+
+// With nothing else queued, every burst ends inline: the only event is
+// the first switch onto the CPU.
+TEST(Kernel, BurstsWithNothingQueuedEndInline) {
+  Kernel k(QuietConfig());
+  k.Spawn("t", ManyBursts(k, 1'000, 100));
+  EXPECT_EQ(k.events().RunAll(), 1u);
+  EXPECT_EQ(k.now(), 100'000u);
+  EXPECT_EQ(k.threads()[0]->cpu_time(), 100'000u);
+  EXPECT_EQ(k.threads()[0]->state(), ThreadState::kFinished);
+}
+
+Task<void> BurnThenMark(Kernel& k, Cycles cycles, std::vector<int>* marks) {
+  co_await k.Cpu(cycles);
+  marks->push_back(2);
+}
+
+// A kernel-context event due exactly when a burst ends was queued first,
+// so it runs first.  512 is the floor of its radix bucket, the case an
+// off-by-one in TryAdvance's floor test would let through.
+TEST(Kernel, KernelEventDueAtABurstsEndRunsFirst) {
+  Kernel k(QuietConfig());
+  std::vector<int> marks;
+  Cycles event_time = 0;
+  k.events().At(512, [&] {
+    marks.push_back(1);
+    event_time = k.now();
+  });
+  k.Spawn("t", BurnThenMark(k, 512, &marks));
+  k.RunUntilThreadsFinish();
+  EXPECT_EQ(marks, (std::vector<int>{1, 2}));
+  EXPECT_EQ(event_time, 512u);
+  EXPECT_EQ(k.now(), 512u);
+}
+
+// RunUntil stops inside a burst even when nothing else is queued, and
+// picking the run up again ends where one uninterrupted run does.
+TEST(Kernel, RunUntilStopsInsideABurst) {
+  Kernel whole(QuietConfig());
+  whole.Spawn("t", ManyBursts(whole, 10, 1'000));
+  whole.RunUntilThreadsFinish();
+
+  Kernel k(QuietConfig());
+  SimThread* t = k.Spawn("t", ManyBursts(k, 10, 1'000));
+  k.RunUntil(4'500);
+  EXPECT_EQ(k.now(), 4'500u);
+  EXPECT_EQ(t->state(), ThreadState::kOnBurst);
+  EXPECT_EQ(t->cpu_time(), 4'000u);
+  k.RunUntilThreadsFinish();
+  EXPECT_EQ(k.now(), whole.now());
+  EXPECT_EQ(t->cpu_time(), whole.threads()[0]->cpu_time());
+  EXPECT_EQ(k.now(), 10'000u);
+}
+
+Task<void> NestedBurst(Kernel& k) { co_await k.Cpu(1); }
+
+Task<void> ManyNestedBursts(Kernel& k, int bursts) {
+  for (int i = 0; i < bursts; ++i) {
+    co_await NestedBurst(k);
+  }
+}
+
+// A task starts and returns to its caller by symmetric transfer, which a
+// build without tail calls (the sanitizer presets) makes a nested native
+// call.  A long run of inline burst ends must still unwind the stack now
+// and then rather than overflow it.
+TEST(Kernel, LongInlineRunsOfNestedTasksKeepTheStackBounded) {
+  Kernel k(QuietConfig());
+  k.Spawn("t", ManyNestedBursts(k, 200'000));
+  k.RunUntilThreadsFinish();
+  EXPECT_EQ(k.now(), 200'000u);
+  EXPECT_EQ(k.threads()[0]->cpu_time(), 200'000u);
+}
+
 // Paper Figure 3 in miniature: preempted zero-work requests surface near
 // bucket log2(quantum).
 Task<void> ZeroByteReadLoop(Kernel& k, osprof::Histogram* hist, int requests,

@@ -107,7 +107,8 @@ TEST(SchedulerEdge, ManyThreadsManyCpusAllFinish) {
   cfg.context_switch_cost = 50;
   Kernel k(cfg);
   for (int i = 0; i < 64; ++i) {
-    k.Spawn("t" + std::to_string(i), UserLoop(k, 100'000, 777));
+    k.Spawn(std::string("t").append(std::to_string(i)),
+            UserLoop(k, 100'000, 777));
   }
   k.RunUntilThreadsFinish();
   for (const auto& t : k.threads()) {

@@ -143,7 +143,8 @@ TEST(SimSpinlock, HandoffIsFifo) {
   SimSpinlock lock(&k);
   std::vector<int> order;
   for (int id = 1; id <= 4; ++id) {
-    k.Spawn("t" + std::to_string(id), FifoSpinners(k, lock, &order, id));
+    k.Spawn(std::string("t").append(std::to_string(id)),
+            FifoSpinners(k, lock, &order, id));
   }
   k.RunUntilThreadsFinish();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
@@ -232,7 +233,8 @@ TEST(SimSemaphore, ContentionCreatesSecondLatencyMode) {
     SimSemaphore sem(&k, 1);
     osprof::Histogram h(1);
     for (int p = 0; p < 4; ++p) {
-      k.Spawn("p" + std::to_string(p), CloneLoop(k, sem, &h, 200));
+      k.Spawn(std::string("p").append(std::to_string(p)),
+              CloneLoop(k, sem, &h, 200));
     }
     k.RunUntilThreadsFinish();
     EXPECT_GT(sem.contended_acquisitions(), 0u);

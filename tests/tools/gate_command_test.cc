@@ -224,7 +224,7 @@ TEST_F(GateCommandTest, LayersDecompositionDriftFailsGate) {
   const auto bump_self = [](std::string& text, std::size_t from) {
     const std::size_t pos = text.find(" self ", from);
     if (pos != std::string::npos) {
-      text.insert(pos + 6, "9");
+      text.insert(pos + 6, 1, '9');
     }
     return pos == std::string::npos ? pos : pos + 7;
   };

@@ -36,9 +36,9 @@ std::uint64_t ClusterVolume::AllocateBlocks(std::uint64_t blocks) {
   return start;
 }
 
-int ClusterVolume::ResolvePath(const std::string& path) const {
+int ClusterVolume::ResolvePath(std::string_view path) const {
   int cur = 0;
-  for (const std::string& part : SplitPath(path)) {
+  for (std::string_view part : PathComponents(path)) {
     const ClusterInodeMeta& meta =
         OSIM_SHARED_RO(inodes_[static_cast<std::size_t>(cur)]);
     const auto it = meta.entries.find(part);
@@ -51,13 +51,9 @@ int ClusterVolume::ResolvePath(const std::string& path) const {
 }
 
 int ClusterVolume::AddDir(const std::string& path) {
-  const std::vector<std::string> parts = SplitPath(path);
-  if (parts.empty()) {
+  const auto [parent_path, leaf] = SplitParent(path);
+  if (leaf.empty()) {
     return 0;
-  }
-  std::string parent_path;
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-    parent_path += "/" + parts[i];
   }
   const int parent = ResolvePath(parent_path);
   if (parent < 0) {
@@ -65,20 +61,16 @@ int ClusterVolume::AddDir(const std::string& path) {
   }
   const int id = NewInode(true);
   ClusterInodeMeta& pm = OSIM_SHARED_RW(meta(parent));
-  pm.entries[parts.back()] = id;
-  pm.entry_order.push_back(parts.back());
+  pm.entries[std::string(leaf)] = id;
+  pm.entry_order.emplace_back(leaf);
   return id;
 }
 
 int ClusterVolume::AddFile(const std::string& path,
                            std::uint64_t size_bytes) {
-  const std::vector<std::string> parts = SplitPath(path);
-  if (parts.empty()) {
+  const auto [parent_path, leaf] = SplitParent(path);
+  if (leaf.empty()) {
     throw std::invalid_argument("AddFile: empty path");
-  }
-  std::string parent_path;
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-    parent_path += "/" + parts[i];
   }
   const int parent = ResolvePath(parent_path);
   if (parent < 0) {
@@ -93,8 +85,8 @@ int ClusterVolume::AddFile(const std::string& path,
     m.first_block = AllocateBlocks(m.capacity_blocks);
   }
   ClusterInodeMeta& pm = OSIM_SHARED_RW(meta(parent));
-  pm.entries[parts.back()] = id;
-  pm.entry_order.push_back(parts.back());
+  pm.entries[std::string(leaf)] = id;
+  pm.entry_order.emplace_back(leaf);
   return id;
 }
 
@@ -156,10 +148,9 @@ void ClusterFsNode::Revalidate(int inode, LocalInode& li,
   }
 }
 
-Task<int> ClusterFsNode::ResolveLocked(const std::string& path) {
-  const std::vector<std::string> parts = SplitPath(path);
+Task<int> ClusterFsNode::ResolveLocked(std::string_view path) {
   int cur = 0;
-  for (const std::string& part : parts) {
+  for (std::string_view part : PathComponents(path)) {
     const std::string res = InodeResource(cur);
     co_await dlm_->Acquire(res, osnet::DlmMode::kProtectedRead);
     LocalInode& li = local(cur);
@@ -182,24 +173,20 @@ Task<int> ClusterFsNode::ResolveLocked(const std::string& path) {
   co_return cur;
 }
 
-Task<std::pair<int, std::string>> ClusterFsNode::ResolveParentLocked(
-    const std::string& path) {
-  const std::vector<std::string> parts = SplitPath(path);
-  if (parts.empty()) {
-    co_return std::pair<int, std::string>{-1, ""};
-  }
-  std::string parent_path;
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-    parent_path += "/" + parts[i];
+Task<std::pair<int, std::string_view>> ClusterFsNode::ResolveParentLocked(
+    std::string_view path) {
+  const auto [parent_path, leaf] = SplitParent(path);
+  if (leaf.empty()) {
+    co_return std::pair<int, std::string_view>{-1, {}};
   }
   const int parent = co_await ResolveLocked(parent_path);
-  co_return std::pair<int, std::string>{parent, parts.back()};
+  co_return std::pair<int, std::string_view>{parent, leaf};
 }
 
 // --- Open / Close -----------------------------------------------------------
 
 Task<int> ClusterFsNode::OpenImpl(const std::string& path, bool /*direct_io*/) {
-  const std::size_t components = SplitPath(path).size();
+  const std::size_t components = CountPathComponents(path);
   co_await CpuNoisy(config_.costs.open_base +
                     config_.costs.lookup_per_component * components);
   const int id = co_await ResolveLocked(path);
@@ -370,7 +357,7 @@ Task<void> ClusterFsNode::FsyncImpl(int fd) {
 // --- Create / Unlink / Stat -------------------------------------------------
 
 Task<int> ClusterFsNode::CreateImpl(const std::string& path) {
-  const std::size_t components = SplitPath(path).size();
+  const std::size_t components = CountPathComponents(path);
   co_await CpuNoisy(config_.costs.create_base +
                     config_.costs.lookup_per_component * components);
   const auto [parent, leaf] = co_await ResolveParentLocked(path);
@@ -394,8 +381,8 @@ Task<int> ClusterFsNode::CreateImpl(const std::string& path) {
         m.capacity_blocks = kBlocksPerPage;
         m.first_block = volume_->AllocateBlocks(m.capacity_blocks);
       }
-      pm.entries[leaf] = id;
-      pm.entry_order.push_back(leaf);
+      pm.entries.emplace(leaf, id);
+      pm.entry_order.emplace_back(leaf);
       ++pm.generation;
     }
   }
@@ -405,7 +392,7 @@ Task<int> ClusterFsNode::CreateImpl(const std::string& path) {
 }
 
 Task<void> ClusterFsNode::UnlinkImpl(const std::string& path) {
-  const std::size_t components = SplitPath(path).size();
+  const std::size_t components = CountPathComponents(path);
   co_await CpuNoisy(config_.costs.unlink_base +
                     config_.costs.lookup_per_component * components);
   const auto [parent, leaf] = co_await ResolveParentLocked(path);
@@ -433,7 +420,7 @@ Task<void> ClusterFsNode::UnlinkImpl(const std::string& path) {
 }
 
 Task<FileAttr> ClusterFsNode::StatImpl(const std::string& path) {
-  const std::size_t components = SplitPath(path).size();
+  const std::size_t components = CountPathComponents(path);
   co_await CpuNoisy(config_.costs.stat_base +
                     config_.costs.lookup_per_component * components);
   const int id = co_await ResolveLocked(path);

@@ -27,9 +27,11 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -84,8 +86,8 @@ struct ClusterInodeMeta {
   // Bumped by every metadata/data write; nodes compare it against the
   // generation their cached pages were read under.
   std::uint64_t generation = 0;
-  std::map<std::string, int> entries;    // Dirs: name -> inode.
-  std::vector<std::string> entry_order;  // Dirs: readdir order.
+  std::map<std::string, int, std::less<>> entries;  // Dirs: name -> inode.
+  std::vector<std::string> entry_order;             // Dirs: readdir order.
 };
 
 // The shared disk and the on-disk inode table.  Built host-side (mkfs)
@@ -101,7 +103,7 @@ class ClusterVolume {
 
   // Unlocked path walk (host side / already-locked contexts); -1 if
   // absent.
-  int ResolvePath(const std::string& path) const;
+  int ResolvePath(std::string_view path) const;
 
   int NewInode(bool is_dir);
   std::uint64_t AllocateBlocks(std::uint64_t blocks);
@@ -215,11 +217,13 @@ class ClusterFsNode : public Vfs {
 
   // Walks `path` component by component, taking each directory's DLM PR
   // lock and local i_sem around the entry lookup.  Returns -1 if absent.
-  Task<int> ResolveLocked(const std::string& path);
-  // Like ResolveLocked but stops at the parent; returns {parent, leaf}
-  // ({-1, ""} if the parent is absent).
-  Task<std::pair<int, std::string>> ResolveParentLocked(
-      const std::string& path);
+  // `path` must outlive the walk, which spans awaits.
+  Task<int> ResolveLocked(std::string_view path);
+  // Like ResolveLocked but stops at the parent; returns {parent, leaf},
+  // the leaf a view into `path`.  The parent is -1 if absent, and the
+  // result {-1, ""} if `path` has no components.
+  Task<std::pair<int, std::string_view>> ResolveParentLocked(
+      std::string_view path);
 
   // Under the inode's DLM lock + i_sem: drop stale clean pages if a
   // foreign write bumped the generation since this node last looked.

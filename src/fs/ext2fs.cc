@@ -73,10 +73,10 @@ std::uint64_t Ext2SimFs::AllocateBlocks(std::uint64_t blocks) {
   return start;
 }
 
-int Ext2SimFs::ResolvePath(const std::string& path) const {
+int Ext2SimFs::ResolvePath(std::string_view path) const {
   const auto& table = OSIM_SHARED_RO(inodes_);
   int id = 0;  // Root.
-  for (const std::string& part : SplitPath(path)) {
+  for (std::string_view part : PathComponents(path)) {
     const Inode& node = *table[static_cast<std::size_t>(id)];
     if (!node.is_dir) {
       return -1;
@@ -90,24 +90,24 @@ int Ext2SimFs::ResolvePath(const std::string& path) const {
   return id;
 }
 
-std::pair<int, std::string> Ext2SimFs::ResolveParent(
-    const std::string& path) const {
-  const std::vector<std::string> parts = SplitPath(path);
-  if (parts.empty()) {
-    return {-1, ""};
+std::pair<int, std::string_view> Ext2SimFs::ResolveParent(
+    std::string_view path) const {
+  const auto [parent_path, leaf] = SplitParent(path);
+  if (leaf.empty()) {
+    return {-1, {}};
   }
   const auto& table = OSIM_SHARED_RO(inodes_);
   int id = 0;
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
+  for (std::string_view part : PathComponents(parent_path)) {
     const Inode& node = *table[static_cast<std::size_t>(id)];
-    auto it = node.entries.find(parts[i]);
+    auto it = node.entries.find(part);
     if (it == node.entries.end() ||
         !table[static_cast<std::size_t>(it->second)]->is_dir) {
-      return {-1, ""};
+      return {-1, {}};
     }
     id = it->second;
   }
-  return {id, parts.back()};
+  return {id, leaf};
 }
 
 int Ext2SimFs::AddDir(const std::string& path) {
@@ -120,8 +120,8 @@ int Ext2SimFs::AddDir(const std::string& path) {
     throw std::invalid_argument("AddDir: exists: " + path);
   }
   const int id = NewInode(/*is_dir=*/true);
-  p.entries[name] = id;
-  p.entry_order.push_back(name);
+  p.entries.emplace(name, id);
+  p.entry_order.emplace_back(name);
   return id;
 }
 
@@ -141,8 +141,8 @@ int Ext2SimFs::AddFile(const std::string& path, std::uint64_t size_bytes) {
       kBlocksPerPage, (size_bytes + kBlockBytes - 1) / kBlockBytes);
   node.first_block = AllocateBlocks(blocks);
   node.capacity_blocks = blocks;
-  p.entries[name] = id;
-  p.entry_order.push_back(name);
+  p.entries.emplace(name, id);
+  p.entry_order.emplace_back(name);
   return id;
 }
 
@@ -164,7 +164,7 @@ std::uint64_t Ext2SimFs::FileSize(const std::string& path) const {
 // --- Open / Close -----------------------------------------------------------
 
 Task<int> Ext2SimFs::OpenImpl(const std::string& path, bool direct_io) {
-  const std::size_t components = SplitPath(path).size();
+  const std::size_t components = CountPathComponents(path);
   co_await CpuNoisy(config_.costs.open_base +
                     config_.costs.lookup_per_component * components);
   const int id = ResolvePath(path);
@@ -451,8 +451,8 @@ Task<int> Ext2SimFs::CreateImpl(const std::string& path) {
   Inode& node = inode(id);
   node.capacity_blocks = config_.create_reserve_blocks;
   node.first_block = AllocateBlocks(node.capacity_blocks);
-  p.entries[name] = id;
-  p.entry_order.push_back(name);
+  p.entries.emplace(name, id);
+  p.entry_order.emplace_back(name);
   // Dirty the directory page holding the new entry.
   const std::uint64_t entry_page =
       (p.entry_order.size() - 1) * kDirentBytes / kPageBytes;
@@ -480,7 +480,7 @@ Task<void> Ext2SimFs::UnlinkImpl(const std::string& path) {
 }
 
 Task<FileAttr> Ext2SimFs::StatImpl(const std::string& path) {
-  const std::size_t components = SplitPath(path).size();
+  const std::size_t components = CountPathComponents(path);
   co_await CpuNoisy(config_.costs.stat_base +
                     config_.costs.lookup_per_component * components);
   FileAttr attr;

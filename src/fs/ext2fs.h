@@ -24,10 +24,13 @@
 #define OSPROF_SRC_FS_EXT2FS_H_
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/fs/fd_table.h"
@@ -169,8 +172,8 @@ class Ext2SimFs : public Vfs {
     std::uint64_t size = 0;  // Bytes; directories derive it from entries.
     std::uint64_t first_block = 0;
     std::uint64_t capacity_blocks = 0;
-    std::map<std::string, int> entries;        // Dirs: name -> inode.
-    std::vector<std::string> entry_order;      // Dirs: readdir order.
+    std::map<std::string, int, std::less<>> entries;  // Dirs: name -> inode.
+    std::vector<std::string> entry_order;             // Dirs: readdir order.
     std::unique_ptr<osim::SimSemaphore> i_sem;
     bool unlinked = false;
   };
@@ -219,8 +222,10 @@ class Ext2SimFs : public Vfs {
     return kernel_->CpuNoisy(cycles, config_.cpu_noise_sigma);
   }
 
-  int ResolvePath(const std::string& path) const;  // -1 if absent.
-  std::pair<int, std::string> ResolveParent(const std::string& path) const;
+  int ResolvePath(std::string_view path) const;  // -1 if absent.
+  // The parent directory's inode (-1 if absent) and the leaf name, a view
+  // into `path`.
+  std::pair<int, std::string_view> ResolveParent(std::string_view path) const;
   std::uint64_t DirSizeBytes(const Inode& inode) const {
     return inode.entry_order.size() * kDirentBytes;
   }

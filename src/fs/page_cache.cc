@@ -29,7 +29,8 @@ bool PageCache::IoInProgress(const PageKey& key) const {
 
 void PageCache::Touch(const PageKey& key, PageState& state) {
   if (state.in_lru) {
-    lru_.erase(state.lru_pos);
+    lru_.splice(lru_.begin(), lru_, state.lru_pos);
+    return;
   }
   lru_.push_front(key);
   state.lru_pos = lru_.begin();
@@ -37,7 +38,7 @@ void PageCache::Touch(const PageKey& key, PageState& state) {
 }
 
 void PageCache::StartRead(const PageKey& key, std::uint64_t lba) {
-  PageState& state = OSIM_SHARED_RW(pages_)[key];
+  PageState& state = StateOf(OSIM_SHARED_RW(pages_), key);
   if (state.valid || state.io_in_progress) {
     return;
   }
@@ -57,9 +58,7 @@ void PageCache::StartRead(const PageKey& key, std::uint64_t lba) {
                   s.io_in_progress = false;
                   s.valid = true;
                   Touch(key, s);
-                  if (s.waiters != nullptr) {
-                    s.waiters->WakeAll();
-                  }
+                  s.waiters.WakeAll();
                   EvictIfNeeded();
                 });
 }
@@ -77,17 +76,12 @@ Task<void> PageCache::WaitForPage(PageKey key) {
       // Nobody started the read; nothing will ever wake us.
       throw std::logic_error("WaitForPage without StartRead");
     }
-    PageState& state = it->second;
-    if (state.waiters == nullptr) {
-      state.waiters =
-          std::make_unique<osim::WaitQueue>(kernel_, osprof::kLayerDriver);
-    }
-    co_await state.waiters->Wait();
+    co_await it->second.waiters.Wait();
   }
 }
 
 void PageCache::MarkValid(const PageKey& key, std::uint64_t lba) {
-  PageState& state = OSIM_SHARED_RW(pages_)[key];
+  PageState& state = StateOf(OSIM_SHARED_RW(pages_), key);
   state.valid = true;
   state.lba = lba;
   Touch(key, state);
@@ -95,7 +89,7 @@ void PageCache::MarkValid(const PageKey& key, std::uint64_t lba) {
 }
 
 void PageCache::MarkDirty(const PageKey& key, std::uint64_t lba) {
-  PageState& state = OSIM_SHARED_RW(pages_)[key];
+  PageState& state = StateOf(OSIM_SHARED_RW(pages_), key);
   if (!state.valid) {
     state.valid = true;  // Full-page overwrite semantics.
   }
@@ -160,7 +154,7 @@ void PageCache::DropClean() {
   for (auto it = pages.begin(); it != pages.end();) {
     PageState& state = it->second;
     if (state.valid && !state.dirty && !state.io_in_progress &&
-        (state.waiters == nullptr || state.waiters->waiters() == 0)) {
+        state.waiters.waiters() == 0) {
       if (state.in_lru) {
         lru_.erase(state.lru_pos);
       }
@@ -176,8 +170,7 @@ void PageCache::DropCleanForInode(int inode) {
   for (auto it = pages.begin(); it != pages.end();) {
     PageState& state = it->second;
     if (it->first.inode == inode && state.valid && !state.dirty &&
-        !state.io_in_progress &&
-        (state.waiters == nullptr || state.waiters->waiters() == 0)) {
+        !state.io_in_progress && state.waiters.waiters() == 0) {
       if (state.in_lru) {
         lru_.erase(state.lru_pos);
       }
@@ -199,8 +192,7 @@ void PageCache::EvictIfNeeded() {
       continue;
     }
     PageState& state = it->second;
-    if (state.io_in_progress ||
-        (state.waiters != nullptr && state.waiters->waiters() > 0)) {
+    if (state.io_in_progress || state.waiters.waiters() > 0) {
       // Busy page: rotate it to the front and stop for now.
       Touch(victim, state);
       return;

@@ -9,6 +9,9 @@
 // Dirty pages age and are written back by a bdflush-style daemon
 // (SpawnFlusher), which is what gives atime updates and write_super their
 // periodic personality (§6.3).
+//
+// A hit allocates nothing, as in Linux: the page's LRU node moves to the
+// front in place (list_move), and each page carries its own wait queue.
 
 #ifndef OSPROF_SRC_FS_PAGE_CACHE_H_
 #define OSPROF_SRC_FS_PAGE_CACHE_H_
@@ -17,7 +20,6 @@
 #include <functional>
 #include <list>
 #include <map>
-#include <memory>
 
 #include "src/sim/disk.h"
 #include "src/sim/kernel.h"
@@ -99,17 +101,27 @@ class PageCache {
   std::uint64_t resident_pages() const { return OSIM_SHARED_RO(pages_).size(); }
 
  private:
+  // Lives in the page table's map, whose nodes never move, so the
+  // page's wait queue is held by value.
   struct PageState {
+    explicit PageState(Kernel* kernel)
+        : waiters(kernel, osprof::kLayerDriver) {}
+
     bool valid = false;
     bool dirty = false;
     bool io_in_progress = false;
+    bool in_lru = false;
     std::uint64_t lba = 0;
     Cycles dirtied_at = 0;
-    std::unique_ptr<osim::WaitQueue> waiters;
+    osim::WaitQueue waiters;
     std::list<PageKey>::iterator lru_pos;
-    bool in_lru = false;
   };
 
+  // The page's state, created empty on first use.
+  PageState& StateOf(std::map<PageKey, PageState>& pages,
+                     const PageKey& key) {
+    return pages.try_emplace(key, kernel_).first->second;
+  }
   void Touch(const PageKey& key, PageState& state);
   void EvictIfNeeded();
 

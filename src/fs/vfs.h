@@ -8,8 +8,10 @@
 #ifndef OSPROF_SRC_FS_VFS_H_
 #define OSPROF_SRC_FS_VFS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/task.h"
@@ -23,19 +25,80 @@ struct FileAttr {
   bool is_dir = false;
 };
 
-// The non-empty components of `path` in order: "/a//b/" gives {"a", "b"}.
-inline std::vector<std::string> SplitPath(const std::string& path) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (start < path.size()) {
-    const std::size_t slash = path.find('/', start);
-    const std::size_t end = slash == std::string::npos ? path.size() : slash;
-    if (end > start) {
-      parts.push_back(path.substr(start, end - start));
+// The non-empty components of `path` in order, as views into it: "/a//b/"
+// gives "a", "b", and "" and "/" give none.  Walking them allocates
+// nothing, so path lookup costs no heap traffic:
+//   for (std::string_view part : PathComponents(path)) ...
+class PathComponents {
+ public:
+  class Iterator {
+   public:
+    std::string_view operator*() const { return part_; }
+    Iterator& operator++() {
+      Advance(part_.data() + part_.size() - path_.data());
+      return *this;
     }
-    start = end + 1;
+    bool operator==(const Iterator& other) const {
+      return part_.data() == other.part_.data();
+    }
+
+   private:
+    friend class PathComponents;
+    Iterator(std::string_view path, std::size_t from) : path_(path) {
+      Advance(from);
+    }
+    // Finds the first component at or after `from`; past the end, part_
+    // is the empty view at path_'s end.
+    void Advance(std::size_t from) {
+      const std::size_t start = path_.find_first_not_of('/', from);
+      if (start == std::string_view::npos) {
+        part_ = path_.substr(path_.size());
+        return;
+      }
+      const std::size_t end = path_.find('/', start);
+      part_ = path_.substr(start, end == std::string_view::npos
+                                      ? std::string_view::npos
+                                      : end - start);
+    }
+
+    std::string_view path_;
+    std::string_view part_;
+  };
+
+  explicit PathComponents(std::string_view path) : path_(path) {}
+  Iterator begin() const { return Iterator(path_, 0); }
+  Iterator end() const { return Iterator(path_, path_.size()); }
+
+ private:
+  std::string_view path_;
+};
+
+// How many components `path` has (what a lookup's CPU cost scales with).
+inline std::size_t CountPathComponents(std::string_view path) {
+  std::size_t count = 0;
+  for ([[maybe_unused]] std::string_view part : PathComponents(path)) {
+    ++count;
   }
-  return parts;
+  return count;
+}
+
+// `path` split before its last component: the prefix whose components
+// are all but the last, and the last one.  Both are empty for a path with
+// no components.
+struct ParentAndLeaf {
+  std::string_view parent;
+  std::string_view leaf;
+};
+inline ParentAndLeaf SplitParent(std::string_view path) {
+  std::string_view leaf;
+  for (std::string_view part : PathComponents(path)) {
+    leaf = part;
+  }
+  if (leaf.empty()) {
+    return {};
+  }
+  return {path.substr(0, static_cast<std::size_t>(leaf.data() - path.data())),
+          leaf};
 }
 
 // One readdir call returns the entries of one directory page, like the

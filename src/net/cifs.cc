@@ -42,7 +42,7 @@ void CifsMount::SetProfiler(SimProfiler* profiler) {
   probes_.stat = profiler_->Resolve("stat");
 }
 
-void CifsMount::SendRequest(const std::string& label,
+void CifsMount::SendRequest(std::string_view label,
                             std::function<void()> on_server) {
   // A request packet carries any pending ACK (the Linux-client mechanism
   // that avoids the delayed-ACK stall).
@@ -90,7 +90,7 @@ Task<void> CifsMount::ServerEnsureListing(const std::string& path) {
   OSIM_SHARED_RW(server_listings_)[path].loaded = true;
 }
 
-void CifsMount::SendBatchBurst(const std::string& label, std::uint32_t bytes,
+void CifsMount::SendBatchBurst(std::string_view label, std::uint32_t bytes,
                                bool final_burst, FindTransaction* txn) {
   DelayedAckPolicy* ack = client_ack_.get();
   const int segments = s2c_.SendSegmented(
@@ -98,7 +98,7 @@ void CifsMount::SendBatchBurst(const std::string& label, std::uint32_t bytes,
         ack->OnDataSegment();
         if (final_burst && index == total - 1) {
           txn->complete = true;
-          txn->done->WakeAll();
+          txn->done.WakeAll();
         }
       });
   for (int i = 0; i < segments; ++i) {
@@ -139,7 +139,7 @@ Task<void> CifsMount::ServerFindHandler(std::string path, DirState* dir,
     const std::uint32_t bytes = std::max<std::uint32_t>(
         config_.small_reply_bytes,
         static_cast<std::uint32_t>(take) * config_.bytes_per_entry);
-    const std::string label =
+    const std::string_view label =
         b == 0 ? (first ? "FIND_FIRST" : "FIND_NEXT") : "transact continuation";
     SendBatchBurst(label, bytes, final_burst, txn);
     if (exhausted) {
@@ -176,8 +176,7 @@ Task<void> CifsMount::FindTransactionImpl(const std::string& path,
                                           DirState* dir) {
   const bool first = !dir->started;
   co_await kernel_->Cpu(config_.client_op_cpu);
-  FindTransaction txn;
-  txn.done = std::make_unique<osim::WaitQueue>(kernel_, osprof::kLayerNet);
+  FindTransaction txn(kernel_);
   FindTransaction* txn_ptr = &txn;
   SendRequest(first ? "FIND_FIRST request" : "FIND_NEXT request",
               [this, path, dir, txn_ptr] {
@@ -185,7 +184,7 @@ Task<void> CifsMount::FindTransactionImpl(const std::string& path,
                                ServerFindHandler(path, dir, txn_ptr));
               });
   while (!txn.complete) {
-    co_await txn.done->Wait();
+    co_await txn.done.Wait();
   }
   dir->started = true;
   for (std::size_t i = 0; i < txn.names.size(); ++i) {
@@ -200,14 +199,13 @@ Task<void> CifsMount::FindTransactionImpl(const std::string& path,
 
 Task<void> CifsMount::RemoteReadPage(const std::string& path,
                                      std::uint64_t page) {
-  FindTransaction txn;
-  txn.done = std::make_unique<osim::WaitQueue>(kernel_, osprof::kLayerNet);
+  FindTransaction txn(kernel_);
   FindTransaction* txn_ptr = &txn;
   SendRequest("READ request", [this, path, page, txn_ptr] {
     kernel_->Spawn("smbd:read", ServerReadPageHandler(path, page, txn_ptr));
   });
   while (!txn.complete) {
-    co_await txn.done->Wait();
+    co_await txn.done.Wait();
   }
   OSIM_SHARED_RW(page_cache_).insert({path, page});
 }
@@ -272,15 +270,14 @@ Task<void> CifsMount::ServerSmallOpHandler(SmallOpArgs args,
 }
 
 Task<void> CifsMount::SmallRoundTrip(SmallOpArgs args) {
-  FindTransaction txn;
-  txn.done = std::make_unique<osim::WaitQueue>(kernel_, osprof::kLayerNet);
+  FindTransaction txn(kernel_);
   FindTransaction* txn_ptr = &txn;
   const std::string label = SmallOpLabel(args.op);
   SendRequest(label + " request", [this, args = std::move(args), txn_ptr] {
     kernel_->Spawn("smbd:small", ServerSmallOpHandler(args, txn_ptr));
   });
   while (!txn.complete) {
-    co_await txn.done->Wait();
+    co_await txn.done.Wait();
   }
 }
 

@@ -34,6 +34,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/fs/fd_table.h"
@@ -141,15 +142,19 @@ class CifsMount : public osfs::Vfs {
     std::unique_ptr<DirState> dir;
   };
 
-  // The state of one in-flight Find transaction.
+  // The state of one in-flight Find transaction: a local of the calling
+  // coroutine's frame, which never moves, so `done` is held by value.
   struct FindTransaction {
+    explicit FindTransaction(osim::Kernel* kernel)
+        : done(kernel, osprof::kLayerNet) {}
+
     std::vector<std::string> names;
     std::vector<RemoteAttr> attrs;  // Parallel to names (SMB Find replies
                                     // carry each entry's metadata).
     std::uint64_t next_cookie = 0;
     bool end_of_dir = false;
     bool complete = false;
-    std::unique_ptr<osim::WaitQueue> done;
+    osim::WaitQueue done;
   };
 
   // --- Vfs operation bodies ------------------------------------------------
@@ -193,7 +198,7 @@ class CifsMount : public osfs::Vfs {
 
   // Sends a request packet (piggybacking any pending ACK) and runs
   // `on_server` at arrival.
-  void SendRequest(const std::string& label, std::function<void()> on_server);
+  void SendRequest(std::string_view label, std::function<void()> on_server);
 
   // --- Server side ---------------------------------------------------------
   struct ServerListing {
@@ -210,7 +215,7 @@ class CifsMount : public osfs::Vfs {
 
   // Sends one Find batch as an MSS burst; marks `txn` complete on the
   // final segment of the final burst.
-  void SendBatchBurst(const std::string& label, std::uint32_t bytes,
+  void SendBatchBurst(std::string_view label, std::uint32_t bytes,
                       bool final_burst, FindTransaction* txn);
 
   osim::Kernel* kernel_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 
 namespace osnet {
@@ -22,8 +23,8 @@ std::string PacketTrace::Render(double cpu_hz, Cycles origin) const {
   return os.str();
 }
 
-void NetPipe::Send(std::uint32_t bytes, PacketKind kind,
-                   const std::string& label, std::function<void()> deliver) {
+void NetPipe::Send(std::uint32_t bytes, PacketKind kind, std::string_view label,
+                   std::function<void()> deliver) {
   const Cycles now = kernel_->now();
   const Cycles start = std::max(now, busy_until_);
   const auto serialization = static_cast<Cycles>(
@@ -31,64 +32,65 @@ void NetPipe::Send(std::uint32_t bytes, PacketKind kind,
   busy_until_ = start + serialization;
   const Cycles arrive = busy_until_ + config_.one_way_latency;
   ++packets_sent_;
-  PacketRecord record;
-  record.sent_at = now;
-  record.received_at = arrive;
-  record.from = from_;
-  record.label = label;
-  record.kind = kind;
-  record.bytes = bytes;
+  if (!deliver) {
+    deliver = [] {};
+  }
+  if (trace_ != nullptr) {
+    // Only a trace reads the record.  It lands with the packet, so the
+    // trace stays in receive order across the pipes that share it.
+    PacketRecord record{now, arrive, from_, std::string(label), kind, bytes};
+    deliver = [trace = trace_, record = std::move(record),
+               inner = std::move(deliver)]() mutable {
+      trace->Record(std::move(record));
+      inner();
+    };
+  }
   Kernel* k = kernel_;
-  PacketTrace* trace = trace_;
   if (k->races().enabled()) {
     // Race-tracking path: the sender's happens-before history travels
     // with the packet and is adopted around delivery, so handlers the
     // delivery spawns (smbd) or tasks it wakes inherit it.  A separate
     // path so the common closure never carries the token.
-    k->events().At(arrive, [k, record = std::move(record), trace,
-                            deliver = std::move(deliver),
+    k->events().At(arrive, [k, deliver = std::move(deliver),
                             token = k->races().Capture()]() mutable {
-      if (trace != nullptr) {
-        trace->Record(std::move(record));
-      }
       k->races().Adopt(token);
-      if (deliver) {
-        deliver();
-      }
+      deliver();
       k->races().Drop();
     });
     return;
   }
-  k->events().At(arrive, [record = std::move(record), trace,
-                          deliver = std::move(deliver)]() mutable {
-    if (trace != nullptr) {
-      trace->Record(std::move(record));
-    }
-    if (deliver) {
-      deliver();
-    }
-  });
+  k->events().At(arrive, std::move(deliver));
 }
 
-int NetPipe::SendSegmented(std::uint32_t bytes, const std::string& label,
+int NetPipe::SendSegmented(std::uint32_t bytes, std::string_view label,
                            std::function<void(int, int)> on_segment) {
   const int total = static_cast<int>(
       std::max<std::uint32_t>(1, (bytes + config_.mss_bytes - 1) / config_.mss_bytes));
+  // Every segment calls the one callback.
+  const auto shared =
+      std::make_shared<std::function<void(int, int)>>(std::move(on_segment));
+  std::string seg_label;
   std::uint32_t remaining = bytes;
   for (int i = 0; i < total; ++i) {
     const std::uint32_t chunk = std::min(remaining, config_.mss_bytes);
     remaining -= chunk;
-    std::string seg_label = label;
-    if (total > 1) {
-      seg_label += i == 0 ? " reply" : " reply continuation " + std::to_string(i);
+    if (trace_ != nullptr) {
+      // The label only names the segment in the trace.
+      seg_label = label;
+      if (total > 1) {
+        seg_label += i == 0 ? " reply" : " reply continuation ";
+        if (i > 0) {
+          seg_label += std::to_string(i);
+        }
+      }
     }
     Send(chunk, PacketKind::kData, seg_label,
-         [on_segment, i, total] { on_segment(i, total); });
+         [shared, i, total] { (*shared)(i, total); });
   }
   return total;
 }
 
-void DelayedAckPolicy::SendAckNow(const std::string& label) {
+void DelayedAckPolicy::SendAckNow(std::string_view label) {
   unacked_ = 0;
   ++timer_generation_;  // Invalidate any pending timer.
   timer_armed_ = false;

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/kernel.h"
@@ -80,13 +81,15 @@ class NetPipe {
           PacketTrace* trace)
       : kernel_(kernel), config_(config), from_(std::move(from)), trace_(trace) {}
 
-  // Sends `bytes` as one packet; `deliver` runs at arrival time.
-  void Send(std::uint32_t bytes, PacketKind kind, const std::string& label,
+  // Sends `bytes` as one packet; `deliver` runs at arrival time.  The
+  // packet's PacketRecord, and so its label, is built only when the pipe
+  // has a trace.
+  void Send(std::uint32_t bytes, PacketKind kind, std::string_view label,
             std::function<void()> deliver);
 
   // Splits `bytes` into MSS-sized segments; `on_segment(i, n)` runs as
   // each arrives.  Returns the number of segments.
-  int SendSegmented(std::uint32_t bytes, const std::string& label,
+  int SendSegmented(std::uint32_t bytes, std::string_view label,
                     std::function<void(int index, int total)> on_segment);
 
   std::uint64_t packets_sent() const { return packets_sent_; }
@@ -184,7 +187,7 @@ class DelayedAckPolicy {
   std::uint64_t piggybacked_acks() const { return piggybacked_acks_; }
 
  private:
-  void SendAckNow(const std::string& label);
+  void SendAckNow(std::string_view label);
 
   Kernel* kernel_;
   NetConfig config_;

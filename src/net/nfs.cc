@@ -50,7 +50,6 @@ Task<void> NfsMount::CallImpl(const std::string& op, std::uint32_t reply_bytes,
                               Task<void> server_work, Rpc* rpc) {
   ++rpcs_;
   co_await kernel_->Cpu(config_.client_op_cpu);
-  rpc->done = std::make_unique<osim::WaitQueue>(kernel_, osprof::kLayerNet);
   // Wrap the server work in a handler thread spawned at request arrival;
   // the reply is a single burst whose final segment completes the RPC.
   struct Holder {
@@ -70,7 +69,7 @@ Task<void> NfsMount::CallImpl(const std::string& op, std::uint32_t reply_bytes,
                     [r](int index, int total) {
                       if (index == total - 1) {
                         r->complete = true;
-                        r->done->WakeAll();
+                        r->done.WakeAll();
                       }
                     });
               };
@@ -78,7 +77,7 @@ Task<void> NfsMount::CallImpl(const std::string& op, std::uint32_t reply_bytes,
                              handler(this, op, reply_bytes, rpc, holder));
             });
   while (!rpc->complete) {
-    co_await rpc->done->Wait();
+    co_await rpc->done.Wait();
   }
 }
 
@@ -164,20 +163,20 @@ Task<void> NfsMount::ServerCommit(std::string path, Rpc* rpc) {
 
 // --- Path walking --------------------------------------------------------------
 
-Task<void> NfsMount::WalkPath(const std::string& path) {
+Task<void> NfsMount::WalkPath(std::string_view path) {
   // One LOOKUP per component not in the dentry cache: the NFS lookup
   // storm.  Each lookup also refreshes the component's attributes.
-  const std::vector<std::string> parts = osfs::SplitPath(path);
   std::string prefix;
-  for (const std::string& part : parts) {
-    prefix += "/" + part;
+  for (std::string_view part : osfs::PathComponents(path)) {
+    prefix += '/';
+    prefix += part;
     auto it = dentry_cache_.find(prefix);
     if (it != dentry_cache_.end() &&
         kernel_->now() - it->second <= config_.dentry_cache_timeout) {
       continue;
     }
     ++lookups_;
-    Rpc rpc;
+    Rpc rpc(kernel_);
     co_await Call(probes_.lookup, "lookup", config_.small_reply_bytes,
                   ServerGetattr(prefix, &rpc), &rpc);
     dentry_cache_[prefix] = kernel_->now();
@@ -191,7 +190,7 @@ Task<int> NfsMount::OpenImpl(const std::string& path) {
   co_await kernel_->Cpu(config_.client_op_cpu);
   co_await WalkPath(path);
   if (!AttrFresh(path)) {
-    Rpc rpc;
+    Rpc rpc(kernel_);
     co_await Call(probes_.getattr, "getattr", config_.small_reply_bytes,
                   ServerGetattr(path, &rpc), &rpc);
     attr_cache_[path] = CachedAttr{rpc.attr, kernel_->now()};
@@ -221,7 +220,7 @@ Task<std::int64_t> NfsMount::ReadImpl(int fd, std::uint64_t bytes) {
     const std::uint64_t last_page = (end - 1) / osfs::kPageBytes;
     for (std::uint64_t page = first_page; page <= last_page; ++page) {
       if (page_cache_.count({f.path, page}) == 0) {
-        Rpc rpc;
+        Rpc rpc(kernel_);
         co_await Call(probes_.nfs_read, "nfs_read",
                       static_cast<std::uint32_t>(osfs::kPageBytes),
                       ServerRead(f.path, page * osfs::kPageBytes,
@@ -239,7 +238,7 @@ Task<std::int64_t> NfsMount::ReadImpl(int fd, std::uint64_t bytes) {
 
 Task<std::int64_t> NfsMount::WriteImpl(int fd, std::uint64_t bytes) {
   ClientFile& f = fds_.at(fd);
-  Rpc rpc;
+  Rpc rpc(kernel_);
   co_await Call(probes_.nfs_write, "nfs_write", config_.small_reply_bytes,
                 ServerWrite(f.path, f.pos, bytes, &rpc), &rpc);
   ClientFile& f2 = fds_.at(fd);
@@ -264,7 +263,7 @@ Task<osfs::DirentBatch> NfsMount::ReaddirImpl(int fd) {
     co_await kernel_->Cpu(config_.client_op_cpu / 4);
   } else {
     while (f.dir_served >= f.dir_names.size() && !f.dir_eof) {
-      Rpc rpc;
+      Rpc rpc(kernel_);
       const auto reply_bytes = static_cast<std::uint32_t>(
           config_.entries_per_readdir * config_.bytes_per_entry);
       co_await Call(probes_.nfs_readdir, "nfs_readdir", reply_bytes,
@@ -297,14 +296,14 @@ Task<osfs::DirentBatch> NfsMount::ReaddirImpl(int fd) {
 
 Task<void> NfsMount::FsyncImpl(int fd) {
   const std::string path = fds_.at(fd).path;
-  Rpc rpc;
+  Rpc rpc(kernel_);
   co_await Call(probes_.commit, "commit", config_.small_reply_bytes,
                 ServerCommit(path, &rpc), &rpc);
 }
 
 Task<int> NfsMount::CreateImpl(const std::string& path) {
-  co_await WalkPath(path.substr(0, path.find_last_of('/')));
-  Rpc rpc;
+  co_await WalkPath(std::string_view(path).substr(0, path.find_last_of('/')));
+  Rpc rpc(kernel_);
   co_await Call(probes_.nfs_create, "nfs_create", config_.small_reply_bytes,
                 ServerCreate(path, &rpc), &rpc);
   if (rpc.result < 0) {
@@ -320,7 +319,7 @@ Task<int> NfsMount::CreateImpl(const std::string& path) {
 }
 
 Task<void> NfsMount::UnlinkImpl(const std::string& path) {
-  Rpc rpc;
+  Rpc rpc(kernel_);
   co_await Call(probes_.nfs_remove, "nfs_remove", config_.small_reply_bytes,
                 ServerUnlink(path, &rpc), &rpc);
   attr_cache_.erase(path);
@@ -332,7 +331,7 @@ Task<osfs::FileAttr> NfsMount::StatImpl(const std::string& path) {
   if (!AttrFresh(path)) {
     co_await WalkPath(path);
     if (!AttrFresh(path)) {
-      Rpc rpc;
+      Rpc rpc(kernel_);
       co_await Call(probes_.getattr, "getattr", config_.small_reply_bytes,
                     ServerGetattr(path, &rpc), &rpc);
       attr_cache_[path] = CachedAttr{rpc.attr, kernel_->now()};

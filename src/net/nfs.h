@@ -25,6 +25,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/fs/fd_table.h"
@@ -112,10 +113,14 @@ class NfsMount : public osfs::Vfs {
     std::uint64_t dir_cookie = 0;
     bool dir_eof = false;
   };
-  // One in-flight RPC: the client blocks until `complete`.
+  // One in-flight RPC: the client blocks until `complete`.  A local of
+  // the calling coroutine's frame, which never moves, so `done` is held
+  // by value.
   struct Rpc {
+    explicit Rpc(osim::Kernel* kernel) : done(kernel, osprof::kLayerNet) {}
+
     bool complete = false;
-    std::unique_ptr<osim::WaitQueue> done;
+    osim::WaitQueue done;
     // Reply payload (filled by the server handler before the reply lands).
     osfs::FileAttr attr;
     std::vector<std::string> names;
@@ -152,7 +157,8 @@ class NfsMount : public osfs::Vfs {
   Task<osfs::FileAttr> StatImpl(const std::string& path);
 
   // Path walk: one LOOKUP RPC per uncached component; fills attr_cache_.
-  Task<void> WalkPath(const std::string& path);
+  // `path` must outlive the walk, which spans awaits.
+  Task<void> WalkPath(std::string_view path);
 
   // Server-side handlers (each runs as a spawned kernel thread).
   Task<void> ServerGetattr(std::string path, Rpc* rpc);

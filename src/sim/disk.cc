@@ -1,11 +1,16 @@
 #include "src/sim/disk.h"
 
+#include <algorithm>
+#include <bit>
+#include <new>
 #include <stdexcept>
 
 namespace osim {
 
 SimDisk::SimDisk(Kernel* kernel, DiskConfig config)
-    : kernel_(kernel), config_(config) {
+    : kernel_(kernel),
+      config_(config),
+      cache_(config.num_blocks, config.cache_blocks) {
   if (config_.blocks_per_track == 0 || config_.num_blocks == 0) {
     throw std::invalid_argument("disk geometry must be non-zero");
   }
@@ -110,7 +115,7 @@ void SimDisk::StartNext() {
 Cycles SimDisk::ServiceTime(const Request& request, bool* cache_hit) {
   const Cycles transfer = config_.transfer_per_block * request.count;
   if (request.op == DiskOp::kRead &&
-      CacheContains(request.lba, request.count)) {
+      cache_.Contains(request.lba, request.count)) {
     *cache_hit = true;
     ++cache_hits_;
     return config_.controller_overhead + transfer;
@@ -145,51 +150,99 @@ Cycles SimDisk::ServiceTime(const Request& request, bool* cache_hit) {
     // Firmware readahead: the rest of the segment streams into the disk
     // cache, so sequential successors become cache hits (Figure 7's third
     // peak).
-    InsertCacheRun(request.lba, config_.readahead_blocks);
+    cache_.InsertRun(request.lba, config_.readahead_blocks);
   } else {
     // Writes invalidate overlapping cached data; keep it simple and treat
     // the written run as cached afterwards (write-through segment reuse).
-    InsertCacheRun(request.lba, request.count);
+    cache_.InsertRun(request.lba, request.count);
   }
 
   return config_.controller_overhead + seek + rotation + transfer;
 }
 
-void SimDisk::InsertCacheRun(std::uint64_t lba, std::uint64_t count) {
-  if (lba + count > config_.num_blocks) {
-    count = config_.num_blocks - lba;
+namespace {
+
+// The bits of blocks [lba, end) that fall in word `w`.
+std::uint64_t WordMask(std::uint64_t w, std::uint64_t lba, std::uint64_t end) {
+  const std::uint64_t first = std::max(lba, w * 64) - w * 64;
+  const std::uint64_t last = std::min(end, w * 64 + 64) - w * 64;
+  const std::uint64_t high =
+      last == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << last) - 1;
+  return high & ~((std::uint64_t{1} << first) - 1);
+}
+
+}  // namespace
+
+void DiskBlockCache::InsertRun(std::uint64_t lba, std::uint64_t count) {
+  if (lba + count > num_blocks_) {
+    count = num_blocks_ - lba;
   }
-  for (std::uint64_t b = lba; b < lba + count; ++b) {
-    if (cache_.insert(b).second) {
-      ++cached_blocks_;
+  if (count == 0) {
+    return;  // An empty run caches and evicts nothing.
+  }
+  if (bits_ == nullptr) {
+    const std::size_t words = (num_blocks_ + 63) / 64;
+    bits_.reset(
+        static_cast<std::uint64_t*>(std::calloc(words, sizeof(std::uint64_t))));
+    if (bits_ == nullptr) {
+      throw std::bad_alloc();
     }
   }
-  cache_runs_.emplace_back(lba, count);
-  while (cached_blocks_ > config_.cache_blocks && !cache_runs_.empty()) {
-    const auto [run_lba, run_count] = cache_runs_.front();
-    cache_runs_.pop_front();
-    for (std::uint64_t b = run_lba; b < run_lba + run_count; ++b) {
-      if (cache_.erase(b) != 0) {
-        --cached_blocks_;
-      }
-    }
+  const std::uint64_t end = lba + count;
+  for (std::uint64_t w = lba / 64; w * 64 < end; ++w) {
+    const std::uint64_t mask = WordMask(w, lba, end);
+    cached_blocks_ +=
+        static_cast<std::uint64_t>(std::popcount(mask & ~bits_[w]));
+    bits_[w] |= mask;
+  }
+  runs_.push_back({lba, count});
+  while (cached_blocks_ > capacity_blocks_ && !runs_.empty()) {
+    const auto [run_lba, run_count] = runs_.front();
+    runs_.pop_front();
+    cached_blocks_ -= ClearRun(run_lba, run_count);
   }
 }
 
-bool SimDisk::CacheContains(std::uint64_t lba, std::uint64_t count) const {
-  for (std::uint64_t b = lba; b < lba + count; ++b) {
-    if (cache_.find(b) == cache_.end()) {
+std::uint64_t DiskBlockCache::ClearRun(std::uint64_t lba, std::uint64_t count) {
+  std::uint64_t cleared = 0;
+  const std::uint64_t end = lba + count;
+  for (std::uint64_t w = lba / 64; w * 64 < end; ++w) {
+    const std::uint64_t mask = WordMask(w, lba, end);
+    cleared += static_cast<std::uint64_t>(std::popcount(mask & bits_[w]));
+    bits_[w] &= ~mask;
+  }
+  return cleared;
+}
+
+bool DiskBlockCache::Contains(std::uint64_t lba, std::uint64_t count) const {
+  if (count == 0) {
+    return true;
+  }
+  if (bits_ == nullptr) {
+    return false;
+  }
+  const std::uint64_t end = lba + count;
+  for (std::uint64_t w = lba / 64; w * 64 < end; ++w) {
+    const std::uint64_t mask = WordMask(w, lba, end);
+    if ((bits_[w] & mask) != mask) {
       return false;
     }
   }
   return true;
 }
 
-void SimDisk::DropCache() {
-  cache_.clear();
-  cache_runs_.clear();
+void DiskBlockCache::Clear() {
+  // Every set bit lies in a run still queued (an evicted run cleared its
+  // blocks), so clearing the queued runs clears the bitmap.
+  while (!runs_.empty()) {
+    const auto [run_lba, run_count] = runs_.front();
+    runs_.pop_front();
+    ClearRun(run_lba, run_count);
+  }
   cached_blocks_ = 0;
 }
+
+void SimDisk::DropCache() { cache_.Clear(); }
 
 Task<DiskRequestInfo> SimDisk::SyncRead(std::uint64_t lba, std::uint64_t count) {
   WaitQueue done(kernel_, osprof::kLayerDriver);

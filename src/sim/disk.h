@@ -12,6 +12,12 @@
 //  * FIFO request queue with one request in service at a time, so
 //    concurrent I/O exhibits queueing delays.
 //
+// The segment cache (DiskBlockCache) is one bit per block plus a FIFO of
+// the runs that set them.  Its bitmap is allocated, zeroed by calloc, on
+// the first cached block, so a disk that caches nothing costs no setup
+// time and no memory; after that, caching, evicting and dropping runs
+// allocate nothing.
+//
 // Requests complete via callback (the form used by the page cache and by
 // asynchronous writes, whose latency is only visible to a driver-level
 // profiler) or via the awaitable SyncRead/SyncWrite, which block the
@@ -25,11 +31,14 @@
 #define OSPROF_SRC_SIM_DISK_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
 #include <functional>
-#include <unordered_set>
+#include <memory>
+#include <utility>
 
 #include "src/sim/kernel.h"
+#include "src/sim/run_queue.h"
 #include "src/sim/sync.h"
 
 namespace osim {
@@ -78,6 +87,43 @@ struct DiskRequestInfo {
   Cycles total_latency() const { return completed_at - queued_at; }
 };
 
+// The on-disk segment cache: which blocks are cached, and the runs that
+// cached them, oldest first.  Runs are inserted whole, and eviction drops
+// the oldest run, clearing every block it covers even if a later run
+// covers it too.
+class DiskBlockCache {
+ public:
+  DiskBlockCache(std::uint64_t num_blocks, std::uint64_t capacity_blocks)
+      : num_blocks_(num_blocks), capacity_blocks_(capacity_blocks) {}
+
+  // Caches blocks [lba, lba + count), clamped at the device end, as one
+  // run; then evicts the oldest runs while more than the capacity is
+  // cached.
+  void InsertRun(std::uint64_t lba, std::uint64_t count);
+  // True if every block of [lba, lba + count) is cached.
+  bool Contains(std::uint64_t lba, std::uint64_t count) const;
+  // Uncaches everything.  The bitmap stays allocated.
+  void Clear();
+
+  std::uint64_t cached_blocks() const { return cached_blocks_; }
+
+ private:
+  // Clears the bits of blocks [lba, lba + count); returns how many were
+  // set.
+  std::uint64_t ClearRun(std::uint64_t lba, std::uint64_t count);
+
+  struct FreeDeleter {
+    void operator()(std::uint64_t* p) const { std::free(p); }
+  };
+
+  std::uint64_t num_blocks_;
+  std::uint64_t capacity_blocks_;
+  // Bit b % 64 of word b / 64 is block b; null until a block is cached.
+  std::unique_ptr<std::uint64_t[], FreeDeleter> bits_;
+  ChunkedQueue<std::pair<std::uint64_t, std::uint64_t>, 256> runs_;
+  std::uint64_t cached_blocks_ = 0;
+};
+
 class SimDisk {
  public:
   using Completion = std::function<void(const DiskRequestInfo&)>;
@@ -124,19 +170,13 @@ class SimDisk {
   // Removes and returns the next request per the scheduling policy.
   Request PopNext();
   Cycles ServiceTime(const Request& request, bool* cache_hit);
-  void InsertCacheRun(std::uint64_t lba, std::uint64_t count);
-  bool CacheContains(std::uint64_t lba, std::uint64_t count) const;
 
   Kernel* kernel_;
   DiskConfig config_;
   std::deque<Request> queue_;
   bool busy_ = false;
   std::uint64_t head_ = 0;
-  // Cached block numbers plus FIFO eviction order (runs are inserted
-  // whole; eviction drops the oldest run).
-  std::unordered_set<std::uint64_t> cache_;
-  std::deque<std::pair<std::uint64_t, std::uint64_t>> cache_runs_;
-  std::uint64_t cached_blocks_ = 0;
+  DiskBlockCache cache_;
   Observer observer_;
   std::uint64_t completed_ = 0;
   std::uint64_t cache_hits_ = 0;

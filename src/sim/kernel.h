@@ -103,6 +103,7 @@ class SimThread {
   friend class SimSemaphore;
   friend class SimSpinlock;
   friend class WaitQueue;
+  friend class WaiterList;
 
   int id_;
   std::string name_;
@@ -123,6 +124,11 @@ class SimThread {
 
   // Bookkeeping for spinlock waits.
   Cycles spin_started_ = 0;
+
+  // The next thread on the waiter list this thread is blocked or spinning
+  // on (see WaiterList in src/sim/sync.h).  A thread is on at most one
+  // list, so one link serves every primitive.
+  SimThread* wait_next_ = nullptr;
 
   // Locks this thread currently holds, for the lock-order tracker.
   // Embedded here so the tracker's hot paths need no thread-id lookup.

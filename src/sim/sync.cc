@@ -40,7 +40,7 @@ void SimSemaphore::ParkAwaitable::await_suspend(std::coroutine_handle<> h) {
   t->blocked_component_ = static_cast<int>(osprof::kLayerLockWait);
   s->kernel_->channel().Park(t->id(), osprof::kLayerLockWait,
                              s->kernel_->now(), t->node());
-  s->waiters_.push_back(t);
+  s->waiters_.PushBack(t);
   s->kernel_->ReleaseCpuOf(t);
 }
 
@@ -64,9 +64,7 @@ Task<void> SimSemaphore::Acquire() {
 void SimSemaphore::Release() {
   NoteReleased();
   ++count_;
-  if (!waiters_.empty()) {
-    SimThread* t = waiters_.front();
-    waiters_.pop_front();
+  if (SimThread* t = waiters_.PopFront()) {
     kernel_->Wake(t);
   }
 }
@@ -80,7 +78,7 @@ void SimSpinlock::LockAwaitable::await_suspend(std::coroutine_handle<> h) {
   t->resume_point_ = h;
   t->state_ = ThreadState::kSpinning;
   t->spin_started_ = l->kernel_->now();
-  l->waiters_.push_back(t);
+  l->waiters_.PushBack(t);
   ++l->contended_;
   // The thread keeps its CPU: it is burning cycles in the spin loop.
 }
@@ -90,9 +88,7 @@ void SimSpinlock::Unlock() {
     throw std::logic_error("SimSpinlock::Unlock of a free lock");
   }
   NoteReleased();
-  if (!waiters_.empty()) {
-    SimThread* t = waiters_.front();
-    waiters_.pop_front();
+  if (SimThread* t = waiters_.PopFront()) {
     ++acquisitions_;
     total_spin_ += kernel_->now() - t->spin_started_;
     // Ownership passes directly to the spinner: from the lock graph's
@@ -140,14 +136,12 @@ void WaitQueue::WaitAwaitable::await_suspend(std::coroutine_handle<> h) {
                                static_cast<osprof::LayerComponent>(q->tag_),
                                q->kernel_->now(), t->node());
   }
-  q->waiters_.push_back(t);
+  q->waiters_.PushBack(t);
   q->kernel_->ReleaseCpuOf(t);
 }
 
 void WaitQueue::WakeOne() {
-  if (!waiters_.empty()) {
-    SimThread* t = waiters_.front();
-    waiters_.pop_front();
+  if (SimThread* t = waiters_.PopFront()) {
     kernel_->Wake(t);
   }
 }

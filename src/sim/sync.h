@@ -13,6 +13,12 @@
 //  * WaitQueue -- bare parking lot for condition-style waits (page locks,
 //    I/O completion).
 //
+// Every waiter list is a WaiterList: a FIFO linked through the waiting
+// SimThread itself, the way a Linux task parks on a wait-queue entry it
+// carries.  Constructing a primitive, waiting on it and waking from it
+// allocate nothing, so a primitive is cheap enough to hold by value in a
+// page or an RPC.
+//
 // Like real kernel primitives these are *not* RAII by default -- simulated
 // code acquires and releases explicitly, which keeps the profiled critical
 // sections visible -- but a ScopedSemaphore helper exists for exception
@@ -23,12 +29,49 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "src/sim/kernel.h"
 
 namespace osim {
+
+// A FIFO of threads blocked or spinning on one primitive, linked through
+// SimThread::wait_next_.  A thread is on at most one list; PopFront
+// clears its link before the caller wakes it.
+class WaiterList {
+ public:
+  bool empty() const { return head_ == nullptr; }
+  int size() const { return size_; }
+
+  void PushBack(SimThread* t) {
+    if (tail_ == nullptr) {
+      head_ = t;
+    } else {
+      tail_->wait_next_ = t;
+    }
+    tail_ = t;
+    ++size_;
+  }
+
+  // Removes and returns the oldest waiter, or nullptr when empty.
+  SimThread* PopFront() {
+    SimThread* t = head_;
+    if (t != nullptr) {
+      head_ = t->wait_next_;
+      if (head_ == nullptr) {
+        tail_ = nullptr;
+      }
+      t->wait_next_ = nullptr;
+      --size_;
+    }
+    return t;
+  }
+
+ private:
+  SimThread* head_ = nullptr;
+  SimThread* tail_ = nullptr;
+  int size_ = 0;
+};
 
 // A counted sleeping semaphore.  Acquire is an awaitable coroutine;
 // Release is a plain call (never blocks).
@@ -60,7 +103,7 @@ class SimSemaphore {
   void Release();
 
   int count() const { return count_; }
-  int waiters() const { return static_cast<int>(waiters_.size()); }
+  int waiters() const { return waiters_.size(); }
   const std::string& name() const { return name_; }
 
   // Contention statistics.
@@ -86,7 +129,7 @@ class SimSemaphore {
   Kernel* kernel_;
   int count_;
   std::string name_;
-  std::deque<SimThread*> waiters_;
+  WaiterList waiters_;
   std::uint64_t acquisitions_ = 0;
   std::uint64_t contended_ = 0;
   Cycles total_wait_ = 0;
@@ -170,7 +213,7 @@ class SimSpinlock {
   Kernel* kernel_;
   std::string name_;
   bool held_ = false;
-  std::deque<SimThread*> waiters_;
+  WaiterList waiters_;
   std::uint64_t acquisitions_ = 0;
   std::uint64_t contended_ = 0;
   Cycles total_spin_ = 0;
@@ -197,7 +240,7 @@ class WaitQueue {
   void WakeOne();
   void WakeAll();
 
-  int waiters() const { return static_cast<int>(waiters_.size()); }
+  int waiters() const { return waiters_.size(); }
 
  private:
   struct WaitAwaitable {
@@ -209,7 +252,7 @@ class WaitQueue {
 
   Kernel* kernel_;
   int tag_ = -1;
-  std::deque<SimThread*> waiters_;
+  WaiterList waiters_;
 };
 
 }  // namespace osim

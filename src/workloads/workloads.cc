@@ -39,7 +39,7 @@ BuiltTree BuildSourceTree(osfs::Ext2SimFs* fs, const std::string& root,
   osim::Rng rng(spec.seed);
   // Create the root and any missing intermediate directories.
   std::string prefix;
-  for (const std::string& part : osfs::SplitPath(root)) {
+  for (std::string_view part : osfs::PathComponents(root)) {
     prefix += '/';
     prefix += part;
     if (!fs->Exists(prefix)) {

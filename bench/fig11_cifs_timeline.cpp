@@ -42,12 +42,13 @@ void TraceOneTransaction(osnet::ClientOs client_os, const char* title) {
   }
   osnet::CifsConfig ccfg;
   ccfg.client_os = client_os;
-  osnet::CifsMount mount(&kernel, &server_fs, ccfg);
+  osnet::PacketTrace trace;
+  osnet::CifsMount mount(&kernel, &server_fs, ccfg, &trace);
   kernel.Spawn("client", EnumerateOnce(&mount, "/export"));
   kernel.RunUntilThreadsFinish();
 
   osbench::Section(title);
-  std::printf("%s", mount.trace().Render(osprof::kPaperCpuHz).c_str());
+  std::printf("%s", trace.Render(osprof::kPaperCpuHz).c_str());
   std::printf("  total elapsed: %s\n",
               osprof::FormatSeconds(static_cast<double>(kernel.now()) /
                                     osprof::kPaperCpuHz)

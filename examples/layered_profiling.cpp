@@ -37,7 +37,7 @@ int main() {
   fs.SetProfiler(&fs_prof);
   // Layer 1: user-level profiler stacked on the VFS boundary.
   osprofilers::SimProfiler user_prof(&kernel);
-  osfs::ProfiledVfs user_layer(&fs, &user_prof, "user.");
+  osfs::ProfiledVfs user_layer(&fs, &user_prof);
 
   osworkloads::PostmarkConfig pcfg;
   pcfg.initial_files = 200;
@@ -54,7 +54,7 @@ int main() {
               static_cast<unsigned long long>(stats.appends));
 
   std::printf("=== user level (syscall boundary) ===\n");
-  std::printf("%s", osprof::RenderAscii(*user_prof.profiles().Find("user.write")).c_str());
+  std::printf("%s", osprof::RenderAscii(*user_prof.profiles().Find("write")).c_str());
   std::printf("\n=== file-system level (in-fs instrumentation) ===\n");
   std::printf("%s", osprof::RenderAscii(*fs_prof.profiles().Find("write")).c_str());
   std::printf("\n=== driver level (only here is async write I/O visible) ===\n");
@@ -65,7 +65,7 @@ int main() {
 
   // The point of layering, in numbers.
   const double user_write =
-      user_prof.profiles().Find("user.write")->histogram().MeanLatency();
+      user_prof.profiles().Find("write")->histogram().MeanLatency();
   const double fs_write =
       fs_prof.profiles().Find("write")->histogram().MeanLatency();
   std::printf("\nmean write latency: user layer %.0f cycles, fs layer %.0f "

@@ -106,27 +106,6 @@ ClusterFsNode::ClusterFsNode(ClusterVolume* volume, osnet::Dlm* dlm,
       });
 }
 
-void ClusterFsNode::SetProfiler(SimProfiler* profiler) {
-  profiler_ = profiler;
-  if (profiler_ == nullptr) {
-    return;
-  }
-  const struct {
-    osprof::ProbeHandle* probe;
-    const char* name;
-  } kProbes[] = {
-      {&probes_.open, "open"},         {&probes_.close, "close"},
-      {&probes_.read, "read"},         {&probes_.readpage, "readpage"},
-      {&probes_.write, "write"},       {&probes_.llseek, "llseek"},
-      {&probes_.readdir, "readdir"},   {&probes_.fsync, "fsync"},
-      {&probes_.create, "create"},     {&probes_.unlink, "unlink"},
-      {&probes_.stat, "stat"},
-  };
-  for (const auto& entry : kProbes) {
-    *entry.probe = profiler_->Resolve(entry.name);
-  }
-}
-
 ClusterFsNode::LocalInode& ClusterFsNode::local(int inode) {
   while (static_cast<int>(locals_.size()) <= inode) {
     LocalInode li;
@@ -302,7 +281,8 @@ Task<std::uint64_t> ClusterFsNode::LlseekImpl(int fd, std::uint64_t pos) {
   co_return pos;
 }
 
-Task<DirentBatch> ClusterFsNode::ReaddirImpl(int fd) {
+Task<DirentBatch> ClusterFsNode::ReaddirImpl(int fd,
+                                             std::uint64_t* /*value*/) {
   OpenFile& f = fds_.at(fd);
   co_await CpuNoisy(config_.costs.readdir_base);
   const std::string res = InodeResource(f.inode);

@@ -47,9 +47,6 @@
 
 namespace osfs {
 
-using osprofilers::SimProfiler;
-using osprofilers::WrapIfAttached;
-
 struct ClusterCosts {
   osim::Cycles open_base = 520;
   osim::Cycles lookup_per_component = 350;
@@ -137,42 +134,6 @@ class ClusterFsNode : public Vfs {
   ClusterFsNode(ClusterVolume* volume, osnet::Dlm* dlm, int node,
                 ClusterFsConfig config = {});
 
-  // Each operation runs its body (the ...Impl below) under WrapIfAttached.
-  Task<int> Open(const std::string& path, bool direct_io) override {
-    return WrapIfAttached(profiler_, probes_.open, OpenImpl(path, direct_io));
-  }
-  Task<void> Close(int fd) override {
-    return WrapIfAttached(profiler_, probes_.close, CloseImpl(fd));
-  }
-  Task<std::int64_t> Read(int fd, std::uint64_t bytes) override {
-    return WrapIfAttached(profiler_, probes_.read, ReadImpl(fd, bytes));
-  }
-  Task<std::int64_t> Write(int fd, std::uint64_t bytes) override {
-    return WrapIfAttached(profiler_, probes_.write, WriteImpl(fd, bytes));
-  }
-  Task<std::uint64_t> Llseek(int fd, std::uint64_t pos) override {
-    return WrapIfAttached(profiler_, probes_.llseek, LlseekImpl(fd, pos));
-  }
-  Task<DirentBatch> Readdir(int fd) override {
-    return WrapIfAttached(profiler_, probes_.readdir, ReaddirImpl(fd));
-  }
-  Task<void> Fsync(int fd) override {
-    return WrapIfAttached(profiler_, probes_.fsync, FsyncImpl(fd));
-  }
-  Task<int> Create(const std::string& path) override {
-    return WrapIfAttached(profiler_, probes_.create, CreateImpl(path));
-  }
-  Task<void> Unlink(const std::string& path) override {
-    return WrapIfAttached(profiler_, probes_.unlink, UnlinkImpl(path));
-  }
-  Task<FileAttr> Stat(const std::string& path) override {
-    return WrapIfAttached(profiler_, probes_.stat, StatImpl(path));
-  }
-
-  // FoSgen-style instrumentation, like Ext2SimFs: probe names resolve
-  // once, at attach time.
-  void SetProfiler(SimProfiler* profiler);
-
   PageCache& page_cache() { return cache_; }
   int node() const { return node_; }
   std::uint64_t invalidations() const { return invalidations_; }
@@ -192,24 +153,23 @@ class ClusterFsNode : public Vfs {
     std::uint64_t cached_generation = 0;
   };
 
-  struct OpProbes {
-    osprof::ProbeHandle open, close, read, readpage, write, llseek,
-        readdir, fsync, create, unlink, stat;
-  };
+  Task<int> OpenImpl(const std::string& path, bool direct_io) override;
+  Task<void> CloseImpl(int fd) override;
+  Task<std::int64_t> ReadImpl(int fd, std::uint64_t bytes) override;
+  Task<std::int64_t> WriteImpl(int fd, std::uint64_t bytes) override;
+  Task<std::uint64_t> LlseekImpl(int fd, std::uint64_t pos) override;
+  Task<DirentBatch> ReaddirImpl(int fd, std::uint64_t* value) override;
+  Task<void> FsyncImpl(int fd) override;
+  Task<int> CreateImpl(const std::string& path) override;
+  Task<void> UnlinkImpl(const std::string& path) override;
+  Task<FileAttr> StatImpl(const std::string& path) override;
+  void ResolveProbes(SimProfiler& profiler) override {
+    readpage_ = profiler.Resolve("readpage");
+  }
 
-  Task<int> OpenImpl(const std::string& path, bool direct_io);
-  Task<void> CloseImpl(int fd);
-  Task<std::int64_t> ReadImpl(int fd, std::uint64_t bytes);
-  Task<std::int64_t> WriteImpl(int fd, std::uint64_t bytes);
-  Task<std::uint64_t> LlseekImpl(int fd, std::uint64_t pos);
-  Task<DirentBatch> ReaddirImpl(int fd);
-  Task<void> FsyncImpl(int fd);
-  Task<int> CreateImpl(const std::string& path);
-  Task<void> UnlinkImpl(const std::string& path);
-  Task<FileAttr> StatImpl(const std::string& path);
   Task<void> ReadPage(int inode, std::uint64_t page,
                       std::uint64_t first_block) {
-    return WrapIfAttached(profiler_, probes_.readpage,
+    return WrapIfAttached(profiler_, readpage_,
                           ReadPageImpl(inode, page, first_block));
   }
   Task<void> ReadPageImpl(int inode, std::uint64_t page,
@@ -248,8 +208,7 @@ class ClusterFsNode : public Vfs {
   int node_;
   ClusterFsConfig config_;
   PageCache cache_;
-  SimProfiler* profiler_ = nullptr;
-  OpProbes probes_;
+  osprof::ProbeHandle readpage_;
   FdTable<OpenFile> fds_;
   // Deque for reference stability across awaits.
   std::deque<LocalInode> locals_;

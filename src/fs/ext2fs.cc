@@ -17,26 +17,9 @@ Ext2SimFs::Ext2SimFs(osim::Kernel* kernel, osim::SimDisk* disk,
   NewInode(/*is_dir=*/true);  // Root directory, inode 0.
 }
 
-void Ext2SimFs::SetProfiler(SimProfiler* profiler) {
-  profiler_ = profiler;
-  if (profiler_ == nullptr) {
-    return;
-  }
-  const struct {
-    osprof::ProbeHandle* probe;
-    const char* name;
-  } kProbes[] = {
-      {&probes_.open, "open"},       {&probes_.close, "close"},
-      {&probes_.read, "read"},       {&probes_.readpage, "readpage"},
-      {&probes_.write, "write"},     {&probes_.fsync, "fsync"},
-      {&probes_.llseek, "llseek"},   {&probes_.readdir, "readdir"},
-      {&probes_.mmap, "mmap"},       {&probes_.nopage, "nopage"},
-      {&probes_.create, "create"},   {&probes_.unlink, "unlink"},
-      {&probes_.stat, "stat"},       {&probes_.write_super, "write_super"},
-  };
-  for (const auto& entry : kProbes) {
-    *entry.probe = profiler_->Resolve(entry.name);
-  }
+void Ext2SimFs::ResolveProbes(SimProfiler& profiler) {
+  probes_ = {profiler.Resolve("readpage"), profiler.Resolve("mmap"),
+             profiler.Resolve("nopage"), profiler.Resolve("write_super")};
 }
 
 int Ext2SimFs::NewInode(bool is_dir) {
@@ -323,17 +306,6 @@ Task<std::uint64_t> Ext2SimFs::LlseekImpl(int fd, std::uint64_t pos) {
 }
 
 // --- Readdir (§6.2) ---------------------------------------------------------
-
-Task<DirentBatch> Ext2SimFs::Readdir(int fd) {
-  // Record with the readdir_past_EOF * 1024 value of Figure 8, so an
-  // attached ValueCorrelator can bind peaks to the EOF fast path.
-  std::uint64_t past_eof_value = 0;
-  if (profiler_ == nullptr) {
-    co_return co_await ReaddirImpl(fd, &past_eof_value);
-  }
-  co_return co_await profiler_->WrapWithValue(
-      probes_.readdir, ReaddirImpl(fd, &past_eof_value), &past_eof_value);
-}
 
 Task<DirentBatch> Ext2SimFs::ReaddirImpl(int fd,
                                          std::uint64_t* past_eof_out) {

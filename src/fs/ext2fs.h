@@ -19,6 +19,10 @@
 // simulated cost), using a mostly-contiguous block allocator with a
 // fragmentation knob, so grep-style scans produce the sequential/seek I/O
 // mix of a real kernel source tree.
+//
+// Vfs times and names the ten operations; this file system implements
+// their bodies and times only its internal operations (readpage, mmap,
+// nopage, and JournalFs's write_super).
 
 #ifndef OSPROF_SRC_FS_EXT2FS_H_
 #define OSPROF_SRC_FS_EXT2FS_H_
@@ -44,9 +48,6 @@
 #include "src/sim/sync.h"
 
 namespace osfs {
-
-using osprofilers::SimProfiler;
-using osprofilers::WrapIfAttached;
 
 // Per-operation CPU costs in cycles, tuned so that the resulting profile
 // peaks land in the paper's buckets at 1.7 GHz.
@@ -103,37 +104,6 @@ class Ext2SimFs : public Vfs {
   int AddDir(const std::string& path);
   int AddFile(const std::string& path, std::uint64_t size_bytes);
 
-  // --- VFS operations ----------------------------------------------------
-  // Each operation runs its body (the ...Impl below) under WrapIfAttached.
-  Task<int> Open(const std::string& path, bool direct_io) override {
-    return WrapIfAttached(profiler_, probes_.open, OpenImpl(path, direct_io));
-  }
-  Task<void> Close(int fd) override {
-    return WrapIfAttached(profiler_, probes_.close, CloseImpl(fd));
-  }
-  Task<std::int64_t> Read(int fd, std::uint64_t bytes) override {
-    return WrapIfAttached(profiler_, probes_.read, ReadImpl(fd, bytes));
-  }
-  Task<std::int64_t> Write(int fd, std::uint64_t bytes) override {
-    return WrapIfAttached(profiler_, probes_.write, WriteImpl(fd, bytes));
-  }
-  Task<std::uint64_t> Llseek(int fd, std::uint64_t pos) override {
-    return WrapIfAttached(profiler_, probes_.llseek, LlseekImpl(fd, pos));
-  }
-  Task<DirentBatch> Readdir(int fd) override;
-  Task<void> Fsync(int fd) override {
-    return WrapIfAttached(profiler_, probes_.fsync, FsyncImpl(fd));
-  }
-  Task<int> Create(const std::string& path) override {
-    return WrapIfAttached(profiler_, probes_.create, CreateImpl(path));
-  }
-  Task<void> Unlink(const std::string& path) override {
-    return WrapIfAttached(profiler_, probes_.unlink, UnlinkImpl(path));
-  }
-  Task<FileAttr> Stat(const std::string& path) override {
-    return WrapIfAttached(profiler_, probes_.stat, StatImpl(path));
-  }
-
   // --- Memory mapping (local file systems only) --------------------------
   // Maps the open file; returns a mapping id.  Profiled as "mmap".
   Task<int> Mmap(int fd) {
@@ -148,13 +118,6 @@ class Ext2SimFs : public Vfs {
 
   std::uint64_t minor_faults() const { return minor_faults_; }
   std::uint64_t major_faults() const { return major_faults_; }
-
-  // Attaches FoSgen-style in-fs instrumentation: every operation
-  // (including the internal readpage) records into `profiler`, and the
-  // profiler's call edges capture readdir/read -> readpage nesting (§3.1's
-  // function granularity).  All probe names are resolved here, once, so
-  // the per-operation path dispatches on pre-resolved handles.
-  void SetProfiler(SimProfiler* profiler);
 
   PageCache& page_cache() { return cache_; }
   const Ext2Config& config() const { return config_; }
@@ -184,8 +147,24 @@ class Ext2SimFs : public Vfs {
     bool direct_io = false;
   };
 
-  // Hook for subclasses (JournalFs wraps reads in the super lock).
-  virtual Task<std::int64_t> ReadImpl(int fd, std::uint64_t bytes);
+  // The Vfs operation bodies.  Subclasses override ReadImpl (JournalFs
+  // wraps reads in the super lock) and LlseekImpl.
+  Task<int> OpenImpl(const std::string& path, bool direct_io) override;
+  Task<void> CloseImpl(int fd) override;
+  Task<std::int64_t> ReadImpl(int fd, std::uint64_t bytes) override;
+  Task<std::int64_t> WriteImpl(int fd, std::uint64_t bytes) override;
+  Task<std::uint64_t> LlseekImpl(int fd, std::uint64_t pos) override;
+  // Reports Figure 8's readdir_past_EOF * 1024 through `past_eof_out`.
+  Task<DirentBatch> ReaddirImpl(int fd, std::uint64_t* past_eof_out) override;
+  Task<void> FsyncImpl(int fd) override;
+  Task<int> CreateImpl(const std::string& path) override;
+  Task<void> UnlinkImpl(const std::string& path) override;
+  Task<FileAttr> StatImpl(const std::string& path) override;
+
+  // The internal operations' probes: readpage, mmap, nopage and
+  // JournalFs's write_super.  The profiler's call edges then capture
+  // readdir/read -> readpage nesting (§3.1's function granularity).
+  void ResolveProbes(SimProfiler& profiler) override;
 
   Task<std::int64_t> BufferedRead(OpenFile& file, Inode& inode,
                                   std::uint64_t bytes);
@@ -198,23 +177,12 @@ class Ext2SimFs : public Vfs {
   }
   Task<void> ReadPageImpl(int inode_id, std::uint64_t page_index);
 
-  Task<std::int64_t> WriteImpl(int fd, std::uint64_t bytes);
-  Task<std::uint64_t> LlseekImpl(int fd, std::uint64_t pos);
-  Task<DirentBatch> ReaddirImpl(int fd, std::uint64_t* past_eof_out);
-  Task<void> FsyncImpl(int fd);
-  Task<int> OpenImpl(const std::string& path, bool direct_io);
-  Task<void> CloseImpl(int fd);
   Task<int> MmapImpl(int fd);
   Task<void> NopageImpl(int mapping, std::uint64_t page);
-  Task<int> CreateImpl(const std::string& path);
-  Task<void> UnlinkImpl(const std::string& path);
-  Task<FileAttr> StatImpl(const std::string& path);
 
-  // Every probe this file system (or a subclass) can fire, resolved by
-  // SetProfiler() when instrumentation attaches.
+  // The internal operations' probes, resolved by ResolveProbes().
   struct OpProbes {
-    osprof::ProbeHandle open, close, read, readpage, write, fsync, llseek,
-        readdir, mmap, nopage, create, unlink, stat, write_super;
+    osprof::ProbeHandle readpage, mmap, nopage, write_super;
   };
 
   // CPU burst with multiplicative log-normal noise.
@@ -248,7 +216,6 @@ class Ext2SimFs : public Vfs {
   std::deque<MmapRegion> mappings_;
   std::uint64_t minor_faults_ = 0;
   std::uint64_t major_faults_ = 0;
-  SimProfiler* profiler_ = nullptr;
   OpProbes probes_;
   // The inode table's protocol spans awaits (path resolution re-reads it
   // after I/O waits; create/unlink grow it), so it is a race-checked cell.

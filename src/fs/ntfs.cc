@@ -8,11 +8,7 @@ NtfsSimFs::NtfsSimFs(osim::Kernel* kernel, osim::SimDisk* disk,
                      Ext2Config config, NtfsCosts ntfs_costs)
     : Ext2SimFs(kernel, disk, config), ntfs_costs_(ntfs_costs) {}
 
-Task<std::uint64_t> NtfsSimFs::Llseek(int fd, std::uint64_t pos) {
-  return WrapIfAttached(profiler_, probes_.llseek, LlseekNtfsImpl(fd, pos));
-}
-
-Task<std::uint64_t> NtfsSimFs::LlseekNtfsImpl(int fd, std::uint64_t pos) {
+Task<std::uint64_t> NtfsSimFs::LlseekImpl(int fd, std::uint64_t pos) {
   // SetFilePointer: the position lives in the handle; no shared state, no
   // lock (§6.1's NTFS result).
   co_await CpuNoisy(ntfs_costs_.set_file_pointer);

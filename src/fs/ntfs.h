@@ -42,12 +42,10 @@ class NtfsSimFs : public Ext2SimFs {
   std::uint64_t fast_io_reads() const { return fast_io_; }
   std::uint64_t irp_reads() const { return irps_; }
 
-  // SetFilePointer semantics: never takes a shared lock.
-  Task<std::uint64_t> Llseek(int fd, std::uint64_t pos) override;
-
  protected:
   Task<std::int64_t> ReadImpl(int fd, std::uint64_t bytes) override;
-  Task<std::uint64_t> LlseekNtfsImpl(int fd, std::uint64_t pos);
+  // SetFilePointer semantics: never takes a shared lock.
+  Task<std::uint64_t> LlseekImpl(int fd, std::uint64_t pos) override;
 
  private:
   NtfsCosts ntfs_costs_;

@@ -2,7 +2,8 @@
 // nullfs-style layered profiling).
 //
 // Wraps any Vfs and records the latency of every operation that crosses
-// the boundary into its own SimProfiler.  Stacking one of these above an
+// the boundary into its own SimProfiler, under the same ten names Vfs
+// times every file system with.  Stacking one of these above an
 // in-fs-instrumented Ext2SimFs gives the two-layer view the paper uses to
 // separate VFS/syscall overhead from lower-file-system behaviour:
 // comparing the layers' profiles isolates where time is spent.
@@ -13,75 +14,46 @@
 #include <string>
 
 #include "src/fs/vfs.h"
-#include "src/profilers/sim_profiler.h"
 
 namespace osfs {
 
 class ProfiledVfs : public Vfs {
  public:
-  // `prefix` distinguishes layers in reports (e.g. "user." or "fs.").
-  // The ten per-op probe names ("<prefix>open", ...) are resolved here,
-  // once; the per-call path hands SimProfiler a ProbeHandle instead of
-  // heap-allocating `prefix_ + "open"` on every operation.
-  ProfiledVfs(Vfs* inner, osprofilers::SimProfiler* profiler,
-              std::string prefix = "")
-      : inner_(inner), profiler_(profiler), prefix_(std::move(prefix)) {
-    open_ = profiler_->Resolve(prefix_ + "open");
-    close_ = profiler_->Resolve(prefix_ + "close");
-    read_ = profiler_->Resolve(prefix_ + "read");
-    write_ = profiler_->Resolve(prefix_ + "write");
-    llseek_ = profiler_->Resolve(prefix_ + "llseek");
-    readdir_ = profiler_->Resolve(prefix_ + "readdir");
-    fsync_ = profiler_->Resolve(prefix_ + "fsync");
-    create_ = profiler_->Resolve(prefix_ + "create");
-    unlink_ = profiler_->Resolve(prefix_ + "unlink");
-    stat_ = profiler_->Resolve(prefix_ + "stat");
+  ProfiledVfs(Vfs* inner, SimProfiler* profiler) : inner_(inner) {
+    SetProfiler(profiler);
   }
 
-  // Each override is a thin coroutine adapting the virtual Task<T>
-  // interface to Wrap's frame-free awaitable; the adapter frame replaces
-  // the coroutine frame Wrap itself used to allocate, so the per-op frame
-  // count is unchanged.
-  Task<int> Open(const std::string& path, bool direct_io) override {
-    co_return co_await profiler_->Wrap(open_, inner_->Open(path, direct_io));
+ protected:
+  // Each body is the inner layer's operation; Vfs times it.
+  Task<int> OpenImpl(const std::string& path, bool direct_io) override {
+    return inner_->Open(path, direct_io);
   }
-  Task<void> Close(int fd) override {
-    co_await profiler_->Wrap(close_, inner_->Close(fd));
+  Task<void> CloseImpl(int fd) override { return inner_->Close(fd); }
+  Task<std::int64_t> ReadImpl(int fd, std::uint64_t bytes) override {
+    return inner_->Read(fd, bytes);
   }
-  Task<std::int64_t> Read(int fd, std::uint64_t bytes) override {
-    co_return co_await profiler_->Wrap(read_, inner_->Read(fd, bytes));
+  Task<std::int64_t> WriteImpl(int fd, std::uint64_t bytes) override {
+    return inner_->Write(fd, bytes);
   }
-  Task<std::int64_t> Write(int fd, std::uint64_t bytes) override {
-    co_return co_await profiler_->Wrap(write_, inner_->Write(fd, bytes));
+  Task<std::uint64_t> LlseekImpl(int fd, std::uint64_t pos) override {
+    return inner_->Llseek(fd, pos);
   }
-  Task<std::uint64_t> Llseek(int fd, std::uint64_t pos) override {
-    co_return co_await profiler_->Wrap(llseek_, inner_->Llseek(fd, pos));
+  Task<DirentBatch> ReaddirImpl(int fd, std::uint64_t* /*value*/) override {
+    return inner_->Readdir(fd);
   }
-  Task<DirentBatch> Readdir(int fd) override {
-    co_return co_await profiler_->Wrap(readdir_, inner_->Readdir(fd));
+  Task<void> FsyncImpl(int fd) override { return inner_->Fsync(fd); }
+  Task<int> CreateImpl(const std::string& path) override {
+    return inner_->Create(path);
   }
-  Task<void> Fsync(int fd) override {
-    co_await profiler_->Wrap(fsync_, inner_->Fsync(fd));
+  Task<void> UnlinkImpl(const std::string& path) override {
+    return inner_->Unlink(path);
   }
-  Task<int> Create(const std::string& path) override {
-    co_return co_await profiler_->Wrap(create_, inner_->Create(path));
+  Task<FileAttr> StatImpl(const std::string& path) override {
+    return inner_->Stat(path);
   }
-  Task<void> Unlink(const std::string& path) override {
-    co_await profiler_->Wrap(unlink_, inner_->Unlink(path));
-  }
-  Task<FileAttr> Stat(const std::string& path) override {
-    co_return co_await profiler_->Wrap(stat_, inner_->Stat(path));
-  }
-
-  Vfs* inner() const { return inner_; }
 
  private:
   Vfs* inner_;
-  osprofilers::SimProfiler* profiler_;
-  std::string prefix_;
-  // Pre-resolved probe handles, one per Vfs operation.
-  osprof::ProbeHandle open_, close_, read_, write_, llseek_, readdir_,
-      fsync_, create_, unlink_, stat_;
 };
 
 }  // namespace osfs

@@ -7,12 +7,12 @@
 namespace osnet {
 
 CifsMount::CifsMount(osim::Kernel* kernel, osfs::Vfs* server_fs,
-                     CifsConfig config)
+                     CifsConfig config, PacketTrace* trace)
     : kernel_(kernel),
       server_fs_(server_fs),
       config_(config),
-      c2s_(kernel, config.net, "client", &trace_),
-      s2c_(kernel, config.net, "server", &trace_),
+      c2s_(kernel, config.net, "client", trace),
+      s2c_(kernel, config.net, "server", trace),
       server_ledger_(kernel),
       attr_cache_(*kernel, "cifs.attr_cache"),
       page_cache_(*kernel, "cifs.page_cache"),
@@ -21,25 +21,6 @@ CifsMount::CifsMount(osim::Kernel* kernel, osfs::Vfs* server_fs,
   client_ack_ = std::make_unique<DelayedAckPolicy>(kernel, config.net, &c2s_,
                                                    &server_ledger_);
   client_ack_->set_delayed_ack_enabled(config.client_delayed_ack);
-}
-
-void CifsMount::SetProfiler(SimProfiler* profiler) {
-  profiler_ = profiler;
-  if (profiler_ == nullptr) {
-    return;
-  }
-  probes_.findfirst = profiler_->Resolve("findfirst");
-  probes_.findnext = profiler_->Resolve("findnext");
-  probes_.open = profiler_->Resolve("open");
-  probes_.close = profiler_->Resolve("close");
-  probes_.read = profiler_->Resolve("read");
-  probes_.write = profiler_->Resolve("write");
-  probes_.llseek = profiler_->Resolve("llseek");
-  probes_.readdir = profiler_->Resolve("readdir");
-  probes_.fsync = profiler_->Resolve("fsync");
-  probes_.create = profiler_->Resolve("create");
-  probes_.unlink = profiler_->Resolve("unlink");
-  probes_.stat = profiler_->Resolve("stat");
 }
 
 void CifsMount::SendRequest(std::string_view label,
@@ -293,7 +274,8 @@ Task<void> CifsMount::FetchAttr(const std::string& path) {
 
 // --- Vfs operations -----------------------------------------------------------
 
-Task<int> CifsMount::OpenImpl(const std::string& path) {
+Task<int> CifsMount::OpenImpl(const std::string& path,
+                              bool /*direct_io*/) {
   co_await kernel_->Cpu(config_.client_op_cpu);
   co_await FetchAttr(path);
   const RemoteAttr attr = OSIM_SHARED_RO(attr_cache_).at(path);
@@ -360,7 +342,8 @@ Task<std::uint64_t> CifsMount::LlseekImpl(int fd, std::uint64_t pos) {
   co_return f.pos;
 }
 
-Task<osfs::DirentBatch> CifsMount::ReaddirImpl(int fd) {
+Task<osfs::DirentBatch> CifsMount::ReaddirImpl(int fd,
+                                               std::uint64_t* /*value*/) {
   ClientFile& f = fds_.at(fd);
   osfs::DirentBatch batch;
   if (f.dir == nullptr) {

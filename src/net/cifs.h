@@ -26,6 +26,10 @@
 // Reads/stats of data the client has not cached cost a server round trip
 // (>= 168us -> bucket 18+); cached operations stay local (buckets < 18),
 // reproducing Figure 10's local/remote boundary.
+//
+// Vfs times and names the ten operations; the mount times only its Find
+// transactions ("findfirst", "findnext").  Packets are recorded only into
+// a PacketTrace the caller passes in (Figure 11's timelines).
 
 #ifndef OSPROF_SRC_NET_CIFS_H_
 #define OSPROF_SRC_NET_CIFS_H_
@@ -67,50 +71,12 @@ struct CifsConfig {
 class CifsMount : public osfs::Vfs {
  public:
   // `server_fs` is the file system exported by the server (typically an
-  // Ext2SimFs with its own disk, in the same simulated world).
-  CifsMount(osim::Kernel* kernel, osfs::Vfs* server_fs, CifsConfig config);
+  // Ext2SimFs with its own disk, in the same simulated world).  Every
+  // packet of the connection is recorded into `trace` when one is given;
+  // without one no packet record is built.
+  CifsMount(osim::Kernel* kernel, osfs::Vfs* server_fs, CifsConfig config,
+            PacketTrace* trace = nullptr);
 
-  // --- Vfs ----------------------------------------------------------------
-  // Each operation runs its body (the ...Impl below) under WrapIfAttached.
-  // CIFS reads always go through the client cache here, so direct_io is
-  // ignored.
-  Task<int> Open(const std::string& path, bool /*direct_io*/) override {
-    return WrapIfAttached(profiler_, probes_.open, OpenImpl(path));
-  }
-  Task<void> Close(int fd) override {
-    return WrapIfAttached(profiler_, probes_.close, CloseImpl(fd));
-  }
-  Task<std::int64_t> Read(int fd, std::uint64_t bytes) override {
-    return WrapIfAttached(profiler_, probes_.read, ReadImpl(fd, bytes));
-  }
-  Task<std::int64_t> Write(int fd, std::uint64_t bytes) override {
-    return WrapIfAttached(profiler_, probes_.write, WriteImpl(fd, bytes));
-  }
-  Task<std::uint64_t> Llseek(int fd, std::uint64_t pos) override {
-    return WrapIfAttached(profiler_, probes_.llseek, LlseekImpl(fd, pos));
-  }
-  Task<osfs::DirentBatch> Readdir(int fd) override {
-    return WrapIfAttached(profiler_, probes_.readdir, ReaddirImpl(fd));
-  }
-  Task<void> Fsync(int fd) override {
-    return WrapIfAttached(profiler_, probes_.fsync, FsyncImpl(fd));
-  }
-  Task<int> Create(const std::string& path) override {
-    return WrapIfAttached(profiler_, probes_.create, CreateImpl(path));
-  }
-  Task<void> Unlink(const std::string& path) override {
-    return WrapIfAttached(profiler_, probes_.unlink, UnlinkImpl(path));
-  }
-  Task<osfs::FileAttr> Stat(const std::string& path) override {
-    return WrapIfAttached(profiler_, probes_.stat, StatImpl(path));
-  }
-
-  // Records FindFirst / FindNext / remote-read latencies (the client-side
-  // profile of Figure 10) under ops "findfirst", "findnext", "read",
-  // "stat", ...  Probe handles for all ops are resolved here, once.
-  void SetProfiler(SimProfiler* profiler);
-
-  PacketTrace& trace() { return trace_; }
   DelayedAckPolicy& client_ack_policy() { return *client_ack_; }
 
   std::uint64_t server_requests() const {
@@ -158,16 +124,24 @@ class CifsMount : public osfs::Vfs {
   };
 
   // --- Vfs operation bodies ------------------------------------------------
-  Task<int> OpenImpl(const std::string& path);
-  Task<void> CloseImpl(int fd);
-  Task<std::int64_t> ReadImpl(int fd, std::uint64_t bytes);
-  Task<std::int64_t> WriteImpl(int fd, std::uint64_t bytes);
-  Task<std::uint64_t> LlseekImpl(int fd, std::uint64_t pos);
-  Task<osfs::DirentBatch> ReaddirImpl(int fd);
-  Task<void> FsyncImpl(int fd);
-  Task<int> CreateImpl(const std::string& path);
-  Task<void> UnlinkImpl(const std::string& path);
-  Task<osfs::FileAttr> StatImpl(const std::string& path);
+  // CIFS reads always go through the client cache here, so direct_io is
+  // ignored.
+  Task<int> OpenImpl(const std::string& path, bool direct_io) override;
+  Task<void> CloseImpl(int fd) override;
+  Task<std::int64_t> ReadImpl(int fd, std::uint64_t bytes) override;
+  Task<std::int64_t> WriteImpl(int fd, std::uint64_t bytes) override;
+  Task<std::uint64_t> LlseekImpl(int fd, std::uint64_t pos) override;
+  Task<osfs::DirentBatch> ReaddirImpl(int fd, std::uint64_t* value) override;
+  Task<void> FsyncImpl(int fd) override;
+  Task<int> CreateImpl(const std::string& path) override;
+  Task<void> UnlinkImpl(const std::string& path) override;
+  Task<osfs::FileAttr> StatImpl(const std::string& path) override;
+  // The client-side profile of Figure 10 adds the Find transactions,
+  // "findfirst" and "findnext", to the Vfs operations.
+  void ResolveProbes(SimProfiler& profiler) override {
+    findfirst_ = profiler.Resolve("findfirst");
+    findnext_ = profiler.Resolve("findnext");
+  }
 
   // --- Client-side helpers -------------------------------------------------
   Task<void> FetchAttr(const std::string& path);  // Network stat if uncached.
@@ -175,8 +149,7 @@ class CifsMount : public osfs::Vfs {
   // Runs one Find transaction (FindFirst when cookie == 0).  Latency of
   // the whole transaction is the profiled FindFirst/FindNext time.
   Task<void> FindTransactionOp(const std::string& path, DirState* dir) {
-    return WrapIfAttached(profiler_,
-                          dir->started ? probes_.findnext : probes_.findfirst,
+    return WrapIfAttached(profiler_, dir->started ? findnext_ : findfirst_,
                           FindTransactionImpl(path, dir));
   }
   Task<void> FindTransactionImpl(const std::string& path, DirState* dir);
@@ -221,18 +194,11 @@ class CifsMount : public osfs::Vfs {
   osim::Kernel* kernel_;
   osfs::Vfs* server_fs_;
   CifsConfig config_;
-  PacketTrace trace_;
   NetPipe c2s_;
   NetPipe s2c_;
   AckLedger server_ledger_;
   std::unique_ptr<DelayedAckPolicy> client_ack_;
-  SimProfiler* profiler_ = nullptr;
-  // Probe handles into profiler_'s table, resolved by SetProfiler().
-  struct Probes {
-    osprof::ProbeHandle findfirst, findnext, open, close, read, write,
-        llseek, readdir, fsync, create, unlink, stat;
-  };
-  Probes probes_;
+  osprof::ProbeHandle findfirst_, findnext_;
 
   osfs::FdTable<ClientFile> fds_;
   // Client- and server-side caches whose fill protocols span network

@@ -12,32 +12,14 @@ NfsMount::NfsMount(osim::Kernel* kernel, osfs::Vfs* server_fs,
     : kernel_(kernel),
       server_fs_(server_fs),
       config_(config),
-      c2s_(kernel, config.net, "client", &trace_),
-      s2c_(kernel, config.net, "server", &trace_) {}
+      c2s_(kernel, config.net, "client", nullptr),
+      s2c_(kernel, config.net, "server", nullptr) {}
 
-void NfsMount::SetProfiler(osprofilers::SimProfiler* profiler) {
-  profiler_ = profiler;
-  if (profiler_ == nullptr) {
-    return;
-  }
-  probes_.lookup = profiler_->Resolve("lookup");
-  probes_.getattr = profiler_->Resolve("getattr");
-  probes_.nfs_read = profiler_->Resolve("nfs_read");
-  probes_.nfs_write = profiler_->Resolve("nfs_write");
-  probes_.nfs_readdir = profiler_->Resolve("nfs_readdir");
-  probes_.commit = profiler_->Resolve("commit");
-  probes_.nfs_create = profiler_->Resolve("nfs_create");
-  probes_.nfs_remove = profiler_->Resolve("nfs_remove");
-  probes_.open = profiler_->Resolve("open");
-  probes_.close = profiler_->Resolve("close");
-  probes_.read = profiler_->Resolve("read");
-  probes_.write = profiler_->Resolve("write");
-  probes_.llseek = profiler_->Resolve("llseek");
-  probes_.readdir = profiler_->Resolve("readdir");
-  probes_.fsync = profiler_->Resolve("fsync");
-  probes_.create = profiler_->Resolve("create");
-  probes_.unlink = profiler_->Resolve("unlink");
-  probes_.stat = profiler_->Resolve("stat");
+void NfsMount::ResolveProbes(osprofilers::SimProfiler& profiler) {
+  probes_ = {profiler.Resolve("lookup"),      profiler.Resolve("getattr"),
+             profiler.Resolve("nfs_read"),    profiler.Resolve("nfs_write"),
+             profiler.Resolve("nfs_readdir"), profiler.Resolve("commit"),
+             profiler.Resolve("nfs_create"),  profiler.Resolve("nfs_remove")};
 }
 
 bool NfsMount::AttrFresh(const std::string& path) const {
@@ -186,7 +168,7 @@ Task<void> NfsMount::WalkPath(std::string_view path) {
 
 // --- Vfs operations --------------------------------------------------------------
 
-Task<int> NfsMount::OpenImpl(const std::string& path) {
+Task<int> NfsMount::OpenImpl(const std::string& path, bool /*direct_io*/) {
   co_await kernel_->Cpu(config_.client_op_cpu);
   co_await WalkPath(path);
   if (!AttrFresh(path)) {
@@ -255,7 +237,8 @@ Task<std::uint64_t> NfsMount::LlseekImpl(int fd, std::uint64_t pos) {
   co_return f.pos;
 }
 
-Task<osfs::DirentBatch> NfsMount::ReaddirImpl(int fd) {
+Task<osfs::DirentBatch> NfsMount::ReaddirImpl(int fd,
+                                              std::uint64_t* /*value*/) {
   ClientFile& f = fds_.at(fd);
   osfs::DirentBatch batch;
   if (!f.attr.is_dir) {

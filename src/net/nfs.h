@@ -17,6 +17,10 @@
 //
 // The server executes against a real exported Vfs (typically Ext2SimFs),
 // so cold directories and files pay genuine disk latencies.
+//
+// Vfs times and names the ten operations; the mount times only its RPCs
+// ("lookup", "getattr", "nfs_read", ...), which nest inside the span of
+// the operation that issues them.
 
 #ifndef OSPROF_SRC_NET_NFS_H_
 #define OSPROF_SRC_NET_NFS_H_
@@ -55,46 +59,6 @@ class NfsMount : public osfs::Vfs {
  public:
   NfsMount(osim::Kernel* kernel, osfs::Vfs* server_fs, NfsConfig config);
 
-  // --- Vfs ----------------------------------------------------------------
-  // Each operation runs its body (the ...Impl below) under WrapIfAttached,
-  // so the RPCs it issues nest inside its span.
-  Task<int> Open(const std::string& path, bool /*direct_io*/) override {
-    return WrapIfAttached(profiler_, probes_.open, OpenImpl(path));
-  }
-  Task<void> Close(int fd) override {
-    return WrapIfAttached(profiler_, probes_.close, CloseImpl(fd));
-  }
-  Task<std::int64_t> Read(int fd, std::uint64_t bytes) override {
-    return WrapIfAttached(profiler_, probes_.read, ReadImpl(fd, bytes));
-  }
-  Task<std::int64_t> Write(int fd, std::uint64_t bytes) override {
-    return WrapIfAttached(profiler_, probes_.write, WriteImpl(fd, bytes));
-  }
-  Task<std::uint64_t> Llseek(int fd, std::uint64_t pos) override {
-    return WrapIfAttached(profiler_, probes_.llseek, LlseekImpl(fd, pos));
-  }
-  Task<osfs::DirentBatch> Readdir(int fd) override {
-    return WrapIfAttached(profiler_, probes_.readdir, ReaddirImpl(fd));
-  }
-  Task<void> Fsync(int fd) override {
-    return WrapIfAttached(profiler_, probes_.fsync, FsyncImpl(fd));
-  }
-  Task<int> Create(const std::string& path) override {
-    return WrapIfAttached(profiler_, probes_.create, CreateImpl(path));
-  }
-  Task<void> Unlink(const std::string& path) override {
-    return WrapIfAttached(profiler_, probes_.unlink, UnlinkImpl(path));
-  }
-  Task<osfs::FileAttr> Stat(const std::string& path) override {
-    return WrapIfAttached(profiler_, probes_.stat, StatImpl(path));
-  }
-
-  // Records per-RPC latencies ("lookup", "getattr", "nfs_read", ...) and
-  // the Vfs-level operations, like the paper's client-side profiles.
-  // Probe handles for every RPC and Vfs op are resolved here, once.
-  void SetProfiler(osprofilers::SimProfiler* profiler);
-
-  PacketTrace& trace() { return trace_; }
   std::uint64_t rpcs_sent() const { return rpcs_; }
   std::uint64_t lookup_rpcs() const { return lookups_; }
   std::uint64_t attr_cache_hits() const { return attr_hits_; }
@@ -145,16 +109,20 @@ class NfsMount : public osfs::Vfs {
                       Task<void> server_work, Rpc* rpc);
 
   // --- Vfs operation bodies ------------------------------------------------
-  Task<int> OpenImpl(const std::string& path);
-  Task<void> CloseImpl(int fd);
-  Task<std::int64_t> ReadImpl(int fd, std::uint64_t bytes);
-  Task<std::int64_t> WriteImpl(int fd, std::uint64_t bytes);
-  Task<std::uint64_t> LlseekImpl(int fd, std::uint64_t pos);
-  Task<osfs::DirentBatch> ReaddirImpl(int fd);
-  Task<void> FsyncImpl(int fd);
-  Task<int> CreateImpl(const std::string& path);
-  Task<void> UnlinkImpl(const std::string& path);
-  Task<osfs::FileAttr> StatImpl(const std::string& path);
+  // The RPCs each body issues nest inside its span; direct_io is ignored.
+  Task<int> OpenImpl(const std::string& path, bool direct_io) override;
+  Task<void> CloseImpl(int fd) override;
+  Task<std::int64_t> ReadImpl(int fd, std::uint64_t bytes) override;
+  Task<std::int64_t> WriteImpl(int fd, std::uint64_t bytes) override;
+  Task<std::uint64_t> LlseekImpl(int fd, std::uint64_t pos) override;
+  Task<osfs::DirentBatch> ReaddirImpl(int fd, std::uint64_t* value) override;
+  Task<void> FsyncImpl(int fd) override;
+  Task<int> CreateImpl(const std::string& path) override;
+  Task<void> UnlinkImpl(const std::string& path) override;
+  Task<osfs::FileAttr> StatImpl(const std::string& path) override;
+  // Per-RPC latencies ("lookup", "getattr", "nfs_read", ...), like the
+  // paper's client-side profiles.
+  void ResolveProbes(osprofilers::SimProfiler& profiler) override;
 
   // Path walk: one LOOKUP RPC per uncached component; fills attr_cache_.
   // `path` must outlive the walk, which spans awaits.
@@ -176,17 +144,12 @@ class NfsMount : public osfs::Vfs {
   osim::Kernel* kernel_;
   osfs::Vfs* server_fs_;
   NfsConfig config_;
-  PacketTrace trace_;
   NetPipe c2s_;
   NetPipe s2c_;
-  osprofilers::SimProfiler* profiler_ = nullptr;
-  // Probe handles into profiler_'s table, resolved by SetProfiler():
-  // RPC-level ops first, then the Vfs-level ones.
+  // The RPC probes, resolved by ResolveProbes().
   struct Probes {
     osprof::ProbeHandle lookup, getattr, nfs_read, nfs_write, nfs_readdir,
         commit, nfs_create, nfs_remove;
-    osprof::ProbeHandle open, close, read, write, llseek, readdir, fsync,
-        create, unlink, stat;
   };
   Probes probes_;
 

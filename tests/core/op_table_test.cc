@@ -90,8 +90,8 @@ TEST(ProfileSetInterning, HandleRecordMatchesStringRecord) {
 }
 
 // Pre-resolving a probe that never fires must not perturb any observable
-// view of the set -- this is what keeps attach-time resolution (ten
-// ProfiledVfs handles, four DriverProfiler disk keys) from leaking empty
+// view of the set -- this is what keeps attach-time resolution (the ten
+// Vfs op handles, four DriverProfiler disk keys) from leaking empty
 // profiles into golden outputs.
 TEST(ProfileSetInterning, ResolvedButUnrecordedOpsStayInvisible) {
   ProfileSet set(1);

@@ -343,18 +343,18 @@ TEST(ProfiledVfs, LayeredProfilingSeesBoundaryOps) {
   SimProfiler fs_prof(&fx.kernel);
   SimProfiler user_prof(&fx.kernel);
   fx.fs.SetProfiler(&fs_prof);
-  ProfiledVfs user_layer(&fx.fs, &user_prof, "user.");
+  ProfiledVfs user_layer(&fx.fs, &user_prof);
   std::int64_t total = 0;
   fx.kernel.Spawn("r", ReadWholeFile(&user_layer, "/f", &total));
   fx.kernel.RunUntilThreadsFinish();
   // Both layers saw the read; only the fs layer saw readpage.
-  EXPECT_NE(user_prof.profiles().Find("user.read"), nullptr);
+  EXPECT_NE(user_prof.profiles().Find("read"), nullptr);
   EXPECT_NE(fs_prof.profiles().Find("read"), nullptr);
   EXPECT_NE(fs_prof.profiles().Find("readpage"), nullptr);
-  EXPECT_EQ(user_prof.profiles().Find("user.readpage"), nullptr);
+  EXPECT_EQ(user_prof.profiles().Find("readpage"), nullptr);
   // The user layer's read latency must be >= the fs layer's (it includes
   // the boundary crossing).
-  EXPECT_GE(user_prof.profiles().Find("user.read")->total_latency(),
+  EXPECT_GE(user_prof.profiles().Find("read")->total_latency(),
             fs_prof.profiles().Find("read")->total_latency());
 }
 

@@ -22,11 +22,11 @@ KernelConfig QuietConfig() {
 }
 
 struct Harness {
-  explicit Harness(CifsConfig cifs_config = {})
+  explicit Harness(CifsConfig cifs_config = {}, PacketTrace* trace = nullptr)
       : kernel(QuietConfig()),
         disk(&kernel),
         server_fs(&kernel, &disk),
-        mount(&kernel, &server_fs, cifs_config) {}
+        mount(&kernel, &server_fs, cifs_config, trace) {}
   Kernel kernel;
   SimDisk disk;
   Ext2SimFs server_fs;
@@ -159,12 +159,13 @@ TEST(CifsMount, LocalRemoteBoundaryAtBucket18) {
 TEST(CifsMount, PacketTraceShowsFigure11Timeline) {
   CifsConfig cfg;
   cfg.client_os = ClientOs::kWindows;
-  Harness h(cfg);
+  PacketTrace trace;
+  Harness h(cfg, &trace);
   PopulateDir(&h.server_fs, "/share", 100);
   std::vector<std::string> names;
   h.kernel.Spawn("client", ListDir(&h.mount, "/share", &names));
   h.kernel.RunUntilThreadsFinish();
-  const std::string timeline = h.mount.trace().Render(1.7e9);
+  const std::string timeline = trace.Render(1.7e9);
   EXPECT_NE(timeline.find("FIND_FIRST request"), std::string::npos);
   EXPECT_NE(timeline.find("reply continuation"), std::string::npos);
   EXPECT_NE(timeline.find("transact continuation"), std::string::npos);

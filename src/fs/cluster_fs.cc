@@ -41,11 +41,14 @@ int ClusterVolume::ResolvePath(std::string_view path) const {
   for (std::string_view part : PathComponents(path)) {
     const ClusterInodeMeta& meta =
         OSIM_SHARED_RO(inodes_[static_cast<std::size_t>(cur)]);
+    if (!meta.is_dir) {
+      return -1;
+    }
     const auto it = meta.entries.find(part);
     if (it == meta.entries.end()) {
       return -1;
     }
-    cur = it->second;
+    cur = it->second.inode;
   }
   return cur;
 }
@@ -61,7 +64,7 @@ int ClusterVolume::AddDir(const std::string& path) {
   }
   const int id = NewInode(true);
   ClusterInodeMeta& pm = OSIM_SHARED_RW(meta(parent));
-  pm.entries[std::string(leaf)] = id;
+  pm.entries[std::string(leaf)] = ClusterDirent{id, true};
   pm.entry_order.emplace_back(leaf);
   return id;
 }
@@ -85,7 +88,7 @@ int ClusterVolume::AddFile(const std::string& path,
     m.first_block = AllocateBlocks(m.capacity_blocks);
   }
   ClusterInodeMeta& pm = OSIM_SHARED_RW(meta(parent));
-  pm.entries[std::string(leaf)] = id;
+  pm.entries[std::string(leaf)] = ClusterDirent{id, false};
   pm.entry_order.emplace_back(leaf);
   return id;
 }
@@ -128,15 +131,20 @@ void ClusterFsNode::Revalidate(int inode, LocalInode& li,
 }
 
 Task<int> ClusterFsNode::ResolveLocked(std::string_view path) {
-  int cur = 0;
+  ClusterDirent cur{0, true};  // The root.
   for (std::string_view part : PathComponents(path)) {
-    const std::string res = InodeResource(cur);
+    if (!cur.is_dir) {
+      // The parent's entry said file: ENOTDIR without locking the file.
+      co_return -1;
+    }
+    const std::string res = InodeResource(cur.inode);
     co_await dlm_->Acquire(res, osnet::DlmMode::kProtectedRead);
-    LocalInode& li = local(cur);
+    LocalInode& li = local(cur.inode);
     co_await li.i_sem->Acquire();
-    int next = -1;
+    ClusterDirent next;
     {
-      const ClusterInodeMeta& meta = OSIM_SHARED_RO(volume_->meta(cur));
+      const ClusterInodeMeta& meta =
+          OSIM_SHARED_RO(volume_->meta(cur.inode));
       const auto it = meta.entries.find(part);
       if (it != meta.entries.end()) {
         next = it->second;
@@ -144,12 +152,12 @@ Task<int> ClusterFsNode::ResolveLocked(std::string_view path) {
     }
     li.i_sem->Release();
     dlm_->Release(res, osnet::DlmMode::kProtectedRead);
-    if (next < 0) {
+    if (next.inode < 0) {
       co_return -1;
     }
     cur = next;
   }
-  co_return cur;
+  co_return cur.inode;
 }
 
 Task<std::pair<int, std::string_view>> ClusterFsNode::ResolveParentLocked(
@@ -353,7 +361,7 @@ Task<int> ClusterFsNode::CreateImpl(const std::string& path) {
     ClusterInodeMeta& pm = OSIM_SHARED_RW(volume_->meta(parent));
     const auto it = pm.entries.find(leaf);
     if (it != pm.entries.end()) {
-      id = it->second;
+      id = it->second.inode;
     } else {
       id = volume_->NewInode(false);
       {
@@ -361,7 +369,7 @@ Task<int> ClusterFsNode::CreateImpl(const std::string& path) {
         m.capacity_blocks = kBlocksPerPage;
         m.first_block = volume_->AllocateBlocks(m.capacity_blocks);
       }
-      pm.entries.emplace(leaf, id);
+      pm.entries.emplace(leaf, ClusterDirent{id, false});
       pm.entry_order.emplace_back(leaf);
       ++pm.generation;
     }
@@ -387,7 +395,7 @@ Task<void> ClusterFsNode::UnlinkImpl(const std::string& path) {
     ClusterInodeMeta& pm = OSIM_SHARED_RW(volume_->meta(parent));
     const auto it = pm.entries.find(leaf);
     if (it != pm.entries.end()) {
-      const int id = it->second;
+      const int id = it->second.inode;
       pm.entries.erase(it);
       pm.entry_order.erase(std::find(pm.entry_order.begin(),
                                      pm.entry_order.end(), leaf));

@@ -70,6 +70,14 @@ struct ClusterFsConfig {
   double cpu_noise_sigma = 0.25;
 };
 
+// A directory entry: the inode it names and, as a dirent's d_type does,
+// whether that inode is a directory, so a path walk can stop at a file
+// without locking it.
+struct ClusterDirent {
+  int inode = -1;
+  bool is_dir = false;
+};
+
 // Cluster-wide inode state, one Shared cell per inode: written only
 // under the inode's EX DLM lock (plus the writer's local i_sem), read
 // under at least PR, so the DLM grant chain is exactly the
@@ -83,8 +91,8 @@ struct ClusterInodeMeta {
   // Bumped by every metadata/data write; nodes compare it against the
   // generation their cached pages were read under.
   std::uint64_t generation = 0;
-  std::map<std::string, int, std::less<>> entries;  // Dirs: name -> inode.
-  std::vector<std::string> entry_order;             // Dirs: readdir order.
+  std::map<std::string, ClusterDirent, std::less<>> entries;  // Dirs: by name.
+  std::vector<std::string> entry_order;  // Dirs: readdir order.
 };
 
 // The shared disk and the on-disk inode table.  Built host-side (mkfs)
@@ -176,7 +184,8 @@ class ClusterFsNode : public Vfs {
                           std::uint64_t first_block);
 
   // Walks `path` component by component, taking each directory's DLM PR
-  // lock and local i_sem around the entry lookup.  Returns -1 if absent.
+  // lock and local i_sem around the entry lookup.  Returns -1 if absent,
+  // or if a file is used as a directory, before locking the file.
   // `path` must outlive the walk, which spans awaits.
   Task<int> ResolveLocked(std::string_view path);
   // Like ResolveLocked but stops at the parent; returns {parent, leaf},

@@ -27,6 +27,14 @@
 // (>= 168us -> bucket 18+); cached operations stay local (buckets < 18),
 // reproducing Figure 10's local/remote boundary.
 //
+// CifsMount is a RemoteMount (src/net/remote_mount.h), the one network
+// client core, which keeps the open files, the client page cache and the
+// Close/Llseek/Read/Readdir bodies.  Every request goes through Exchange:
+// the client builds the server's work as a task the request carries, and
+// smbd, spawned when the request arrives, runs it and sends the final
+// reply burst.  The work's reads, writes, creates and flushes on the
+// exported file system are src/net/exported.h's.
+//
 // Vfs times and names the ten operations; the mount times only its Find
 // transactions ("findfirst", "findnext").  Packets are recorded only into
 // a PacketTrace the caller passes in (Figure 11's timelines).
@@ -36,14 +44,13 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "src/fs/fd_table.h"
 #include "src/fs/vfs.h"
 #include "src/net/net.h"
+#include "src/net/remote_mount.h"
 #include "src/profilers/sim_profiler.h"
 #include "src/sim/race_tracker.h"
 
@@ -68,7 +75,7 @@ struct CifsConfig {
   osim::Cycles server_op_cpu = 4'000;
 };
 
-class CifsMount : public osfs::Vfs {
+class CifsMount : public RemoteMount {
  public:
   // `server_fs` is the file system exported by the server (typically an
   // Ext2SimFs with its own disk, in the same simulated world).  Every
@@ -88,38 +95,25 @@ class CifsMount : public osfs::Vfs {
   }
 
  private:
-  struct RemoteAttr {
-    std::uint64_t size = 0;
-    bool is_dir = false;
-  };
+  // One request and its reply: a local of the calling coroutine's frame,
+  // which never moves, so `done` is held by value.
+  struct Transaction {
+    explicit Transaction(osim::Kernel* kernel, Task<std::uint32_t> work = {},
+                         std::string_view reply_label = {})
+        : work(std::move(work)),
+          reply_label(reply_label),
+          done(kernel, osprof::kLayerNet) {}
 
-  struct DirState {
-    std::vector<std::string> names;  // Fetched so far.
-    std::size_t served = 0;          // Entries already returned to caller.
-    std::uint64_t cookie = 0;        // Server-side resume position.
-    bool end_of_dir = false;
-    bool started = false;
-  };
-
-  struct ClientFile {
-    std::string path;
-    std::uint64_t pos = 0;
-    RemoteAttr attr;
-    std::unique_ptr<DirState> dir;
-  };
-
-  // The state of one in-flight Find transaction: a local of the calling
-  // coroutine's frame, which never moves, so `done` is held by value.
-  struct FindTransaction {
-    explicit FindTransaction(osim::Kernel* kernel)
-        : done(kernel, osprof::kLayerNet) {}
-
+    // The server's part, started by smbd: returns the byte count of the
+    // final reply burst, which smbd sends labelled `reply_label`.
+    Task<std::uint32_t> work;
+    std::string_view reply_label;
+    // A Find reply: the entries, each with its metadata.
     std::vector<std::string> names;
-    std::vector<RemoteAttr> attrs;  // Parallel to names (SMB Find replies
-                                    // carry each entry's metadata).
+    std::vector<osfs::FileAttr> attrs;
     std::uint64_t next_cookie = 0;
     bool end_of_dir = false;
-    bool complete = false;
+    bool complete = false;  // The final burst has landed.
     osim::WaitQueue done;
   };
 
@@ -127,11 +121,7 @@ class CifsMount : public osfs::Vfs {
   // CIFS reads always go through the client cache here, so direct_io is
   // ignored.
   Task<int> OpenImpl(const std::string& path, bool direct_io) override;
-  Task<void> CloseImpl(int fd) override;
-  Task<std::int64_t> ReadImpl(int fd, std::uint64_t bytes) override;
   Task<std::int64_t> WriteImpl(int fd, std::uint64_t bytes) override;
-  Task<std::uint64_t> LlseekImpl(int fd, std::uint64_t pos) override;
-  Task<osfs::DirentBatch> ReaddirImpl(int fd, std::uint64_t* value) override;
   Task<void> FsyncImpl(int fd) override;
   Task<int> CreateImpl(const std::string& path) override;
   Task<void> UnlinkImpl(const std::string& path) override;
@@ -143,56 +133,49 @@ class CifsMount : public osfs::Vfs {
     findnext_ = profiler.Resolve("findnext");
   }
 
-  // --- Client-side helpers -------------------------------------------------
+  // --- RemoteMount ---------------------------------------------------------
+  // A page read is one request with a segmented reply.
+  Task<void> FetchPage(const std::string& path, std::uint64_t page) override;
+  // One Find transaction (FindFirst when none has run).  Latency of the
+  // whole transaction is the profiled FindFirst/FindNext time.
+  Task<void> FetchEntries(const std::string& path, RemoteDir* dir) override {
+    return WrapIfAttached(profiler_, dir->started ? findnext_ : findfirst_,
+                          FindImpl(path, dir));
+  }
+  Task<void> FindImpl(const std::string& path, RemoteDir* dir);
+
   Task<void> FetchAttr(const std::string& path);  // Network stat if uncached.
 
-  // Runs one Find transaction (FindFirst when cookie == 0).  Latency of
-  // the whole transaction is the profiled FindFirst/FindNext time.
-  Task<void> FindTransactionOp(const std::string& path, DirState* dir) {
-    return WrapIfAttached(profiler_, dir->started ? findnext_ : findfirst_,
-                          FindTransactionImpl(path, dir));
-  }
-  Task<void> FindTransactionImpl(const std::string& path, DirState* dir);
-
-  // Remote page read: one request, segmented reply.
-  Task<void> RemoteReadPage(const std::string& path, std::uint64_t page);
-
-  // Small request/small reply round trips (stat, create, unlink, fsync,
-  // write-through).  Returns after the reply arrives.
-  enum class SmallOp { kStat, kWrite, kCreate, kUnlink, kFlush };
-  struct SmallOpArgs {
-    SmallOp op = SmallOp::kStat;
-    std::string path;
-    std::uint64_t pos = 0;
-    std::uint64_t bytes = 0;
-  };
-  Task<void> SmallRoundTrip(SmallOpArgs args);
-  static std::string SmallOpLabel(SmallOp op);
-
-  // Sends a request packet (piggybacking any pending ACK) and runs
-  // `on_server` at arrival.
-  void SendRequest(std::string_view label, std::function<void()> on_server);
+  // Sends `txn`'s request, piggybacking any pending ACK, and parks until
+  // the final reply burst's last segment lands.
+  Task<void> Exchange(std::string_view request_label, Transaction* txn);
 
   // --- Server side ---------------------------------------------------------
+  // smbd, one per request, spawned at its arrival: counts the request,
+  // pays the server CPU, runs the work and sends the final burst.
+  Task<void> Serve(Transaction* txn);
+  // Sends one reply burst as MSS segments; marks `txn` complete on the
+  // last segment of the final burst.
+  void SendBurst(std::string_view label, std::uint32_t bytes,
+                 bool final_burst, Transaction* txn);
+
+  // Works: each returns its final reply burst's byte count.  SmallReply
+  // runs `call` on the exported fs and answers with one small burst.
+  template <typename T>
+  Task<std::uint32_t> SmallReply(Task<T> call);
+  Task<std::uint32_t> ServeStat(const std::string& path);
+  Task<std::uint32_t> ServeRead(const std::string& path, std::uint64_t page);
+  // Sends every Find batch of the transaction but the last.
+  Task<std::uint32_t> ServeFind(const std::string& path, bool first,
+                                std::uint64_t cookie, Transaction* txn);
+
   struct ServerListing {
     std::vector<std::string> names;
-    std::vector<RemoteAttr> attrs;  // Parallel to names.
+    std::vector<osfs::FileAttr> attrs;  // Parallel to names.
     bool loaded = false;
   };
   Task<void> ServerEnsureListing(const std::string& path);
-  Task<void> ServerFindHandler(std::string path, DirState* dir,
-                               FindTransaction* txn);
-  Task<void> ServerReadPageHandler(std::string path, std::uint64_t page,
-                                   FindTransaction* txn);
-  Task<void> ServerSmallOpHandler(SmallOpArgs args, FindTransaction* txn);
 
-  // Sends one Find batch as an MSS burst; marks `txn` complete on the
-  // final segment of the final burst.
-  void SendBatchBurst(std::string_view label, std::uint32_t bytes,
-                      bool final_burst, FindTransaction* txn);
-
-  osim::Kernel* kernel_;
-  osfs::Vfs* server_fs_;
   CifsConfig config_;
   NetPipe c2s_;
   NetPipe s2c_;
@@ -200,12 +183,10 @@ class CifsMount : public osfs::Vfs {
   std::unique_ptr<DelayedAckPolicy> client_ack_;
   osprof::ProbeHandle findfirst_, findnext_;
 
-  osfs::FdTable<ClientFile> fds_;
   // Client- and server-side caches whose fill protocols span network
   // round trips; the request/reply token chain provides their
   // happens-before cover, so unsynchronized access is a real race.
-  osim::Shared<std::map<std::string, RemoteAttr>> attr_cache_;
-  osim::Shared<std::set<std::pair<std::string, std::uint64_t>>> page_cache_;
+  osim::Shared<std::map<std::string, osfs::FileAttr>> attr_cache_;
   osim::Shared<std::map<std::string, ServerListing>> server_listings_;
   osim::Shared<std::uint64_t> server_requests_;
 };

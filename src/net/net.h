@@ -17,6 +17,10 @@
 //    far is acknowledged; that synchronous gate times the 200ms stalls.
 //  * PacketTrace -- every packet with send/receive times and a label, so
 //    the Figure 11 timelines can be printed directly.
+//
+// The network mounts built on this model, CifsMount and NfsMount, share
+// one client core, RemoteMount (src/net/remote_mount.h), and one server
+// side, the exported file system's calls in src/net/exported.h.
 
 #ifndef OSPROF_SRC_NET_NET_H_
 #define OSPROF_SRC_NET_NET_H_

@@ -18,6 +18,12 @@
 // The server executes against a real exported Vfs (typically Ext2SimFs),
 // so cold directories and files pay genuine disk latencies.
 //
+// NfsMount is a RemoteMount (src/net/remote_mount.h), the one network
+// client core, which keeps the open files, the client page cache and the
+// Close/Llseek/Read/Readdir bodies; each RPC carries the server's work as
+// a task, and nfsd's reads, writes, creates and commits on the exported
+// file system are src/net/exported.h's.
+//
 // Vfs times and names the ten operations; the mount times only its RPCs
 // ("lookup", "getattr", "nfs_read", ...), which nest inside the span of
 // the operation that issues them.
@@ -26,15 +32,13 @@
 #define OSPROF_SRC_NET_NFS_H_
 
 #include <map>
-#include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "src/fs/fd_table.h"
 #include "src/fs/vfs.h"
 #include "src/net/net.h"
+#include "src/net/remote_mount.h"
 #include "src/profilers/sim_profiler.h"
 
 namespace osnet {
@@ -55,7 +59,7 @@ struct NfsConfig {
   osim::Cycles server_op_cpu = 3'500;
 };
 
-class NfsMount : public osfs::Vfs {
+class NfsMount : public RemoteMount {
  public:
   NfsMount(osim::Kernel* kernel, osfs::Vfs* server_fs, NfsConfig config);
 
@@ -68,24 +72,16 @@ class NfsMount : public osfs::Vfs {
     osfs::FileAttr attr;
     osim::Cycles fetched_at = 0;
   };
-  struct ClientFile {
-    std::string path;
-    std::uint64_t pos = 0;
-    osfs::FileAttr attr;
-    std::vector<std::string> dir_names;  // Fetched entries.
-    std::size_t dir_served = 0;
-    std::uint64_t dir_cookie = 0;
-    bool dir_eof = false;
-  };
   // One in-flight RPC: the client blocks until `complete`.  A local of
   // the calling coroutine's frame, which never moves, so `done` is held
   // by value.
   struct Rpc {
     explicit Rpc(osim::Kernel* kernel) : done(kernel, osprof::kLayerNet) {}
 
+    Task<void> work;  // The server's part, started by nfsd.
     bool complete = false;
     osim::WaitQueue done;
-    // Reply payload (filled by the server handler before the reply lands).
+    // Reply payload (filled by the work before the reply lands).
     osfs::FileAttr attr;
     std::vector<std::string> names;
     std::uint64_t cookie = 0;
@@ -93,29 +89,26 @@ class NfsMount : public osfs::Vfs {
     std::int64_t result = 0;
   };
 
-
-  // Issues one RPC: request packet, server handler, single reply burst.
-  // The request consumes any pending ACK state implicitly (every reply is
-  // acked by the next request -- standard RPC behaviour), so no delayed
-  // ACKs ever fire.  `probe` is the pre-resolved latency probe; `op` is
-  // still needed for the packet-trace and thread labels.
-  Task<void> Call(osprof::ProbeHandle probe, const std::string& op,
-                  std::uint32_t reply_bytes, Task<void> server_work, Rpc* rpc) {
-    return WrapIfAttached(
-        profiler_, probe,
-        CallImpl(op, reply_bytes, std::move(server_work), rpc));
+  // Issues one RPC: request packet, `work` on a server thread, single
+  // reply burst.  The request consumes any pending ACK state implicitly
+  // (every reply is acked by the next request -- standard RPC behaviour),
+  // so no delayed ACKs ever fire.  `probe` is the pre-resolved latency
+  // probe; `op` labels both packets.
+  Task<void> Call(osprof::ProbeHandle probe, std::string_view op,
+                  std::uint32_t reply_bytes, Task<void> work, Rpc* rpc) {
+    return WrapIfAttached(profiler_, probe,
+                          CallImpl(op, reply_bytes, std::move(work), rpc));
   }
-  Task<void> CallImpl(const std::string& op, std::uint32_t reply_bytes,
-                      Task<void> server_work, Rpc* rpc);
+  Task<void> CallImpl(std::string_view op, std::uint32_t reply_bytes,
+                      Task<void> work, Rpc* rpc);
+  // nfsd, one per RPC, spawned at the request's arrival: pays the server
+  // CPU, runs the work and sends the reply.
+  Task<void> Serve(std::string_view op, std::uint32_t reply_bytes, Rpc* rpc);
 
   // --- Vfs operation bodies ------------------------------------------------
   // The RPCs each body issues nest inside its span; direct_io is ignored.
   Task<int> OpenImpl(const std::string& path, bool direct_io) override;
-  Task<void> CloseImpl(int fd) override;
-  Task<std::int64_t> ReadImpl(int fd, std::uint64_t bytes) override;
   Task<std::int64_t> WriteImpl(int fd, std::uint64_t bytes) override;
-  Task<std::uint64_t> LlseekImpl(int fd, std::uint64_t pos) override;
-  Task<osfs::DirentBatch> ReaddirImpl(int fd, std::uint64_t* value) override;
   Task<void> FsyncImpl(int fd) override;
   Task<int> CreateImpl(const std::string& path) override;
   Task<void> UnlinkImpl(const std::string& path) override;
@@ -124,25 +117,25 @@ class NfsMount : public osfs::Vfs {
   // paper's client-side profiles.
   void ResolveProbes(osprofilers::SimProfiler& profiler) override;
 
+  // --- RemoteMount: one READ or READDIR RPC ---------------------------------
+  Task<void> FetchPage(const std::string& path, std::uint64_t page) override;
+  Task<void> FetchEntries(const std::string& path, RemoteDir* dir) override;
+
   // Path walk: one LOOKUP RPC per uncached component; fills attr_cache_.
   // `path` must outlive the walk, which spans awaits.
   Task<void> WalkPath(std::string_view path);
 
-  // Server-side handlers (each runs as a spawned kernel thread).
-  Task<void> ServerGetattr(std::string path, Rpc* rpc);
-  Task<void> ServerReaddir(std::string path, std::uint64_t cookie, Rpc* rpc);
-  Task<void> ServerRead(std::string path, std::uint64_t offset,
-                        std::uint64_t bytes, Rpc* rpc);
-  Task<void> ServerWrite(std::string path, std::uint64_t offset,
-                         std::uint64_t bytes, Rpc* rpc);
-  Task<void> ServerCreate(std::string path, Rpc* rpc);
-  Task<void> ServerUnlink(std::string path, Rpc* rpc);
-  Task<void> ServerCommit(std::string path, Rpc* rpc);
+  // Server-side works; `path` is kept alive by the parked client.  Into
+  // runs `call` on the exported fs and stores its result in `*out`.
+  template <typename T, typename Out>
+  static Task<void> Into(Task<T> call, Out* out) {
+    *out = co_await call;
+  }
+  Task<void> ServerReaddir(const std::string& path, std::uint64_t cookie,
+                           Rpc* rpc);
 
   bool AttrFresh(const std::string& path) const;
 
-  osim::Kernel* kernel_;
-  osfs::Vfs* server_fs_;
   NfsConfig config_;
   NetPipe c2s_;
   NetPipe s2c_;
@@ -153,10 +146,8 @@ class NfsMount : public osfs::Vfs {
   };
   Probes probes_;
 
-  osfs::FdTable<ClientFile> fds_;
   std::map<std::string, CachedAttr> attr_cache_;
   std::map<std::string, osim::Cycles> dentry_cache_;  // path -> cached at.
-  std::set<std::pair<std::string, std::uint64_t>> page_cache_;
   std::uint64_t rpcs_ = 0;
   std::uint64_t lookups_ = 0;
   std::uint64_t attr_hits_ = 0;

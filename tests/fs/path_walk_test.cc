@@ -121,9 +121,10 @@ TEST(PathWalk, ClusterFsResolvesEdgeCases) {
   k.Spawn("client", OpenEach(&node, &opened, &dlm, &locks, &remaining));
   k.RunUntilThreadsFinish();
   EXPECT_EQ(opened, (std::vector<int>{1, 1, 1, 1, 1, 0, 0, 1, 1}));
-  // The locked walk takes one PR lock per inode it looks in, a file too:
-  // "/a/f/x" looks for "x" among f's (empty) entries.
-  EXPECT_EQ(locks, (std::vector<std::uint64_t>{0, 0, 0, 1, 2, 2, 3, 2, 3}));
+  // The locked walk takes one PR lock per directory it looks in and stops
+  // at a file: "/a/f/x" learns from a's entry that f is a file, so it
+  // never locks f.
+  EXPECT_EQ(locks, (std::vector<std::uint64_t>{0, 0, 0, 1, 2, 2, 2, 2, 3}));
 }
 
 osim::Task<void> StatEach(Vfs* vfs, osnet::NfsMount* mount,

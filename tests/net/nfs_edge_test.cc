@@ -1,7 +1,10 @@
 // NFS edge cases: empty directories, missing files, cookie continuation,
-// concurrent clients.
+// concurrent clients, and the parent a create looks up.
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "src/fs/ext2fs.h"
 #include "src/net/nfs.h"
@@ -119,6 +122,26 @@ TEST(NfsEdge, CreateInMissingDirectoryFails) {
   };
   h.kernel.Spawn("c", body(&h.mount));
   h.kernel.RunUntilThreadsFinish();
+}
+
+TEST(NfsEdge, CreateLooksUpOnlyTheParent) {
+  // Ext2 resolves "newfile" and "/newfile" alike, to a file in the root:
+  // neither parent has a component to look up.
+  Harness h;
+  h.server_fs.AddDir("/export");
+  std::vector<std::uint64_t> lookups;
+  auto body = [](NfsMount* mount,
+                 std::vector<std::uint64_t>* lookups) -> Task<void> {
+    for (const char* path : {"newfile", "/newfile2", "/export/f"}) {
+      const std::uint64_t before = mount->lookup_rpcs();
+      EXPECT_GE(co_await mount->Create(path), 0) << path;
+      lookups->push_back(mount->lookup_rpcs() - before);
+    }
+  };
+  h.kernel.Spawn("c", body(&h.mount, &lookups));
+  h.kernel.RunUntilThreadsFinish();
+  EXPECT_EQ(lookups, (std::vector<std::uint64_t>{0, 0, 1}));
+  EXPECT_TRUE(h.server_fs.Exists("/newfile"));
 }
 
 }  // namespace

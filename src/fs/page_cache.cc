@@ -1,6 +1,41 @@
 #include "src/fs/page_cache.h"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace osfs {
+
+PageCache::PageState& PageCache::PageTable::FindOrCreate(const PageKey& key,
+                                                         Kernel* kernel) {
+  if (key.inode < 0) {
+    throw std::out_of_range("PageCache: negative inode id");
+  }
+  const auto i = static_cast<std::size_t>(key.inode);
+  if (i >= inodes_.size()) {
+    inodes_.resize(i + 1);
+  }
+  auto& pages = inodes_[i];
+  if (key.page >= pages.size()) {
+    if (pages.empty()) {
+      // Room for a small file's pages in the inode's first allocation.
+      pages.reserve(std::max<std::uint64_t>(key.page + 1, 4));
+    }
+    pages.resize(key.page + 1);
+  }
+  std::unique_ptr<PageState>& slot = pages[key.page];
+  if (slot == nullptr) {
+    slot = std::make_unique<PageState>(kernel, key);
+    ++size_;
+  }
+  return *slot;
+}
+
+void PageCache::PageTable::Erase(const PageKey& key) {
+  if (Find(key) != nullptr) {
+    inodes_[static_cast<std::size_t>(key.inode)][key.page].reset();
+    --size_;
+  }
+}
 
 PageCache::PageCache(Kernel* kernel, SimDisk* disk,
                      std::uint64_t capacity_pages)
@@ -11,10 +46,10 @@ PageCache::PageCache(Kernel* kernel, SimDisk* disk,
 
 bool PageCache::Contains(const PageKey& key) {
   auto& pages = OSIM_SHARED_RW(pages_);  // Refreshes LRU state.
-  auto it = pages.find(key);
-  if (it != pages.end() && it->second.valid) {
+  PageState* state = pages.Find(key);
+  if (state != nullptr && state->valid) {
     ++hits_;
-    Touch(key, it->second);
+    Touch(*state);
     return true;
   }
   ++misses_;
@@ -22,23 +57,35 @@ bool PageCache::Contains(const PageKey& key) {
 }
 
 bool PageCache::IoInProgress(const PageKey& key) const {
-  const auto& pages = OSIM_SHARED_RO(pages_);
-  auto it = pages.find(key);
-  return it != pages.end() && it->second.io_in_progress;
+  const PageState* state = OSIM_SHARED_RO(pages_).Find(key);
+  return state != nullptr && state->io_in_progress;
 }
 
-void PageCache::Touch(const PageKey& key, PageState& state) {
+void PageCache::Touch(PageState& state) {
   if (state.in_lru) {
-    lru_.splice(lru_.begin(), lru_, state.lru_pos);
-    return;
+    LruUnlink(state);
   }
-  lru_.push_front(key);
-  state.lru_pos = lru_.begin();
+  state.lru_newer = nullptr;
+  state.lru_older = lru_front_;
+  (lru_front_ != nullptr ? lru_front_->lru_newer : lru_back_) = &state;
+  lru_front_ = &state;
   state.in_lru = true;
+  ++lru_size_;
+}
+
+void PageCache::LruUnlink(PageState& state) {
+  (state.lru_newer != nullptr ? state.lru_newer->lru_older : lru_front_) =
+      state.lru_older;
+  (state.lru_older != nullptr ? state.lru_older->lru_newer : lru_back_) =
+      state.lru_newer;
+  state.lru_newer = nullptr;
+  state.lru_older = nullptr;
+  state.in_lru = false;
+  --lru_size_;
 }
 
 void PageCache::StartRead(const PageKey& key, std::uint64_t lba) {
-  PageState& state = StateOf(OSIM_SHARED_RW(pages_), key);
+  PageState& state = OSIM_SHARED_RW(pages_).FindOrCreate(key, kernel_);
   if (state.valid || state.io_in_progress) {
     return;
   }
@@ -49,16 +96,14 @@ void PageCache::StartRead(const PageKey& key, std::uint64_t lba) {
                 [this, key](const osim::DiskRequestInfo&) {
                   // Completion runs in kernel context (exempt at runtime);
                   // the access still routes through the cell for uniformity.
-                  auto& pages = OSIM_SHARED_RW(pages_);
-                  auto it = pages.find(key);
-                  if (it == pages.end()) {
+                  PageState* s = OSIM_SHARED_RW(pages_).Find(key);
+                  if (s == nullptr) {
                     return;  // Dropped while in flight.
                   }
-                  PageState& s = it->second;
-                  s.io_in_progress = false;
-                  s.valid = true;
-                  Touch(key, s);
-                  s.waiters.WakeAll();
+                  s->io_in_progress = false;
+                  s->valid = true;
+                  Touch(*s);
+                  s->waiters.WakeAll();
                   EvictIfNeeded();
                 });
 }
@@ -67,29 +112,28 @@ Task<void> PageCache::WaitForPage(PageKey key) {
   while (true) {
     // Re-resolved each turn: the read is inside the loop so every
     // wakeup re-checks against the accessor's advanced clock.
-    auto& pages = OSIM_SHARED_RW(pages_);
-    auto it = pages.find(key);
-    if (it != pages.end() && it->second.valid) {
+    PageState* state = OSIM_SHARED_RW(pages_).Find(key);
+    if (state != nullptr && state->valid) {
       co_return;
     }
-    if (it == pages.end()) {
+    if (state == nullptr) {
       // Nobody started the read; nothing will ever wake us.
       throw std::logic_error("WaitForPage without StartRead");
     }
-    co_await it->second.waiters.Wait();
+    co_await state->waiters.Wait();
   }
 }
 
 void PageCache::MarkValid(const PageKey& key, std::uint64_t lba) {
-  PageState& state = StateOf(OSIM_SHARED_RW(pages_), key);
+  PageState& state = OSIM_SHARED_RW(pages_).FindOrCreate(key, kernel_);
   state.valid = true;
   state.lba = lba;
-  Touch(key, state);
+  Touch(state);
   EvictIfNeeded();
 }
 
 void PageCache::MarkDirty(const PageKey& key, std::uint64_t lba) {
-  PageState& state = StateOf(OSIM_SHARED_RW(pages_), key);
+  PageState& state = OSIM_SHARED_RW(pages_).FindOrCreate(key, kernel_);
   if (!state.valid) {
     state.valid = true;  // Full-page overwrite semantics.
   }
@@ -98,39 +142,37 @@ void PageCache::MarkDirty(const PageKey& key, std::uint64_t lba) {
     state.dirty = true;
     state.dirtied_at = kernel_->now();
   }
-  Touch(key, state);
+  Touch(state);
   EvictIfNeeded();
 }
 
 bool PageCache::IsDirty(const PageKey& key) const {
-  const auto& pages = OSIM_SHARED_RO(pages_);
-  auto it = pages.find(key);
-  return it != pages.end() && it->second.dirty;
+  const PageState* state = OSIM_SHARED_RO(pages_).Find(key);
+  return state != nullptr && state->dirty;
 }
 
 Task<void> PageCache::WriteBack(PageKey key) {
-  auto& pages = OSIM_SHARED_RW(pages_);
-  auto it = pages.find(key);
-  if (it == pages.end() || !it->second.dirty) {
+  PageState* state = OSIM_SHARED_RW(pages_).Find(key);
+  if (state == nullptr || !state->dirty) {
     co_return;
   }
-  it->second.dirty = false;
+  state->dirty = false;
   ++writebacks_;
-  const std::uint64_t lba = it->second.lba;
+  const std::uint64_t lba = state->lba;
   (void)co_await disk_->SyncWrite(lba, kBlocksPerPage);
 }
 
 int PageCache::FlushOlderThan(Cycles min_age) {
   const Cycles now = kernel_->now();
   int submitted = 0;
-  for (auto& [key, state] : OSIM_SHARED_RW(pages_)) {
+  OSIM_SHARED_RW(pages_).ForEach([&](const PageKey&, PageState& state) {
     if (state.dirty && now - state.dirtied_at >= min_age) {
       state.dirty = false;
       ++writebacks_;
       ++submitted;
       disk_->Submit(osim::DiskOp::kWrite, state.lba, kBlocksPerPage, nullptr);
     }
-  }
+  });
   return submitted;
 }
 
@@ -151,50 +193,37 @@ void PageCache::SpawnFlusher(Cycles interval, Cycles min_age) {
 
 void PageCache::DropClean() {
   auto& pages = OSIM_SHARED_RW(pages_);
-  for (auto it = pages.begin(); it != pages.end();) {
-    PageState& state = it->second;
-    if (state.valid && !state.dirty && !state.io_in_progress &&
-        state.waiters.waiters() == 0) {
-      if (state.in_lru) {
-        lru_.erase(state.lru_pos);
-      }
-      it = pages.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  pages.ForEach([&](const PageKey& key, PageState& state) {
+    DropIfClean(pages, key, state);
+  });
 }
 
 void PageCache::DropCleanForInode(int inode) {
   auto& pages = OSIM_SHARED_RW(pages_);
-  for (auto it = pages.begin(); it != pages.end();) {
-    PageState& state = it->second;
-    if (it->first.inode == inode && state.valid && !state.dirty &&
-        !state.io_in_progress && state.waiters.waiters() == 0) {
-      if (state.in_lru) {
-        lru_.erase(state.lru_pos);
-      }
-      it = pages.erase(it);
-    } else {
-      ++it;
+  pages.ForEachOfInode(inode, [&](const PageKey& key, PageState& state) {
+    DropIfClean(pages, key, state);
+  });
+}
+
+void PageCache::DropIfClean(PageTable& pages, const PageKey& key,
+                            PageState& state) {
+  if (state.valid && !state.dirty && !state.io_in_progress &&
+      state.waiters.waiters() == 0) {
+    if (state.in_lru) {
+      LruUnlink(state);
     }
+    pages.Erase(key);
   }
 }
 
 void PageCache::EvictIfNeeded() {
   // Internal: always reached through an access-checked public entry.
   auto& pages = pages_.Write(__func__);
-  while (lru_.size() > capacity_pages_ && !lru_.empty()) {
-    const PageKey victim = lru_.back();
-    auto it = pages.find(victim);
-    if (it == pages.end()) {
-      lru_.pop_back();
-      continue;
-    }
-    PageState& state = it->second;
+  while (lru_size_ > capacity_pages_) {
+    PageState& state = *lru_back_;
     if (state.io_in_progress || state.waiters.waiters() > 0) {
       // Busy page: rotate it to the front and stop for now.
-      Touch(victim, state);
+      Touch(state);
       return;
     }
     if (state.dirty) {
@@ -202,8 +231,9 @@ void PageCache::EvictIfNeeded() {
       ++writebacks_;
       disk_->Submit(osim::DiskOp::kWrite, state.lba, kBlocksPerPage, nullptr);
     }
-    lru_.pop_back();
-    pages.erase(it);
+    const PageKey victim = state.key;  // Erase destroys `state`.
+    LruUnlink(state);
+    pages.Erase(victim);
     ++evictions_;
   }
 }

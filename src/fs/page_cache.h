@@ -10,16 +10,23 @@
 // (SpawnFlusher), which is what gives atime updates and write_super their
 // periodic personality (§6.3).
 //
-// A hit allocates nothing, as in Linux: the page's LRU node moves to the
-// front in place (list_move), and each page carries its own wait queue.
+// A hit allocates nothing, as in Linux: each page carries its own LRU
+// links, moved to the front in place (list_move), and its own wait queue.
+//
+// The page table is keyed the way Linux keys a file's pages: each
+// mapping (here, each inode) has its own page tree indexed by page
+// number.  Here that tree is a table per inode, indexed by page number,
+// so a lookup is two array indexings.  A walk visits pages in ascending
+// (inode, page) order, the order writebacks are submitted in, and one
+// inode's walk touches only that inode's table.
 
 #ifndef OSPROF_SRC_FS_PAGE_CACHE_H_
 #define OSPROF_SRC_FS_PAGE_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <list>
-#include <map>
+#include <memory>
+#include <vector>
 
 #include "src/sim/disk.h"
 #include "src/sim/kernel.h"
@@ -101,12 +108,13 @@ class PageCache {
   std::uint64_t resident_pages() const { return OSIM_SHARED_RO(pages_).size(); }
 
  private:
-  // Lives in the page table's map, whose nodes never move, so the
-  // page's wait queue is held by value.
+  // Allocated on its own and never moved, so the page holds its wait
+  // queue by value and its LRU neighbours link to it directly.
   struct PageState {
-    explicit PageState(Kernel* kernel)
-        : waiters(kernel, osprof::kLayerDriver) {}
+    PageState(Kernel* kernel, const PageKey& key)
+        : key(key), waiters(kernel, osprof::kLayerDriver) {}
 
+    PageKey key;
     bool valid = false;
     bool dirty = false;
     bool io_in_progress = false;
@@ -114,15 +122,61 @@ class PageCache {
     std::uint64_t lba = 0;
     Cycles dirtied_at = 0;
     osim::WaitQueue waiters;
-    std::list<PageKey>::iterator lru_pos;
+    // While in_lru: the next more and less recently used pages.
+    PageState* lru_newer = nullptr;
+    PageState* lru_older = nullptr;
   };
 
-  // The page's state, created empty on first use.
-  PageState& StateOf(std::map<PageKey, PageState>& pages,
-                     const PageKey& key) {
-    return pages.try_emplace(key, kernel_).first->second;
-  }
-  void Touch(const PageKey& key, PageState& state);
+  // Per inode, a table of pages indexed by page number.
+  class PageTable {
+   public:
+    // The page's state, or null when the page is not resident.
+    PageState* Find(const PageKey& key) const {
+      if (key.inode < 0 ||
+          static_cast<std::size_t>(key.inode) >= inodes_.size()) {
+        return nullptr;
+      }
+      const auto& pages = inodes_[static_cast<std::size_t>(key.inode)];
+      return key.page < pages.size() ? pages[key.page].get() : nullptr;
+    }
+    // The page's state, created empty on first use.
+    PageState& FindOrCreate(const PageKey& key, Kernel* kernel);
+    // Drops a resident page's state.
+    void Erase(const PageKey& key);
+    // Calls f(key, state) on each resident page of `inode` in ascending
+    // page order; f may erase the page it is given.
+    template <typename F>
+    void ForEachOfInode(int inode, F&& f) {
+      if (inode < 0 || static_cast<std::size_t>(inode) >= inodes_.size()) {
+        return;
+      }
+      const auto i = static_cast<std::size_t>(inode);
+      for (std::uint64_t page = 0; page < inodes_[i].size(); ++page) {
+        if (PageState* state = inodes_[i][page].get()) {
+          f(PageKey{inode, page}, *state);
+        }
+      }
+    }
+    // The same over every inode, in ascending (inode, page) order.
+    template <typename F>
+    void ForEach(F&& f) {
+      for (std::size_t i = 0; i < inodes_.size(); ++i) {
+        ForEachOfInode(static_cast<int>(i), f);
+      }
+    }
+    std::size_t size() const { return size_; }
+
+   private:
+    std::vector<std::vector<std::unique_ptr<PageState>>> inodes_;
+    std::size_t size_ = 0;
+  };
+
+  // Moves the page to the LRU's front, adding it if it is not there.
+  void Touch(PageState& state);
+  void LruUnlink(PageState& state);
+  // Drops `key` when it is clean and idle: valid, not dirty, no read in
+  // flight, nobody waiting.
+  void DropIfClean(PageTable& pages, const PageKey& key, PageState& state);
   void EvictIfNeeded();
 
   Kernel* kernel_;
@@ -130,10 +184,13 @@ class PageCache {
   std::uint64_t capacity_pages_;
   // The page table's protocol spans awaits (StartRead submits, the caller
   // sleeps in WaitForPage, the completion validates), so it is a
-  // race-checked cell.  lru_ and the counters below share its protocol:
-  // every mutation goes through an access recorded on this cell.
-  osim::Shared<std::map<PageKey, PageState>> pages_;
-  std::list<PageKey> lru_;  // Front = most recently used.
+  // race-checked cell.  The LRU and the counters below share its
+  // protocol: every mutation goes through an access recorded on this cell.
+  osim::Shared<PageTable> pages_;
+  // The LRU, linked through the pages: front = most recently used.
+  PageState* lru_front_ = nullptr;
+  PageState* lru_back_ = nullptr;
+  std::uint64_t lru_size_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t reads_started_ = 0;

@@ -89,10 +89,19 @@ Task<std::uint32_t> CifsMount::ServeRead(const std::string& path,
 }
 
 Task<void> CifsMount::ServerEnsureListing(const std::string& path) {
-  ServerListing& listing = OSIM_SHARED_RW(server_listings_)[path];
+  auto& listings = OSIM_SHARED_RW(server_listings_);
+  ServerListing& listing = listings.try_emplace(path, kernel_).first->second;
   if (listing.loaded) {
     co_return;
   }
+  if (listing.loading) {
+    // Another Find transaction is enumerating it; map nodes never move.
+    while (!OSIM_SHARED_RO(server_listings_).at(path).loaded) {
+      co_await listing.loaded_waiters.Wait();
+    }
+    co_return;
+  }
+  listing.loading = true;
   // Enumerate on the exported file system -- real substrate work: the
   // first FindFirst of a cold directory pays the server's disk latency.
   const int fd = co_await server_fs_->Open(path, /*direct_io=*/false);
@@ -107,16 +116,15 @@ Task<void> CifsMount::ServerEnsureListing(const std::string& path) {
         // each entry while building the listing.
         const osfs::FileAttr attr =
             co_await server_fs_->Stat(path + "/" + name);
-        auto& listings = OSIM_SHARED_RW(server_listings_);
-        listings[path].names.push_back(name);
-        listings[path].attrs.push_back(attr);
+        ServerListing& building = OSIM_SHARED_RW(server_listings_).at(path);
+        building.names.push_back(name);
+        building.attrs.push_back(attr);
       }
     }
     co_await server_fs_->Close(fd);
   }
-  // ServerEnsureListing may have suspended; re-resolve (map iterators are
-  // stable, but be explicit about the single mutation point).
-  OSIM_SHARED_RW(server_listings_)[path].loaded = true;
+  OSIM_SHARED_RW(server_listings_).at(path).loaded = true;
+  listing.loaded_waiters.WakeAll();
 }
 
 Task<std::uint32_t> CifsMount::ServeFind(const std::string& path, bool first,

@@ -169,11 +169,23 @@ class CifsMount : public RemoteMount {
   Task<std::uint32_t> ServeFind(const std::string& path, bool first,
                                 std::uint64_t cookie, Transaction* txn);
 
+  // The server's listing of one directory.  Lives in a map node, which
+  // never moves, so it holds its wait queue by value.
   struct ServerListing {
+    explicit ServerListing(osim::Kernel* kernel)
+        : loaded_waiters(kernel, osprof::kLayerDriver) {}
+
     std::vector<std::string> names;
     std::vector<osfs::FileAttr> attrs;  // Parallel to names.
+    // Set by the first Find transaction on the directory before its
+    // first await; a later one waits on `loaded_waiters` for `loaded`
+    // instead of enumerating the directory again.
+    bool loading = false;
     bool loaded = false;
+    osim::WaitQueue loaded_waiters;
   };
+  // Enumerates `path` on the exported fs once, however many Find
+  // transactions ask for it at the same time.
   Task<void> ServerEnsureListing(const std::string& path);
 
   CifsConfig config_;

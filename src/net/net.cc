@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <utility>
 
 namespace osnet {
 
@@ -29,12 +31,13 @@ void NetPipe::Send(std::uint32_t bytes, PacketKind kind, std::string_view label,
   const Cycles start = std::max(now, busy_until_);
   const auto serialization = static_cast<Cycles>(
       std::max(1.0, static_cast<double>(bytes) / config_.bytes_per_cycle));
-  busy_until_ = start + serialization;
-  const Cycles arrive = busy_until_ + config_.one_way_latency;
-  ++packets_sent_;
-  if (!deliver) {
-    deliver = [] {};
+  const Cycles arrive = start + serialization + config_.one_way_latency;
+  if (arrive <= last_arrival_) {
+    throw std::logic_error("NetPipe: a packet would overtake the one before");
   }
+  busy_until_ = start + serialization;
+  last_arrival_ = arrive;
+  ++packets_sent_;
   if (trace_ != nullptr) {
     // Only a trace reads the record.  It lands with the packet, so the
     // trace stays in receive order across the pipes that share it.
@@ -42,24 +45,26 @@ void NetPipe::Send(std::uint32_t bytes, PacketKind kind, std::string_view label,
     deliver = [trace = trace_, record = std::move(record),
                inner = std::move(deliver)]() mutable {
       trace->Record(std::move(record));
-      inner();
+      if (inner) {
+        inner();
+      }
     };
   }
-  Kernel* k = kernel_;
-  if (k->races().enabled()) {
-    // Race-tracking path: the sender's happens-before history travels
-    // with the packet and is adopted around delivery, so handlers the
-    // delivery spawns (smbd) or tasks it wakes inherit it.  A separate
-    // path so the common closure never carries the token.
-    k->events().At(arrive, [k, deliver = std::move(deliver),
-                            token = k->races().Capture()]() mutable {
-      k->races().Adopt(token);
-      deliver();
-      k->races().Drop();
-    });
-    return;
+  InFlight packet{std::move(deliver), kernel_->races().Capture()};
+  in_flight_.push_back(std::move(packet));
+  kernel_->events().At(arrive, [this] { DeliverFront(); });
+}
+
+void NetPipe::DeliverFront() {
+  InFlight packet = std::exchange(in_flight_.front(), InFlight{});
+  in_flight_.pop_front();
+  // Race tracking adopts the sender's history around delivery (Adopt and
+  // Drop do nothing with tracking off).
+  kernel_->races().Adopt(packet.token);
+  if (packet.deliver) {
+    packet.deliver();
   }
-  k->events().At(arrive, std::move(deliver));
+  kernel_->races().Drop();
 }
 
 int NetPipe::SendSegmented(std::uint32_t bytes, std::string_view label,

@@ -33,6 +33,7 @@
 
 #include "src/sim/kernel.h"
 #include "src/sim/race_tracker.h"
+#include "src/sim/run_queue.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
 
@@ -79,6 +80,13 @@ class PacketTrace {
 
 // One direction of the link.  Packets serialize FIFO at the link rate and
 // are delivered (via callback) one-way-latency after serialization ends.
+//
+// Each packet's serialization ends at least one cycle after the last
+// one's and its latency is the pipe's constant, so a pipe's arrivals
+// strictly increase and its packets land in the order they were sent.
+// The pipe keeps the packets in flight -- each one's delivery callback
+// and its sender's SimRace token -- in that FIFO, and each arrival event
+// captures only the pipe and delivers the front packet.
 class NetPipe {
  public:
   NetPipe(Kernel* kernel, const NetConfig& config, std::string from,
@@ -99,12 +107,26 @@ class NetPipe {
   std::uint64_t packets_sent() const { return packets_sent_; }
 
  private:
+  struct InFlight {
+    std::function<void()> deliver;
+    // The sender's happens-before history, adopted around `deliver` so
+    // handlers it spawns (smbd) or tasks it wakes inherit it (empty when
+    // tracking is off).
+    osim::RaceClock token;
+  };
+
+  // The arrival event of the front packet.
+  void DeliverFront();
+
   Kernel* kernel_;
   NetConfig config_;
   std::string from_;
   PacketTrace* trace_;
   Cycles busy_until_ = 0;
+  // Arrival time of the last packet sent; the next must arrive later.
+  Cycles last_arrival_ = 0;
   std::uint64_t packets_sent_ = 0;
+  osim::ChunkedQueue<InFlight, 32> in_flight_;
 };
 
 // Sender-side unacked-segment accounting with an awaitable "all acked"

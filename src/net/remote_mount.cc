@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/fs/page_cache.h"
-
 namespace osnet {
 
 RemoteMount::RemoteMount(osim::Kernel* kernel, osfs::Vfs* server_fs,
@@ -32,9 +30,10 @@ Task<std::int64_t> RemoteMount::ReadImpl(int fd, std::uint64_t bytes) {
   const std::uint64_t first_page = f.pos / osfs::kPageBytes;
   const std::uint64_t last_page = (end - 1) / osfs::kPageBytes;
   for (std::uint64_t page = first_page; page <= last_page; ++page) {
-    if (OSIM_SHARED_RO(page_cache_).count({f.path, page}) == 0) {
+    const osfs::PageKey key{f.path_id, page};
+    if (OSIM_SHARED_RO(page_cache_).count(key) == 0) {
       co_await FetchPage(f.path, page);
-      OSIM_SHARED_RW(page_cache_).insert({f.path, page});
+      OSIM_SHARED_RW(page_cache_).insert(key);
     }
     co_await kernel_->Cpu(1'400);  // Local copy-out.
   }

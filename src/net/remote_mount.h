@@ -16,10 +16,11 @@
 #include <cstdint>
 #include <set>
 #include <string>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "src/fs/fd_table.h"
+#include "src/fs/page_cache.h"
 #include "src/fs/vfs.h"
 #include "src/sim/kernel.h"
 #include "src/sim/race_tracker.h"
@@ -44,6 +45,8 @@ class RemoteMount : public osfs::Vfs {
   // a reference stays valid across the awaits of an operation on it.
   struct RemoteFile {
     std::string path;
+    // The mount-wide id of `path`: every open of one path gets the same.
+    int path_id = 0;
     std::uint64_t pos = 0;
     osfs::FileAttr attr;
     RemoteDir dir;
@@ -58,7 +61,9 @@ class RemoteMount : public osfs::Vfs {
 
   // Opens a descriptor on `path`, whose attributes are `attr`.
   int OpenRemote(const std::string& path, osfs::FileAttr attr) {
-    return fds_.Open(RemoteFile{path, 0, attr, {}});
+    const auto next_id = static_cast<int>(path_ids_.size());
+    const int id = path_ids_.try_emplace(path, next_id).first->second;
+    return fds_.Open(RemoteFile{path, id, 0, attr, {}});
   }
   RemoteFile& file(int fd) { return fds_.at(fd); }
 
@@ -83,9 +88,13 @@ class RemoteMount : public osfs::Vfs {
   std::size_t readdir_batch_;
   osim::Cycles readdir_entry_cpu_;
   osfs::FdTable<RemoteFile> fds_;
-  // Filled after a fetch that spans a network round trip, so an
-  // unsynchronized access is a real race.
-  osim::Shared<std::set<std::pair<std::string, std::uint64_t>>> page_cache_;
+  // One id per distinct path opened, so the page cache's key is two
+  // integers and a lookup copies no path.
+  std::unordered_map<std::string, int> path_ids_;
+  // The pages cached on the client, keyed {path id, page}.  Filled after
+  // a fetch that spans a network round trip, so an unsynchronized access
+  // is a real race.
+  osim::Shared<std::set<osfs::PageKey>> page_cache_;
 };
 
 }  // namespace osnet

@@ -21,7 +21,7 @@ void SimDisk::Submit(DiskOp op, std::uint64_t lba, std::uint64_t count,
   if (count == 0 || lba + count > config_.num_blocks) {
     throw std::out_of_range("disk request outside device");
   }
-  queue_.push_back(Request{op, lba, count, std::move(done), kernel_->now(),
+  queue_.push_back(Request{op, lba, count, done, kernel_->now(),
                            kernel_->races().Capture()});
   if (!busy_) {
     StartNext();
@@ -65,51 +65,33 @@ void SimDisk::StartNext() {
   busy_ = true;
   Request request = PopNext();
 
-  DiskRequestInfo info;
-  info.op = request.op;
-  info.lba = request.lba;
-  info.count = request.count;
-  info.queued_at = request.queued_at;
-  info.started_at = kernel_->now();
+  in_flight_ = DiskRequestInfo{};
+  in_flight_.op = request.op;
+  in_flight_.lba = request.lba;
+  in_flight_.count = request.count;
+  in_flight_.queued_at = request.queued_at;
+  in_flight_.started_at = kernel_->now();
+  const Cycles service = ServiceTime(request, &in_flight_.cache_hit);
+  in_flight_done_ = request.done;
+  in_flight_token_ = std::move(request.token);
+  kernel_->events().After(service, [this] { FinishInFlight(); });
+}
 
-  bool cache_hit = false;
-  const Cycles service = ServiceTime(request, &cache_hit);
-  info.cache_hit = cache_hit;
-
-  Completion done = std::move(request.done);
-  if (kernel_->races().enabled()) {
-    // Tracking path: adopt the submitter's history around the completion
-    // so tasks it wakes or spawns are ordered after the submit.  Kept
-    // separate so the common path's closure never carries the token.
-    kernel_->events().After(service, [this, info, done = std::move(done),
-                                      token = std::move(request.token)]() mutable {
-      DiskRequestInfo completed = info;
-      completed.completed_at = kernel_->now();
-      ++completed_;
-      if (observer_) {
-        observer_(completed);
-      }
-      kernel_->races().Adopt(token);
-      if (done) {
-        done(completed);
-      }
-      kernel_->races().Drop();
-      StartNext();
-    });
-    return;
+void SimDisk::FinishInFlight() {
+  DiskRequestInfo completed = in_flight_;
+  completed.completed_at = kernel_->now();
+  ++completed_;
+  if (observer_) {
+    observer_(completed);
   }
-  kernel_->events().After(service, [this, info, done = std::move(done)]() mutable {
-    DiskRequestInfo completed = info;
-    completed.completed_at = kernel_->now();
-    ++completed_;
-    if (observer_) {
-      observer_(completed);
-    }
-    if (done) {
-      done(completed);
-    }
-    StartNext();
-  });
+  // Adopt the submitter's history around the completion so tasks it wakes
+  // or spawns are ordered after the submit (no-ops with tracking off).
+  kernel_->races().Adopt(in_flight_token_);
+  if (in_flight_done_) {
+    in_flight_done_(completed);
+  }
+  kernel_->races().Drop();
+  StartNext();
 }
 
 Cycles SimDisk::ServiceTime(const Request& request, bool* cache_hit) {

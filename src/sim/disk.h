@@ -21,7 +21,12 @@
 // Requests complete via callback (the form used by the page cache and by
 // asynchronous writes, whose latency is only visible to a driver-level
 // profiler) or via the awaitable SyncRead/SyncWrite, which block the
-// calling simulated thread.
+// calling simulated thread.  A completion is an InlineCallable, like an
+// event: at most 24 bytes of trivially copyable captures.
+//
+// The disk serves one request at a time and holds that request -- its
+// DiskRequestInfo, its completion and its submitter's SimRace token --
+// as members, so the event that ends the service captures only the disk.
 //
 // Driver-level profiling (Figure 2's lowest layer) attaches through
 // SetRequestObserver, which sees every request with its queue and service
@@ -126,7 +131,8 @@ class DiskBlockCache {
 
 class SimDisk {
  public:
-  using Completion = std::function<void(const DiskRequestInfo&)>;
+  // Empty (nullptr) for a request nobody waits on.
+  using Completion = InlineCallable<void(const DiskRequestInfo&)>;
   using Observer = std::function<void(const DiskRequestInfo&)>;
 
   SimDisk(Kernel* kernel, DiskConfig config = {});
@@ -167,6 +173,8 @@ class SimDisk {
   };
 
   void StartNext();
+  // The in-flight request's service ends: observer, completion, next.
+  void FinishInFlight();
   // Removes and returns the next request per the scheduling policy.
   Request PopNext();
   Cycles ServiceTime(const Request& request, bool* cache_hit);
@@ -175,6 +183,10 @@ class SimDisk {
   DiskConfig config_;
   std::deque<Request> queue_;
   bool busy_ = false;
+  // The request in service while busy_.
+  DiskRequestInfo in_flight_;
+  Completion in_flight_done_;
+  RaceClock in_flight_token_;
   std::uint64_t head_ = 0;
   DiskBlockCache cache_;
   Observer observer_;

@@ -11,7 +11,7 @@ void EventQueue::At(Cycles when, Action action) {
     throw std::logic_error("EventQueue: scheduling into the past");
   }
   const int b = std::bit_width(when ^ last_);
-  buckets_[static_cast<std::size_t>(b)].emplace_back(when, std::move(action));
+  buckets_[static_cast<std::size_t>(b)].emplace_back(when, action);
   if (b > 0) {
     occupied_ |= std::uint64_t{1} << (b - 1);
   }
@@ -32,9 +32,9 @@ void EventQueue::Redistribute(int b, Cycles min) {
   std::vector<Event>& from = buckets_[static_cast<std::size_t>(b)];
   // Every event here agrees with `min` above bit b-1, so each lands in a
   // bucket below b; appending in order keeps every bucket FIFO.
-  for (Event& e : from) {
+  for (const Event& e : from) {
     const int to = std::bit_width(e.when ^ min);
-    buckets_[static_cast<std::size_t>(to)].push_back(std::move(e));
+    buckets_[static_cast<std::size_t>(to)].push_back(e);
     if (to > 0) {
       occupied_ |= std::uint64_t{1} << (to - 1);
     }
@@ -45,9 +45,9 @@ void EventQueue::Redistribute(int b, Cycles min) {
 
 void EventQueue::Pop() {
   std::vector<Event>& due = buckets_[0];
-  // Move the action out first: running it may append to this bucket and
+  // Copy the action out first: running it may append to this bucket and
   // reallocate it.
-  Action action = std::move(due[head_].action);
+  Action action = due[head_].action;
   if (++head_ == due.size()) {
     due.clear();
     head_ = 0;

@@ -31,7 +31,8 @@ Kernel::Kernel(KernelConfig config)
   }
   config_.tsc_skew.resize(static_cast<std::size_t>(config_.num_cpus), 0);
   const int per_node = config_.num_cpus / config_.num_nodes;
-  nodes_.resize(static_cast<std::size_t>(config_.num_nodes));
+  nodes_ =
+      std::make_unique<Node[]>(static_cast<std::size_t>(config_.num_nodes));
   node_of_cpu_.resize(static_cast<std::size_t>(config_.num_cpus));
   for (int n = 0; n < config_.num_nodes; ++n) {
     Node& node = nodes_[static_cast<std::size_t>(n)];
@@ -41,7 +42,7 @@ Kernel::Kernel(KernelConfig config)
     node.idle_.resize(static_cast<std::size_t>(per_node + 63) / 64);
     for (int c = node.first_cpu_; c < node.first_cpu_ + per_node; ++c) {
       node_of_cpu_[static_cast<std::size_t>(c)] = n;
-      node.SetIdle(c, true);
+      node.SetIdle(c);
     }
   }
   lock_order_.set_context(&context_);
@@ -114,33 +115,44 @@ void Kernel::MakeRunnable(SimThread* t) {
 
 void Kernel::DispatchIdle(Node& node) {
   // While the run queue is non-empty, every idle CPU of this node begins a
-  // switch, lowest CPU first: placement -- and with it per-CPU TSC skew --
-  // follows CPU order.  A switch that finds the queue drained leaves its
-  // CPU idle again (CompleteSwitch).  Under load the bitmap is all zero
-  // and a wakeup costs one word test per 64 CPUs.  A node's run queue
-  // never feeds another node's CPUs.
+  // switch.  A word's idle CPUs switch together: one event completes
+  // them, lowest CPU first, so placement -- and with it per-CPU TSC skew
+  // -- follows CPU order.  A switch that finds the queue drained leaves
+  // its CPU idle again (CompleteSwitch).  Under load the bitmap is all
+  // zero and a wakeup costs one word test per 64 CPUs.  A node's run
+  // queue never feeds another node's CPUs.
   if (node.run_queue_.empty()) {
     return;
   }
   for (std::size_t w = 0; w < node.idle_.size(); ++w) {
-    for (std::uint64_t bits = node.idle_[w]; bits != 0; bits &= bits - 1) {
-      BeginSwitch(node, node.first_cpu_ + static_cast<int>(w * 64) +
-                            std::countr_zero(bits));
+    if (node.idle_[w] == 0) {
+      continue;
     }
+    const std::uint64_t cpus = std::exchange(node.idle_[w], 0);
+    const int first = node.first_cpu_ + static_cast<int>(w * 64);
+    context_switches_ += static_cast<std::uint64_t>(std::popcount(cpus));
+    events_.After(config_.context_switch_cost,
+                  [this, first, cpus] { CompleteSwitches(first, cpus); });
   }
 }
 
-void Kernel::BeginSwitch(Node& node, int c) {
-  node.SetIdle(c, false);
-  ++context_switches_;
-  events_.After(config_.context_switch_cost, [this, c] { CompleteSwitch(c); });
+void Kernel::CompleteSwitches(int first, std::uint64_t cpus) {
+  // The batch stands for one event per CPU, queued back to back: while
+  // some of its CPUs still wait, no burst may end inline past them.
+  EventQueue::PendingNowScope pending(events_);
+  while (cpus != 0) {
+    const int c = first + std::countr_zero(cpus);
+    cpus &= cpus - 1;
+    pending.set(std::popcount(cpus));
+    CompleteSwitch(c);
+  }
 }
 
 void Kernel::CompleteSwitch(int c) {
   Node& node = nodes_[static_cast<std::size_t>(
       node_of_cpu_[static_cast<std::size_t>(c)])];
   if (node.run_queue_.empty()) {
-    node.SetIdle(c, true);
+    node.SetIdle(c);
     return;  // Everyone found a CPU elsewhere; stay idle.
   }
   SimThread* t = node.run_queue_.front();
@@ -192,7 +204,7 @@ void Kernel::ResumeThread(SimThread* t) {
 void Kernel::ReleaseCpuOf(SimThread* t) {
   if (t->cpu_ >= 0) {
     Node& node = nodes_[static_cast<std::size_t>(t->node_)];
-    node.SetIdle(t->cpu_, true);
+    node.SetIdle(t->cpu_);
     t->cpu_ = -1;
     DispatchIdle(node);
   }
@@ -284,13 +296,22 @@ Cycles Kernel::WallClockFor(const SimThread* t, Cycles start, Cycles slice) {
   if (period == 0 || irq_cost == 0 || slice == 0) {
     return slice;
   }
+  // `start` is always now(), which never decreases, so the first tick
+  // boundary after it moves (one division) only once `start` reaches it.
+  if (start >= next_tick_) {
+    next_tick_ = (start / period + 1) * period;
+  }
   // Interrupt service time stretches the slice, which can pull in further
   // ticks; iterate to the fixed point (converges immediately because
-  // irq_cost << period).
+  // irq_cost << period).  The ticks in (start, start + wall] are
+  // (start + wall) / period - start / period: none before next_tick_,
+  // then one per period from it.
   Cycles wall = slice;
   std::uint64_t ticks = 0;
   for (int i = 0; i < 8; ++i) {
-    const std::uint64_t n = (start + wall) / period - start / period;
+    const Cycles end = start + wall;
+    const std::uint64_t n =
+        end < next_tick_ ? 0 : 1 + (end - next_tick_) / period;
     const Cycles next = slice + n * irq_cost;
     ticks = n;
     if (next == wall) {
@@ -365,7 +386,8 @@ KernelMemoryStats Kernel::MemoryStats() const {
   }
   stats.run_queue_bytes = 0;
   stats.run_queue_peak_depth = 0;
-  for (const Node& node : nodes_) {
+  for (int n = 0; n < num_nodes(); ++n) {
+    const Node& node = nodes_[static_cast<std::size_t>(n)];
     stats.run_queue_bytes += node.run_queue_.ApproxBytes();
     stats.run_queue_peak_depth =
         std::max(stats.run_queue_peak_depth, node.run_queue_.peak_size());

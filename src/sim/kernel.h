@@ -24,6 +24,13 @@
 // precedes ends inline, without an event or a suspension; everything
 // runs in the same order and at the same simulated times either way.
 //
+// A thread that becomes runnable begins a context switch on every idle
+// CPU of its node.  The idle CPUs of one 64-bit word of the node's idle
+// bitmap switch as a batch: one event completes their switches, lowest
+// CPU first, and keeps the event queue from advancing past the CPUs
+// still waiting in it, so the batch runs exactly as one event per CPU
+// queued back to back would.
+//
 // One Kernel event loop can simulate an N-node cluster: KernelConfig
 // partitions the CPUs into `num_nodes` contiguous slices, each owned by an
 // osim::Node with its own run queue, so threads never migrate across node
@@ -39,7 +46,6 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -218,6 +224,12 @@ struct KernelMemoryStats {
 // run queue onto that node's CPUs only.
 class Node {
  public:
+  // Never copied or moved: the kernel builds its nodes in place, in a
+  // fixed array, and a node's run queue cannot move.
+  Node() = default;
+  Node(const Node&) = delete;
+  Node& operator=(const Node&) = delete;
+
   int id() const { return id_; }
   int first_cpu() const { return first_cpu_; }
   int num_cpus() const { return num_cpus_; }
@@ -234,10 +246,10 @@ class Node {
   std::vector<std::uint64_t> idle_;
   ChunkedQueue<SimThread*> run_queue_;
 
-  void SetIdle(int cpu, bool idle) {
+  // A CPU leaves the bitmap only when DispatchIdle drains its word.
+  void SetIdle(int cpu) {
     const auto i = static_cast<std::size_t>(cpu - first_cpu_);
-    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-    idle_[i / 64] = idle ? idle_[i / 64] | bit : idle_[i / 64] & ~bit;
+    idle_[i / 64] |= std::uint64_t{1} << (i % 64);
   }
 };
 
@@ -316,7 +328,7 @@ class Kernel {
 
   // --- Cluster topology -------------------------------------------------
 
-  int num_nodes() const { return static_cast<int>(nodes_.size()); }
+  int num_nodes() const { return config_.num_nodes; }
   const Node& node(int id) const {
     return nodes_[static_cast<std::size_t>(id)];
   }
@@ -441,8 +453,17 @@ class Kernel {
   // Scheduler internals.  Dispatch and preemption are per-node: a node's
   // run queue feeds that node's CPUs only.
   void MakeRunnable(SimThread* t);
+  // Begins a context switch on every idle CPU of `node` when its run
+  // queue is non-empty.  The idle CPUs of one bitmap word switch as a
+  // batch: one event, context_switch_cost later, completes each of them
+  // (CompleteSwitches).
   void DispatchIdle(Node& node);
-  void BeginSwitch(Node& node, int cpu);
+  // The batch event: completes the switch of each CPU `first + i` with
+  // bit i set in `cpus`, lowest first.  The CPUs after the one switching
+  // are pending-now work (EventQueue::PendingNowScope), so a burst the
+  // switched-in thread starts cannot end inline past them: everything
+  // runs in the order and at the times one event per CPU would give.
+  void CompleteSwitches(int first, std::uint64_t cpus);
   void CompleteSwitch(int cpu);
   void ResumeThread(SimThread* t);
   // Starts a burst for the current thread, suspended at `h`.  Returns true
@@ -481,9 +502,10 @@ class Kernel {
   RaceTracker race_tracker_;
   RequestContext context_;
   InterferenceChannel channel_;
-  // Per-node scheduling state (run queue + idle-CPU bitmap), deque because
-  // Node embeds a non-movable ChunkedQueue.  Sized once at construction.
-  std::deque<Node> nodes_;
+  // Per-node scheduling state (run queue + idle-CPU bitmap): a fixed
+  // array of config_.num_nodes, built at construction, because Node
+  // embeds a non-movable ChunkedQueue.
+  std::unique_ptr<Node[]> nodes_;
   std::vector<int> node_of_cpu_;
   std::vector<std::unique_ptr<SimThread>> threads_;
   SimThread* current_ = nullptr;
@@ -499,6 +521,9 @@ class Kernel {
   int live_threads_ = 0;
   std::uint64_t context_switches_ = 0;
   std::uint64_t timer_irqs_ = 0;
+  // The first timer-tick boundary after the last slice start WallClockFor
+  // saw (0 before the first).
+  Cycles next_tick_ = 0;
   std::uint64_t spawned_threads_ = 0;
   std::uint64_t reaped_threads_ = 0;
   // Statistics of reaped threads, folded in at reap time so kernel-wide

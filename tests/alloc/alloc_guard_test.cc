@@ -1,5 +1,6 @@
-// Allocation guard: the hot paths that waiting, page-cache hits, disk-cache
-// updates and path lookups run make no heap allocation once warm.
+// Allocation guard: the hot paths that scheduling, waiting, page-cache hits,
+// disk-cache updates and path lookups run make no heap allocation once
+// warm.
 //
 // This binary replaces the global operator new with a counting one, so it
 // is its own executable: the count covers every allocation in the process,
@@ -167,6 +168,38 @@ TEST(AllocGuard, WaitQueueRoundsAllocateNothing) {
   const std::uint64_t before = wakeups;
   const long calls = NewCallsIn([&k] { k.RunFor(200'000); });
   EXPECT_GE(wakeups - before, 1'000u);
+  EXPECT_EQ(calls, 0);
+}
+
+Task<void> Napper(Kernel& k, Cycles burst, Cycles nap,
+                  std::uint64_t* rounds) {
+  while (true) {
+    co_await k.Cpu(burst);
+    co_await k.Sleep(nap);
+    ++*rounds;
+  }
+}
+
+TEST(AllocGuard, SleepWakeRoundsOnEightCpusAllocateNothing) {
+  // 16 threads on 8 CPUs, with the default context-switch cost: wakeups,
+  // switch batches (several CPUs go idle together) and queued slice ends
+  // (overlapping bursts) all recur in the window.  Warming up to 2^26
+  // cycles reaches every radix bucket the 2^24-cycle window after it can.
+  KernelConfig cfg;
+  cfg.num_cpus = 8;
+  cfg.timer_tick_period = 0;
+  Kernel k(cfg);
+  std::uint64_t rounds = 0;
+  for (int i = 0; i < 16; ++i) {
+    const auto n = static_cast<Cycles>(i);
+    k.Spawn("napper", Napper(k, 1'000 + 37 * n, 5'000 + 101 * n, &rounds));
+  }
+  k.RunUntil(Cycles{1} << 26);
+  const std::uint64_t before = rounds;
+  const std::uint64_t switches_before = k.context_switches();
+  const long calls = NewCallsIn([&k] { k.RunFor(Cycles{1} << 24); });
+  EXPECT_GE(rounds - before, 10'000u);
+  EXPECT_GE(k.context_switches() - switches_before, 10'000u);
   EXPECT_EQ(calls, 0);
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 namespace osfs {
 namespace {
 
@@ -154,6 +158,61 @@ TEST(PageCache, DropCleanKeepsDirty) {
   cache.DropClean();
   EXPECT_FALSE(cache.Contains(PageKey{1, 0}));
   EXPECT_TRUE(cache.IsDirty(PageKey{1, 1}));
+}
+
+// Pages dirtied in shuffled order across three inodes are written back in
+// (inode, page) order; a FIFO disk completes them in submit order.
+TEST(PageCache, FlushWritesBackInInodeThenPageOrder) {
+  Kernel k(QuietConfig());
+  SimDisk disk(&k);
+  PageCache cache(&k, &disk, 100);
+  std::vector<std::uint64_t> written;
+  disk.SetRequestObserver([&written](const osim::DiskRequestInfo& info) {
+    written.push_back(info.lba);
+  });
+  const auto lba_of = [](const PageKey& key) {
+    return static_cast<std::uint64_t>(key.inode) * 100'000 +
+           key.page * kBlocksPerPage;
+  };
+  // Inodes and pages both out of order.
+  std::vector<PageKey> shuffled;
+  shuffled.reserve(12);
+  for (const int inode : {7, 0, 2}) {
+    for (const std::uint64_t page : {3, 0, 9, 1}) {
+      shuffled.push_back(PageKey{inode, page});
+    }
+  }
+  for (const PageKey& key : shuffled) {
+    cache.MarkDirty(key, lba_of(key));
+  }
+  EXPECT_EQ(cache.FlushOlderThan(0), 12);
+  k.RunFor(osim::Cycles{1} << 36);
+  std::vector<PageKey> sorted = shuffled;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::uint64_t> expected;
+  expected.reserve(sorted.size());
+  for (const PageKey& key : sorted) {
+    expected.push_back(lba_of(key));
+  }
+  EXPECT_EQ(written, expected);
+}
+
+TEST(PageCache, DropCleanForInodeKeepsOtherInodesPages) {
+  Kernel k(QuietConfig());
+  SimDisk disk(&k);
+  PageCache cache(&k, &disk, 100);
+  cache.MarkValid(PageKey{1, 0}, 1'000);
+  cache.MarkValid(PageKey{1, 1}, 1'008);
+  cache.MarkValid(PageKey{2, 0}, 2'000);
+  cache.MarkDirty(PageKey{2, 1}, 2'008);
+  cache.MarkValid(PageKey{3, 4}, 3'032);
+  cache.DropCleanForInode(2);
+  EXPECT_EQ(cache.resident_pages(), 4u);
+  EXPECT_FALSE(cache.Contains(PageKey{2, 0}));
+  EXPECT_TRUE(cache.IsDirty(PageKey{2, 1}));
+  EXPECT_TRUE(cache.Contains(PageKey{1, 0}));
+  EXPECT_TRUE(cache.Contains(PageKey{1, 1}));
+  EXPECT_TRUE(cache.Contains(PageKey{3, 4}));
 }
 
 }  // namespace

@@ -63,6 +63,22 @@ TEST(CifsMount, EnumeratesRemoteDirectoryCompletely) {
   EXPECT_EQ(names.size(), 100u);
 }
 
+// Two Find transactions on one cold directory: the first enumerates it on
+// the server, the second waits for that listing instead of appending every
+// entry a second time.
+TEST(CifsMount, TwoClientsListingAColdDirectoryEachSeeItOnce) {
+  Harness h;
+  PopulateDir(&h.server_fs, "/share", 30);
+  std::vector<std::string> first;
+  std::vector<std::string> second;
+  h.kernel.Spawn("client1", ListDir(&h.mount, "/share", &first));
+  h.kernel.Spawn("client2", ListDir(&h.mount, "/share", &second));
+  h.kernel.RunUntilThreadsFinish();
+  EXPECT_EQ(first.size(), 30u);
+  EXPECT_EQ(second.size(), 30u);
+  EXPECT_EQ(first, second);
+}
+
 TEST(CifsMount, WindowsClientStallsOnDelayedAcks) {
   CifsConfig cfg;
   cfg.client_os = ClientOs::kWindows;

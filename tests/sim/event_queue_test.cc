@@ -38,13 +38,15 @@ TEST(EventQueue, SameTimestampRunsInInsertionOrder) {
 TEST(EventQueue, EventsScheduleMoreEvents) {
   EventQueue q;
   int fired = 0;
+  // Each event queues the next through a pointer to this chain, which
+  // outlives them all.
   std::function<void()> chain = [&] {
     ++fired;
     if (fired < 5) {
-      q.After(10, chain);
+      q.After(10, [&chain] { chain(); });
     }
   };
-  q.After(10, chain);
+  q.After(10, [&chain] { chain(); });
   q.RunAll();
   EXPECT_EQ(fired, 5);
   EXPECT_EQ(q.now(), 50u);
@@ -201,33 +203,36 @@ TEST(EventQueue, MatchesReferencePriorityQueueOnRandomLoad) {
   };
 
   // Enters an event at `when` into the reference and returns the action
-  // that checks, when it runs, that it is the reference's minimum.
+  // that checks, when it runs, that it is the reference's minimum.  The
+  // action captures `fire`, which reaches the test's state, by pointer.
   std::function<void(Cycles)> schedule;
+  std::function<void(Cycles, std::uint64_t)> fire;
   const auto tracked = [&](Cycles when) -> EventQueue::Action {
     const std::uint64_t id = seq++;
     ref.push(Ref{when, id});
-    return [&, when, id] {
-      if (ref.empty() || ref.top().when != when || ref.top().seq != id) {
-        ++mismatches;
-      } else {
-        ref.pop();
-      }
-      ++executed;
-      if (id % 7 == 3) {
-        try_advance(q.now() + (next_random() & ((1ull << (id % 24)) - 1)));
-      }
-      if (follow_ups_left > 0 && (id & 3u) == 0) {
-        --follow_ups_left;
-        // Mixed-magnitude gap, sometimes exactly zero: a same-timestamp
-        // follow-up must still run after everything already queued for
-        // `now`.
-        const Cycles gap =
-            (id & 31u) == 0
-                ? 0
-                : next_random() & ((1ull << (8 + id % 21)) - 1);
-        schedule(q.now() + gap);
-      }
-    };
+    return [&fire, when, id] { fire(when, id); };
+  };
+  fire = [&](Cycles when, std::uint64_t id) {
+    if (ref.empty() || ref.top().when != when || ref.top().seq != id) {
+      ++mismatches;
+    } else {
+      ref.pop();
+    }
+    ++executed;
+    if (id % 7 == 3) {
+      try_advance(q.now() + (next_random() & ((1ull << (id % 24)) - 1)));
+    }
+    if (follow_ups_left > 0 && (id & 3u) == 0) {
+      --follow_ups_left;
+      // Mixed-magnitude gap, sometimes exactly zero: a same-timestamp
+      // follow-up must still run after everything already queued for
+      // `now`.
+      const Cycles gap =
+          (id & 31u) == 0
+              ? 0
+              : next_random() & ((1ull << (8 + id % 21)) - 1);
+      schedule(q.now() + gap);
+    }
   };
   schedule = [&](Cycles when) { q.At(when, tracked(when)); };
 

@@ -261,6 +261,40 @@ TEST(Kernel, KernelEventDueAtABurstsEndRunsFirst) {
   EXPECT_EQ(k.now(), 512u);
 }
 
+Task<void> RecordDispatch(Kernel& k, Cycles* at, int* cpu) {
+  *at = k.now();
+  *cpu = k.current()->cpu();
+  co_return;
+}
+
+Task<void> BurstThenSpawnThenSleep(Kernel& k, Cycles* at, Cycles* b_at,
+                                   int* b_cpu) {
+  *at = k.now();
+  co_await k.Cpu(100);
+  k.Spawn("b", RecordDispatch(k, b_at, b_cpu));
+  co_await k.Sleep(1'000'000);
+}
+
+// A's wakeup begins a switch on both idle CPUs, completed by one event.
+// While CPU 1's switch is still to complete in it, A's 100-cycle burst on
+// CPU 0 must not end inline: with one event per CPU, CPU 1 found the run
+// queue empty and went idle first, so B, spawned at the burst's end,
+// switches onto CPU 1 a full switch later.
+TEST(Kernel, BurstInASwitchBatchWaitsForTheBatchsOtherCpus) {
+  KernelConfig cfg = QuietConfig();
+  cfg.num_cpus = 2;
+  cfg.context_switch_cost = 9'520;
+  Kernel k(cfg);
+  Cycles a_at = 0;
+  Cycles b_at = 0;
+  int b_cpu = -1;
+  k.Spawn("a", BurstThenSpawnThenSleep(k, &a_at, &b_at, &b_cpu));
+  k.RunUntilThreadsFinish();
+  EXPECT_EQ(a_at, 9'520u);
+  EXPECT_EQ(b_cpu, 1);
+  EXPECT_EQ(b_at, a_at + 100 + 9'520);
+}
+
 // RunUntil stops inside a burst even when nothing else is queued, and
 // picking the run up again ends where one uninterrupted run does.
 TEST(Kernel, RunUntilStopsInsideABurst) {

@@ -168,5 +168,32 @@ TEST(NodeTopology, IdleCpusBeyondOneWordDispatchInCpuOrder) {
   }
 }
 
+Task<void> RecordDispatchThenBurn(Kernel* k, int* cpu_seen, Cycles* at) {
+  *cpu_seen = k->current()->cpu();
+  *at = k->now();
+  co_await k->Cpu(1'000);
+}
+
+TEST(NodeTopology, OneSwitchBatchPerWordFillsCpusLowestFirst) {
+  // 130 threads runnable at once on a 130-CPU node: the first wakeup
+  // drains the node's three idle-bitmap words into three switch batches,
+  // and each batch completes its CPUs lowest first, so thread i lands on
+  // CPU i, all one switch after the spawn.
+  KernelConfig cfg = NodeConfig(130, 1);
+  cfg.context_switch_cost = 9'520;
+  Kernel k(cfg);
+  std::vector<int> cpu_seen(130, -2);
+  std::vector<Cycles> at(130, 0);
+  for (std::size_t i = 0; i < 130; ++i) {
+    k.Spawn("burn", RecordDispatchThenBurn(&k, &cpu_seen[i], &at[i]));
+  }
+  k.RunUntilThreadsFinish();
+  for (std::size_t i = 0; i < 130; ++i) {
+    EXPECT_EQ(cpu_seen[i], static_cast<int>(i)) << "thread " << i;
+    EXPECT_EQ(at[i], 9'520u) << "thread " << i;
+  }
+  EXPECT_EQ(k.context_switches(), 130u);
+}
+
 }  // namespace
 }  // namespace osim

@@ -94,14 +94,23 @@ Task<void> SendRequests(Kernel* k, Shared<std::uint64_t>* cell,
                         SimSemaphore* lock, WaitQueue* replies,
                         int requests) {
   for (int i = 0; i < requests; ++i) {
-    bool replied = false;
-    k->events().After(1'000, [k, cell, lock, replies, &replied,
-                              token = k->races().Capture()] {
-      k->races().Adopt(token);
-      k->Spawn("smbd", HandleRequest(k, cell, lock, replies, &replied));
-      k->races().Drop();
+    // The delivery reaches the request through this frame, which lives
+    // until the reply lands.
+    struct Request {
+      Kernel* k;
+      Shared<std::uint64_t>* cell;
+      SimSemaphore* lock;
+      WaitQueue* replies;
+      RaceClock token;
+      bool replied = false;
+    } request{k, cell, lock, replies, k->races().Capture()};
+    k->events().After(1'000, [&r = request] {
+      r.k->races().Adopt(r.token);
+      r.k->Spawn("smbd",
+                 HandleRequest(r.k, r.cell, r.lock, r.replies, &r.replied));
+      r.k->races().Drop();
     });
-    while (!replied) {
+    while (!request.replied) {
       co_await replies->Wait();
     }
   }

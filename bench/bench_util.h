@@ -22,8 +22,13 @@
 #include "src/core/preemption.h"
 #include "src/core/prior.h"
 #include "src/core/report.h"
+#include "src/fs/ext2fs.h"
+#include "src/net/cifs.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
+#include "src/sim/disk.h"
+#include "src/sim/kernel.h"
+#include "src/sim/task.h"
 
 namespace osbench {
 
@@ -85,28 +90,43 @@ inline std::uint64_t PreemptedTail(const osprof::Histogram& h,
   return n;
 }
 
-// Figure 10's grep -r over CIFS (§6.4), client and server on one 4-CPU
-// box.  Every directory holds 100 files, so a Find transaction takes
-// several batches and a Windows client stalls on delayed ACKs between
-// them.  SimRace tracks the CIFS caches here as in every gated scenario.
-inline osrunner::Scenario CifsGrep(std::uint64_t seed,
-                                   osnet::ClientOs client_os,
-                                   bool delayed_ack) {
-  osrunner::Scenario s;
-  s.kernel.num_cpus = 4;
-  s.kernel.seed = seed;
-  osrunner::GrepSpec grep;
-  grep.root = "/export";
-  grep.tree.top_dirs = 6;
-  grep.tree.subdirs_per_dir = 2;
-  grep.tree.depth = 1;
-  grep.tree.files_per_dir = 100;
-  grep.tree.median_file_bytes = 30'000;
-  grep.over_cifs = true;
-  grep.cifs.client_os = client_os;
-  grep.cifs.client_delayed_ack = delayed_ack;
-  s.workload = grep;
-  return s;
+// Lists the directory at `path` once, batch by batch.
+inline osim::Task<void> EnumerateOnce(osfs::Vfs* vfs, std::string path) {
+  const int fd = co_await vfs->Open(path, false);
+  while (true) {
+    const osfs::DirentBatch batch = co_await vfs->Readdir(fd);
+    if (batch.names.empty()) {
+      break;
+    }
+  }
+  co_await vfs->Close(fd);
+}
+
+// Figure 11's machine (§6.4): one enumeration of a 100-file directory
+// over CIFS, seed 11, with every packet traced.
+struct PacketTimeline {
+  std::string packets;         // The rendered PacketTrace.
+  osprof::Cycles elapsed = 0;  // When the enumeration finished.
+};
+
+inline PacketTimeline FindFirstTimeline(osnet::ClientOs client_os) {
+  osim::KernelConfig kcfg;
+  kcfg.num_cpus = 4;
+  kcfg.seed = 11;
+  osim::Kernel kernel(kcfg);
+  osim::SimDisk disk(&kernel);
+  osfs::Ext2SimFs server_fs(&kernel, &disk);
+  server_fs.AddDir("/export");
+  for (int i = 0; i < 100; ++i) {
+    server_fs.AddFile("/export/f" + std::to_string(i), 2'000);
+  }
+  osnet::CifsConfig ccfg;
+  ccfg.client_os = client_os;
+  osnet::PacketTrace trace;
+  osnet::CifsMount mount(&kernel, &server_fs, ccfg, &trace);
+  kernel.Spawn("client", EnumerateOnce(&mount, "/export"));
+  kernel.RunUntilThreadsFinish();
+  return {trace.Render(osprof::kPaperCpuHz), kernel.now()};
 }
 
 // Peak resident set size of this process, in bytes (0 where the platform
@@ -165,7 +185,21 @@ inline void ShowProfile(const osprof::Profile& profile,
 }
 
 // --- Machine-readable bench reports ----------------------------------------
-//
+
+// The path of the bench output file `file_name`: in $OSPROF_BENCH_JSON_DIR
+// if set, else in the working directory.
+inline std::string BenchOutputPath(const std::string& file_name) {
+  const char* dir = std::getenv("OSPROF_BENCH_JSON_DIR");
+  if (dir == nullptr || dir[0] == '\0') {
+    return file_name;
+  }
+  std::string path(dir);
+  if (path.back() != '/') {
+    path.push_back('/');
+  }
+  return path + file_name;
+}
+
 // Every fig*/tab_* binary emits a BENCH_<name>.json next to its human
 // output so CI (and the regression gate job) can consume the run without
 // scraping stdout.  The document records wall-clock time, simulated
@@ -173,11 +207,11 @@ inline void ShowProfile(const osprof::Profile& profile,
 // pass/fail entry, free-form numeric metrics, and the paths of any
 // serialized merged ProfileSets the bench wrote.
 //
-// Output directory: $OSPROF_BENCH_JSON_DIR if set, else the working
-// directory.  Construction starts the wall clock; Finish() writes the
-// file and returns the bench's exit code (0 even when checks differ --
-// the figures are reproductions, and the *gate* is what enforces
-// regressions; CI reads the per-check booleans from the JSON instead).
+// Output directory: BenchOutputPath's.  Construction starts the wall
+// clock; Finish() writes the file and returns the bench's exit code (0
+// even when checks differ -- the figures are reproductions, and the
+// *gate* is what enforces regressions; CI reads the per-check booleans
+// from the JSON instead).
 class JsonReport {
  public:
   explicit JsonReport(std::string name) : name_(std::move(name)) {}
@@ -219,8 +253,8 @@ class JsonReport {
   // I/O failure, which is also recorded in the JSON).
   std::string WriteProfileSet(const osprof::ProfileSet& set,
                               const std::string& tag) {
-    const std::string path = OutDir() + "BENCH_" + name_ + "." + tag +
-                             ".prof";
+    const std::string path =
+        BenchOutputPath("BENCH_" + name_ + "." + tag + ".prof");
     std::ofstream out(path);
     if (out) {
       set.Serialize(out);
@@ -267,7 +301,7 @@ class JsonReport {
     }
     doc.Set("profile_sets", std::move(sets));
 
-    const std::string path = OutDir() + "BENCH_" + name_ + ".json";
+    const std::string path = BenchOutputPath("BENCH_" + name_ + ".json");
     std::ofstream out(path);
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -279,18 +313,6 @@ class JsonReport {
   }
 
  private:
-  static std::string OutDir() {
-    const char* dir = std::getenv("OSPROF_BENCH_JSON_DIR");
-    if (dir == nullptr || dir[0] == '\0') {
-      return "";
-    }
-    std::string d(dir);
-    if (d.back() != '/') {
-      d.push_back('/');
-    }
-    return d;
-  }
-
   std::string name_;
   // Construction starts the wall clock.
   osprof::WallTimer timer_;

@@ -12,18 +12,18 @@
 
 #include "bench/bench_util.h"
 #include "src/core/analysis.h"
-#include "src/net/cifs.h"
 #include "src/runner/runner.h"
+#include "src/runner/scenario.h"
 
 int main() {
   osbench::Header("Figure 10: CIFS client profiles under grep (§6.4)");
   osbench::JsonReport report("fig10_cifs_profiles");
 
-  const osrunner::TrialResult windows = osrunner::RunTrial(
-      osbench::CifsGrep(77, osnet::ClientOs::kWindows, /*delayed_ack=*/true),
-      0);
-  const osrunner::TrialResult linux = osrunner::RunTrial(
-      osbench::CifsGrep(77, osnet::ClientOs::kLinux, /*delayed_ack=*/true), 0);
+  const osrunner::ScenarioRegistry& registry = osrunner::BuiltinScenarios();
+  const osrunner::TrialResult windows =
+      osrunner::RunTrial(*registry.Find("fig10"), 0);
+  const osrunner::TrialResult linux =
+      osrunner::RunTrial(*registry.Find("fig10_linux"), 0);
   const osprof::ProfileSet& windows_profiles = windows.layers.at("cifs");
   const osprof::ProfileSet& linux_profiles = linux.layers.at("cifs");
   const std::uint64_t windows_stalls = windows.counters.at("delayed_acks");

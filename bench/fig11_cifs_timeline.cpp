@@ -4,61 +4,36 @@
 // time by ~20%.
 
 #include <cstdio>
-#include <string>
-#include <vector>
+#include <variant>
 
 #include "bench/bench_util.h"
-#include "src/fs/ext2fs.h"
 #include "src/net/cifs.h"
 #include "src/runner/runner.h"
-#include "src/sim/disk.h"
-#include "src/sim/kernel.h"
-#include "src/sim/task.h"
+#include "src/runner/scenario.h"
 
 namespace {
 
-osim::Task<void> EnumerateOnce(osfs::Vfs* vfs, std::string path) {
-  const int fd = co_await vfs->Open(path, false);
-  while (true) {
-    const osfs::DirentBatch batch = co_await vfs->Readdir(fd);
-    if (batch.names.empty()) {
-      break;
-    }
-  }
-  co_await vfs->Close(fd);
-}
-
-// Runs one directory enumeration and prints the packet trace.
+// Prints one directory enumeration's packet trace.
 void TraceOneTransaction(osnet::ClientOs client_os, const char* title) {
-  osim::KernelConfig kcfg;
-  kcfg.num_cpus = 4;
-  kcfg.seed = 11;
-  osim::Kernel kernel(kcfg);
-  osim::SimDisk disk(&kernel);
-  osfs::Ext2SimFs server_fs(&kernel, &disk);
-  server_fs.AddDir("/export");
-  for (int i = 0; i < 100; ++i) {
-    server_fs.AddFile("/export/f" + std::to_string(i), 2'000);
-  }
-  osnet::CifsConfig ccfg;
-  ccfg.client_os = client_os;
-  osnet::PacketTrace trace;
-  osnet::CifsMount mount(&kernel, &server_fs, ccfg, &trace);
-  kernel.Spawn("client", EnumerateOnce(&mount, "/export"));
-  kernel.RunUntilThreadsFinish();
-
+  const osbench::PacketTimeline timeline =
+      osbench::FindFirstTimeline(client_os);
   osbench::Section(title);
-  std::printf("%s", trace.Render(osprof::kPaperCpuHz).c_str());
+  std::printf("%s", timeline.packets.c_str());
   std::printf("  total elapsed: %s\n",
-              osprof::FormatSeconds(static_cast<double>(kernel.now()) /
+              osprof::FormatSeconds(static_cast<double>(timeline.elapsed) /
                                     osprof::kPaperCpuHz)
                   .c_str());
 }
 
+// Figure 10's Windows-client grep on seed 13, with the client's delayed
+// ACKs on or off (the paper's registry key).
 double GrepElapsed(bool delayed_ack) {
-  const osrunner::TrialResult grep = osrunner::RunTrial(
-      osbench::CifsGrep(13, osnet::ClientOs::kWindows, delayed_ack), 0);
-  return static_cast<double>(grep.sim_cycles) / osprof::kPaperCpuHz;
+  osrunner::Scenario grep = *osrunner::BuiltinScenarios().Find("fig10");
+  grep.kernel.seed = 13;
+  std::get<osrunner::GrepSpec>(grep.workload).cifs.client_delayed_ack =
+      delayed_ack;
+  return static_cast<double>(osrunner::RunTrial(grep, 0).sim_cycles) /
+         osprof::kPaperCpuHz;
 }
 
 }  // namespace

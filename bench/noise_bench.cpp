@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
   osbench::Section("Per-task interference table (one machine, base seed)");
   {
     osim::Kernel kernel(scenario->kernel);
-    osprofilers::NoiseProfiler profiler(&kernel,
-                                        scenario->profilers.resolution);
+    osprofilers::NoiseProfiler profiler(&kernel);
     for (int i = 0; i < spec->tasks; ++i) {
       kernel.Spawn("noise" + std::to_string(i),
                    profiler.NoiseTask(i, spec->samples, spec->burst));

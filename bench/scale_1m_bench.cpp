@@ -86,10 +86,8 @@ int main(int argc, char** argv) {
   const std::string prof_path = report.WriteProfileSet(fs.merged, "fs");
   bool layers_ok = false;
   {
-    const char* dir = std::getenv("OSPROF_BENCH_JSON_DIR");
-    std::string layers_path =
-        (dir == nullptr || dir[0] == '\0') ? "" : std::string(dir) + "/";
-    layers_path += "BENCH_scale_1m.layers";
+    const std::string layers_path =
+        osbench::BenchOutputPath("BENCH_scale_1m.layers");
     std::map<std::string, osprof::LayeredProfileSet> layered;
     if (!fs.layered.empty()) {
       layered.emplace("fs", fs.layered);

@@ -21,18 +21,6 @@ bool AtLeast(DlmMode held, DlmMode wanted) {
 
 }  // namespace
 
-const char* DlmModeName(DlmMode mode) {
-  switch (mode) {
-    case DlmMode::kNull:
-      return "NL";
-    case DlmMode::kProtectedRead:
-      return "PR";
-    case DlmMode::kExclusive:
-      return "EX";
-  }
-  return "?";
-}
-
 bool DlmCompatible(DlmMode a, DlmMode b) {
   if (a == DlmMode::kNull || b == DlmMode::kNull) {
     return true;

@@ -48,7 +48,6 @@ namespace osnet {
 // with each other; kExclusive is compatible with nothing.
 enum class DlmMode { kNull = 0, kProtectedRead = 1, kExclusive = 2 };
 
-const char* DlmModeName(DlmMode mode);
 bool DlmCompatible(DlmMode a, DlmMode b);
 
 struct DlmConfig {

@@ -15,7 +15,9 @@ NfsMount::NfsMount(osim::Kernel* kernel, osfs::Vfs* server_fs,
                   "nfs.page_cache"),
       config_(config),
       c2s_(kernel, config.net, "client", nullptr),
-      s2c_(kernel, config.net, "server", nullptr) {}
+      s2c_(kernel, config.net, "server", nullptr),
+      attr_cache_(*kernel, "nfs.attr_cache"),
+      dentry_cache_(*kernel, "nfs.dentry_cache") {}
 
 void NfsMount::ResolveProbes(osprofilers::SimProfiler& profiler) {
   probes_ = {profiler.Resolve("lookup"),      profiler.Resolve("getattr"),
@@ -25,8 +27,9 @@ void NfsMount::ResolveProbes(osprofilers::SimProfiler& profiler) {
 }
 
 bool NfsMount::AttrFresh(const std::string& path) const {
-  auto it = attr_cache_.find(path);
-  return it != attr_cache_.end() &&
+  const auto& cache = OSIM_SHARED_RO(attr_cache_);
+  const auto it = cache.find(path);
+  return it != cache.end() &&
          kernel_->now() - it->second.fetched_at <= config_.attr_cache_timeout;
 }
 
@@ -96,8 +99,9 @@ Task<void> NfsMount::WalkPath(std::string_view path) {
   for (std::string_view part : osfs::PathComponents(path)) {
     prefix += '/';
     prefix += part;
-    auto it = dentry_cache_.find(prefix);
-    if (it != dentry_cache_.end() &&
+    const auto& dentries = OSIM_SHARED_RO(dentry_cache_);
+    const auto it = dentries.find(prefix);
+    if (it != dentries.end() &&
         kernel_->now() - it->second <= config_.dentry_cache_timeout) {
       continue;
     }
@@ -105,8 +109,8 @@ Task<void> NfsMount::WalkPath(std::string_view path) {
     Rpc rpc(kernel_);
     co_await Call(probes_.lookup, "lookup", config_.small_reply_bytes,
                   Into(server_fs_->Stat(prefix), &rpc.attr), &rpc);
-    dentry_cache_[prefix] = kernel_->now();
-    attr_cache_[prefix] = CachedAttr{rpc.attr, kernel_->now()};
+    OSIM_SHARED_RW(dentry_cache_)[prefix] = kernel_->now();
+    OSIM_SHARED_RW(attr_cache_)[prefix] = CachedAttr{rpc.attr, kernel_->now()};
   }
 }
 
@@ -144,11 +148,11 @@ Task<int> NfsMount::OpenImpl(const std::string& path, bool /*direct_io*/) {
     Rpc rpc(kernel_);
     co_await Call(probes_.getattr, "getattr", config_.small_reply_bytes,
                   Into(server_fs_->Stat(path), &rpc.attr), &rpc);
-    attr_cache_[path] = CachedAttr{rpc.attr, kernel_->now()};
+    OSIM_SHARED_RW(attr_cache_)[path] = CachedAttr{rpc.attr, kernel_->now()};
   } else {
     ++attr_hits_;
   }
-  co_return OpenRemote(path, attr_cache_[path].attr);
+  co_return OpenRemote(path, OSIM_SHARED_RO(attr_cache_).at(path).attr);
 }
 
 Task<std::int64_t> NfsMount::WriteImpl(int fd, std::uint64_t bytes) {
@@ -160,7 +164,7 @@ Task<std::int64_t> NfsMount::WriteImpl(int fd, std::uint64_t bytes) {
                 &rpc);
   f.pos += bytes;
   f.attr.size = std::max(f.attr.size, f.pos);
-  attr_cache_[f.path] = CachedAttr{f.attr, kernel_->now()};
+  OSIM_SHARED_RW(attr_cache_)[f.path] = CachedAttr{f.attr, kernel_->now()};
   co_return static_cast<std::int64_t>(bytes);
 }
 
@@ -178,17 +182,18 @@ Task<int> NfsMount::CreateImpl(const std::string& path) {
   if (rpc.result < 0) {
     co_return -1;
   }
-  attr_cache_[path] = CachedAttr{osfs::FileAttr{0, false}, kernel_->now()};
-  dentry_cache_[path] = kernel_->now();
-  co_return OpenRemote(path, attr_cache_[path].attr);
+  OSIM_SHARED_RW(attr_cache_)[path] =
+      CachedAttr{osfs::FileAttr{0, false}, kernel_->now()};
+  OSIM_SHARED_RW(dentry_cache_)[path] = kernel_->now();
+  co_return OpenRemote(path, OSIM_SHARED_RO(attr_cache_).at(path).attr);
 }
 
 Task<void> NfsMount::UnlinkImpl(const std::string& path) {
   Rpc rpc(kernel_);
   co_await Call(probes_.nfs_remove, "nfs_remove", config_.small_reply_bytes,
                 server_fs_->Unlink(path), &rpc);
-  attr_cache_.erase(path);
-  dentry_cache_.erase(path);
+  OSIM_SHARED_RW(attr_cache_).erase(path);
+  OSIM_SHARED_RW(dentry_cache_).erase(path);
 }
 
 Task<osfs::FileAttr> NfsMount::StatImpl(const std::string& path) {
@@ -199,13 +204,13 @@ Task<osfs::FileAttr> NfsMount::StatImpl(const std::string& path) {
       Rpc rpc(kernel_);
       co_await Call(probes_.getattr, "getattr", config_.small_reply_bytes,
                     Into(server_fs_->Stat(path), &rpc.attr), &rpc);
-      attr_cache_[path] = CachedAttr{rpc.attr, kernel_->now()};
+      OSIM_SHARED_RW(attr_cache_)[path] =
+          CachedAttr{rpc.attr, kernel_->now()};
     }
   } else {
     ++attr_hits_;
   }
-  const osfs::FileAttr attr = attr_cache_[path].attr;
-  co_return attr;
+  co_return OSIM_SHARED_RO(attr_cache_).at(path).attr;
 }
 
 }  // namespace osnet

@@ -40,6 +40,7 @@
 #include "src/net/net.h"
 #include "src/net/remote_mount.h"
 #include "src/profilers/sim_profiler.h"
+#include "src/sim/race_tracker.h"
 
 namespace osnet {
 
@@ -146,8 +147,10 @@ class NfsMount : public RemoteMount {
   };
   Probes probes_;
 
-  std::map<std::string, CachedAttr> attr_cache_;
-  std::map<std::string, osim::Cycles> dentry_cache_;  // path -> cached at.
+  // Client caches, race-checked like CIFS's attribute cache.
+  osim::Shared<std::map<std::string, CachedAttr>> attr_cache_;
+  // path -> cached at.
+  osim::Shared<std::map<std::string, osim::Cycles>> dentry_cache_;
   std::uint64_t rpcs_ = 0;
   std::uint64_t lookups_ = 0;
   std::uint64_t attr_hits_ = 0;

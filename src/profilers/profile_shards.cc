@@ -66,32 +66,4 @@ void ShardedProfileArena::ClearCounts() {
   }
 }
 
-std::size_t ShardedProfileArena::ApproxBytes() const {
-  // Dominated by the dense per-op storage: one Histogram's bucket plane per
-  // flat profile, seven planes (counts + six components) per layered slot.
-  const std::size_t ops = base_->ops().size();
-  const std::size_t res = static_cast<std::size_t>(base_->resolution());
-  const std::size_t buckets =
-      static_cast<std::size_t>(osprof::kMaxLog2Buckets) * res;
-  const std::size_t per_flat = sizeof(osprof::Profile) +
-                               buckets * sizeof(std::uint64_t);
-  const std::size_t per_layered =
-      sizeof(osprof::LayeredProfile) +
-      buckets * (sizeof(std::uint64_t) + sizeof(std::uint8_t) +
-                 static_cast<std::size_t>(osprof::kNumLayerComponents) *
-                     sizeof(Cycles));
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += ops * (per_flat + sizeof(osprof::LayeredProfile*));
-    std::size_t layered_slots = 0;
-    for (const osprof::LayeredProfile* slot : shard.layered_slots) {
-      if (slot != nullptr) {
-        ++layered_slots;
-      }
-    }
-    total += layered_slots * per_layered;
-  }
-  return total;
-}
-
 }  // namespace osprofilers

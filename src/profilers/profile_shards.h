@@ -91,10 +91,6 @@ class ShardedProfileArena {
   // Zeroes all shards without merging (profiler Reset).
   void ClearCounts();
 
-  // Approximate heap footprint of the shard sets, for the kernel-level
-  // memory accounting surfaced by the scale bench.
-  std::size_t ApproxBytes() const;
-
  private:
   struct Shard {
     osprof::ProfileSet profiles;

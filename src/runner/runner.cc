@@ -20,6 +20,7 @@
 #include "src/core/peaks.h"
 #include "src/core/preemption.h"
 #include "src/net/fabric.h"
+#include "src/net/nfs.h"
 #include "src/profilers/noise_profiler.h"
 #include "src/profilers/profiler_sink.h"
 #include "src/profilers/sim_profiler.h"
@@ -182,7 +183,7 @@ Trial::Trial(const Scenario& spec, int trial)
       kernel(TrialKernel(spec, trial)),
       disk(&kernel, spec.disk),
       fs(&kernel, &disk, spec.fs),
-      profiler(&kernel, spec.profilers.resolution) {
+      profiler(&kernel) {
   result.trial = trial;
   result.seed = kernel.config().seed;
   // Lock-order analysis rides along on every trial: tracking consumes no
@@ -192,7 +193,7 @@ Trial::Trial(const Scenario& spec, int trial)
   // (src/sim/race_tracker.h); scale scenarios opt out via the spec.
   kernel.races().set_enabled(spec.track_races);
   if (spec.profilers.driver) {
-    driver.emplace(&kernel, &disk, spec.profilers.resolution);
+    driver.emplace(&kernel, &disk);
   }
 }
 
@@ -250,20 +251,35 @@ void Drive(Trial& t, const GrepSpec& grep) {
     }
     t.Run();
   };
-  if (grep.over_cifs) {
-    osnet::CifsMount cifs(&t.kernel, &t.fs, grep.cifs);
+  // A remote mount exports t.fs and records under its client-side layer
+  // (what Figure 10 profiles).  The counters are written outside the
+  // profiler's branch, so a run without it reports the same ones.
+  const auto run_remote = [&](osnet::RemoteMount& mount, const char* layer) {
     if (t.scenario.profilers.fs) {
-      // Client-side CIFS layer (what Figure 10 profiles).
-      t.ProfileAs("cifs");
-      cifs.SetProfiler(&t.profiler);
+      t.ProfileAs(layer);
+      mount.SetProfiler(&t.profiler);
     }
-    run_greps(&cifs);
-    // Outside the profiler's branch, so a run without it reports the same
-    // counters.
-    t.counter("delayed_acks") = cifs.client_ack_policy().delayed_acks_fired();
-  } else {
-    t.AttachFsInstrumentation();
-    run_greps(&t.fs);
+    run_greps(&mount);
+  };
+  switch (grep.mount) {
+    case GrepSpec::Mount::kLocal:
+      t.AttachFsInstrumentation();
+      run_greps(&t.fs);
+      break;
+    case GrepSpec::Mount::kCifs: {
+      osnet::CifsMount cifs(&t.kernel, &t.fs, grep.cifs);
+      run_remote(cifs, "cifs");
+      t.counter("delayed_acks") =
+          cifs.client_ack_policy().delayed_acks_fired();
+      t.counter("server_requests") = cifs.server_requests();
+      break;
+    }
+    case GrepSpec::Mount::kNfs: {
+      osnet::NfsMount nfs(&t.kernel, &t.fs, osnet::NfsConfig{});
+      run_remote(nfs, "nfs");
+      t.counter("server_requests") = nfs.rpcs_sent();
+      break;
+    }
   }
   for (const osworkloads::GrepStats& s : stats) {
     t.counter("files_read") += s.files_read;
@@ -358,7 +374,7 @@ void Drive(Trial& t, const TrafficSpec& traffic) {
 void Drive(Trial& t, const NoiseSpec& ns) {
   // The noise profiler subscribes to the kernel's interference channel;
   // its tasks are the workload.
-  osprofilers::NoiseProfiler noise(&t.kernel, t.scenario.profilers.resolution);
+  osprofilers::NoiseProfiler noise(&t.kernel);
   for (int i = 0; i < ns.tasks; ++i) {
     t.kernel.Spawn("noise" + std::to_string(i),
                    noise.NoiseTask(i, ns.samples, ns.burst));

@@ -107,8 +107,53 @@ Scenario Fig07Cifs() {
   s.kernel.seed = 1010;
   GrepSpec grep = Fig07Grep();
   grep.tree.top_dirs = 6;  // Network round-trips dominate; keep it brisk.
-  grep.over_cifs = true;
+  grep.mount = GrepSpec::Mount::kCifs;
   s.workload = grep;
+  return s;
+}
+
+// The remote greps' tree: 6 x 2 directories of `files_per_dir` files
+// each, exported from /export by a server on the client's own box.
+GrepSpec ExportGrep(int files_per_dir, GrepSpec::Mount mount) {
+  GrepSpec grep;
+  grep.root = "/export";
+  grep.tree.top_dirs = 6;
+  grep.tree.subdirs_per_dir = 2;
+  grep.tree.depth = 1;
+  grep.tree.files_per_dir = files_per_dir;
+  grep.mount = mount;
+  return grep;
+}
+
+// Figure 10's grep -r over CIFS (§6.4) on 4 CPUs.  Every directory holds
+// 100 files, so a Find transaction takes several batches and a Windows
+// client stalls on delayed ACKs between them; the Linux client is the
+// layered-profiling comparison.
+Scenario Fig10(osnet::ClientOs client_os) {
+  const bool windows = client_os == osnet::ClientOs::kWindows;
+  Scenario s;
+  s.name = windows ? "fig10" : "fig10_linux";
+  s.description = std::string("Figure 10: grep over CIFS, ") +
+                  (windows ? "Windows" : "Linux") + " client";
+  s.kernel.num_cpus = 4;
+  s.kernel.seed = 77;
+  GrepSpec grep = ExportGrep(100, GrepSpec::Mount::kCifs);
+  grep.tree.median_file_bytes = 30'000;
+  grep.cifs.client_os = client_os;
+  s.workload = grep;
+  return s;
+}
+
+// Figure 2's second network stack: tab_nfs_vs_cifs's grep over NFS.  Its
+// client profiler records the LOOKUP storm and the other RPCs nested in
+// each Vfs operation.
+Scenario NfsGrep() {
+  Scenario s;
+  s.name = "nfs_grep";
+  s.description = "grep over an NFS mount (Figure 2's second network stack)";
+  s.kernel.num_cpus = 4;
+  s.kernel.seed = 55;
+  s.workload = ExportGrep(60, GrepSpec::Mount::kNfs);
   return s;
 }
 
@@ -275,6 +320,9 @@ ScenarioRegistry& BuiltinScenarios() {
     r->Register(Fig07());
     r->Register(Fig07Driver());
     r->Register(Fig07Cifs());
+    r->Register(Fig10(osnet::ClientOs::kWindows));
+    r->Register(Fig10(osnet::ClientOs::kLinux));
+    r->Register(NfsGrep());
     r->Register(Postmark());
     r->Register(Noise());
     r->Register(NoiseIdle());

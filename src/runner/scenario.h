@@ -41,7 +41,6 @@ namespace osrunner {
 struct ProfilerSpec {
   bool fs = true;        // SimProfiler at the FS (or syscall) boundary.
   bool driver = false;   // DriverProfiler on the block request stream.
-  int resolution = 1;
   // Per-CPU profile sharding (million-task scale): the SimProfiler records
   // into private per-CPU shards, folded into the base sets every
   // `shard_epoch` cycles (0 = only at collection).  Serialized output is
@@ -54,14 +53,16 @@ struct ProfilerSpec {
 // --- Workloads --------------------------------------------------------------
 
 // grep -r over a freshly built kernel-source-like tree (Figures 7/8/10).
-// With `over_cifs` the tree lives on a simulated SMB server and the grep
-// runs against a CifsMount configured by `cifs` (the net knobs).
+// On a remote `mount` the tree lives on the simulated server's Ext2 and
+// the grep runs against a CifsMount configured by `cifs` (the net knobs)
+// or an NfsMount with NfsConfig's defaults.
 struct GrepSpec {
+  enum class Mount { kLocal, kCifs, kNfs };
   osworkloads::TreeSpec tree;
   std::string root = "/usr/src/linux";
   double per_byte_cpu = 0.5;
   int processes = 1;
-  bool over_cifs = false;
+  Mount mount = Mount::kLocal;
   osnet::CifsConfig cifs;
 };
 
@@ -199,7 +200,7 @@ class ScenarioRegistry {
 
 // The process-wide registry, pre-populated with the built-in figure
 // scenarios (fig01, fig01_single, fig03, fig03_nonpreempt, fig07,
-// fig07_cifs, ...).
+// fig07_cifs, fig10, fig10_linux, nfs_grep, ...).
 ScenarioRegistry& BuiltinScenarios();
 
 }  // namespace osrunner

@@ -1,6 +1,8 @@
 #include "src/sim/interference.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace osim {
 
@@ -24,7 +26,21 @@ const char* InterferenceKindName(InterferenceKind kind) {
   return "unknown";
 }
 
+namespace {
+
+// Subscribing and unsubscribing are setup-time calls; from inside a
+// callback they would change the list being fanned out.
+void RequireNoPublish(int publish_depth, const char* call) {
+  if (publish_depth > 0) {
+    throw std::logic_error(std::string("InterferenceChannel::") + call +
+                           " called during a publish");
+  }
+}
+
+}  // namespace
+
 void InterferenceChannel::Subscribe(InterferenceSubscriber* subscriber) {
+  RequireNoPublish(publish_depth_, "Subscribe");
   if (std::find(subscribers_.begin(), subscribers_.end(), subscriber) ==
       subscribers_.end()) {
     subscribers_.push_back(subscriber);
@@ -32,42 +48,20 @@ void InterferenceChannel::Subscribe(InterferenceSubscriber* subscriber) {
 }
 
 void InterferenceChannel::Unsubscribe(InterferenceSubscriber* subscriber) {
-  if (publish_depth_ > 0) {
-    // Mid-publish removal (a subscriber dropping itself -- or a peer --
-    // from inside OnInterference): tombstone the slot so the fan-out
-    // loop, which indexes the vector, neither skips a survivor nor
-    // touches the removed subscriber again.  Compacted after the
-    // outermost publish returns.
-    for (InterferenceSubscriber*& s : subscribers_) {
-      if (s == subscriber) {
-        s = nullptr;
-        needs_compaction_ = true;
-      }
-    }
-    return;
-  }
+  RequireNoPublish(publish_depth_, "Unsubscribe");
   subscribers_.erase(
       std::remove(subscribers_.begin(), subscribers_.end(), subscriber),
       subscribers_.end());
 }
 
 void InterferenceChannel::Publish(const InterferenceEvent& event) {
-  // Bounded by the size at entry: a subscriber added from inside a
-  // callback joins the list but does not see the event being published
-  // (it sees the next one).  Tombstoned entries are skipped.
-  ++publish_depth_;
-  const std::size_t bound = subscribers_.size();
-  for (std::size_t i = 0; i < bound; ++i) {
-    InterferenceSubscriber* s = subscribers_[i];
-    if (s != nullptr) {
-      s->OnInterference(event);
-    }
-  }
-  if (--publish_depth_ == 0 && needs_compaction_) {
-    needs_compaction_ = false;
-    subscribers_.erase(
-        std::remove(subscribers_.begin(), subscribers_.end(), nullptr),
-        subscribers_.end());
+  // The depth unwinds even if a callback throws.
+  struct Depth {
+    int& depth;
+    ~Depth() { --depth; }
+  } in_flight{++publish_depth_};
+  for (InterferenceSubscriber* s : subscribers_) {
+    s->OnInterference(event);
   }
 }
 

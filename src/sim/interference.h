@@ -94,14 +94,9 @@ class InterferenceChannel {
   }
 
   // Subscribers receive events in subscription order.  Subscribing is
-  // idempotent; both calls are setup-time operations, not hot paths.
-  //
-  // Mutation during publish is defined (and locked in by tests): a
-  // subscriber added from inside a callback does not see the event being
-  // fanned out (only later ones); unsubscribing -- yourself or a peer --
-  // from inside a callback takes effect immediately (the removed
-  // subscriber receives no further callbacks for the current event) and
-  // never disturbs delivery to the remaining subscribers.
+  // idempotent; both calls are setup-time operations, not hot paths, and
+  // throw std::logic_error from inside a callback (a callback may still
+  // publish a nested event).
   void Subscribe(InterferenceSubscriber* subscriber);
   void Unsubscribe(InterferenceSubscriber* subscriber);
   bool has_subscribers() const { return !subscribers_.empty(); }
@@ -222,11 +217,8 @@ class InterferenceChannel {
   RequestContext* context_ = nullptr;
   LockOrderTracker* lock_order_ = nullptr;
   RaceTracker* races_ = nullptr;
-  // May hold nullptr tombstones while a publish is in flight (mid-publish
-  // unsubscription); compacted when the outermost publish returns.
   std::vector<InterferenceSubscriber*> subscribers_;
-  int publish_depth_ = 0;
-  bool needs_compaction_ = false;
+  int publish_depth_ = 0;  // Publishes in flight, nested ones included.
 };
 
 }  // namespace osim

@@ -391,13 +391,6 @@ Check NoiseCheck(const osrunner::Scenario& scenario, int trials,
   return {"noise", pass, std::move(text), std::move(json)};
 }
 
-// The line of `text` that starts at `start`, without its newline.
-std::string LineAt(const std::string& text, std::size_t start) {
-  return start < text.size()
-             ? text.substr(start, text.find('\n', start) - start)
-             : "(end of file)";
-}
-
 // The exactness verdict: each golden file must hold exactly the bytes this
 // run writes for it under --update.  The sim is deterministic, so any
 // difference is drift, however small a distance the raters score it at;
@@ -415,18 +408,12 @@ Check BytesCheck(const std::vector<GoldenFile>& files,
       text += "[bytes] " + path + " identical\n";
       continue;
     }
-    // The first differing line starts after the last newline both share.
-    const auto at =
-        std::mismatch(want.begin(), want.end(), got.begin(), got.end()).first;
-    const auto start =
-        std::find(std::make_reverse_iterator(at), want.rend(), '\n').base();
-    const std::string line =
-        std::to_string(1 + std::count(want.begin(), start, '\n'));
-    const auto offset = static_cast<std::size_t>(start - want.begin());
+    const LineDifference diff = FirstDifferingLine(want, got);
+    const std::string line = std::to_string(diff.line);
     differing.push_back(path + ":" + line);
     text += "[bytes] " + path + " DIFFERS from line " + line + ":\n";
-    text += "  golden:   " + LineAt(want, offset) + "\n";
-    text += "  measured: " + LineAt(got, offset) + "\n";
+    text += "  golden:   " + diff.want + "\n";
+    text += "  measured: " + diff.got + "\n";
   }
   osjson::Value json = osjson::Value::Object();
   json.Set("pass", osjson::Value::Bool(differing.empty()));

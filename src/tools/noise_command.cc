@@ -59,7 +59,7 @@ int RunNoiseCommand(const std::vector<std::string>& args, std::ostream& out,
   // One machine, one trial: the tracer's table is a per-task view, and the
   // multi-trial merge lives in `run`/`gate`.
   osim::Kernel kernel(scenario->kernel);
-  osprofilers::NoiseProfiler profiler(&kernel, scenario->profilers.resolution);
+  osprofilers::NoiseProfiler profiler(&kernel);
   for (int i = 0; i < spec->tasks; ++i) {
     kernel.Spawn("noise" + std::to_string(i),
                  profiler.NoiseTask(i, spec->samples, spec->burst));

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <iterator>
 #include <utility>
 
 namespace ostools {
@@ -157,6 +158,29 @@ std::map<std::string, osprof::LayeredProfileSet> MergedLayers(
     }
   }
   return layered;
+}
+
+namespace {
+
+// The line of `text` that starts at `start`, without its newline.
+std::string LineAt(const std::string& text, std::size_t start) {
+  return start < text.size()
+             ? text.substr(start, text.find('\n', start) - start)
+             : "(end of file)";
+}
+
+}  // namespace
+
+LineDifference FirstDifferingLine(const std::string& want,
+                                  const std::string& got) {
+  // The first differing line starts after the last newline both share.
+  const auto at =
+      std::mismatch(want.begin(), want.end(), got.begin(), got.end()).first;
+  const auto start =
+      std::find(std::make_reverse_iterator(at), want.rend(), '\n').base();
+  const auto offset = static_cast<std::size_t>(start - want.begin());
+  return {static_cast<std::size_t>(1 + std::count(want.begin(), start, '\n')),
+          LineAt(want, offset), LineAt(got, offset)};
 }
 
 }  // namespace ostools

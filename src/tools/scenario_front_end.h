@@ -83,6 +83,17 @@ std::vector<GoldenFile> GoldenFiles(const osrunner::RunResult& result);
 std::map<std::string, osprof::LayeredProfileSet> MergedLayers(
     const osrunner::RunResult& result);
 
+// Where two texts that differ first part: the 1-based number of the first
+// line they do not share, and that line of each, without its newline
+// ("(end of file)" past a text's end).
+struct LineDifference {
+  std::size_t line = 0;
+  std::string want;
+  std::string got;
+};
+LineDifference FirstDifferingLine(const std::string& want,
+                                  const std::string& got);
+
 }  // namespace ostools
 
 #endif  // OSPROF_SRC_TOOLS_SCENARIO_FRONT_END_H_

@@ -192,6 +192,7 @@ TEST(RunnerTest, CounterNamesPerRegisteredScenario) {
                        "race_racy_accesses", "race_reports"};
   const Names lock = {"acquisitions", "contended_acquisitions"};
   const Names grep = {"bytes_read", "directories_visited", "files_read"};
+  const Names cifs = {"delayed_acks", "server_requests"};
   const Names postmark = {"appends", "creates", "deletes", "reads"};
   const Names noise = {"noise_cycles",        "noise_lock_handoffs",
                        "noise_max_single",    "noise_migrations",
@@ -220,8 +221,11 @@ TEST(RunnerTest, CounterNamesPerRegisteredScenario) {
       {"fig03_nonpreempt", all({kernel, races})},
       {"fig06", all({kernel, races})},
       {"fig07", all({kernel, races, grep})},
-      {"fig07_cifs", all({kernel, races, grep, {"delayed_acks"}})},
+      {"fig07_cifs", all({kernel, races, grep, cifs})},
       {"fig07_driver", all({kernel, races, grep})},
+      {"fig10", all({kernel, races, grep, cifs})},
+      {"fig10_linux", all({kernel, races, grep, cifs})},
+      {"nfs_grep", all({kernel, races, grep, {"server_requests"}})},
       {"noise", all({kernel, races, noise})},
       {"noise_idle", all({kernel, races, noise})},
       {"postmark", all({kernel, races, postmark})},

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -103,8 +104,7 @@ TEST(InterferenceChannel, KindNamesAreStable) {
                "lock_handoff");
 }
 
-// A subscriber with a programmable callback, for the mutation-during-
-// publish contract below.
+// A subscriber with a programmable callback.
 struct HookSubscriber : InterferenceSubscriber {
   explicit HookSubscriber(std::string tag, std::vector<std::string>* log)
       : tag(std::move(tag)), log(log) {}
@@ -119,57 +119,11 @@ struct HookSubscriber : InterferenceSubscriber {
   std::function<void(const InterferenceEvent&)> hook;
 };
 
-// The documented mutation-during-publish contract (interference.h):
-// unsubscribing from inside a callback -- yourself or a peer -- takes
-// effect immediately and never disturbs delivery to the survivors.
-TEST(InterferenceChannel, UnsubscribeSelfDuringPublishIsImmediate) {
-  InterferenceChannel channel;
-  std::vector<std::string> log;
-  HookSubscriber a("A", &log);
-  HookSubscriber b("B", &log);
-  channel.Subscribe(&a);
-  channel.Subscribe(&b);
-  a.hook = [&](const InterferenceEvent&) { channel.Unsubscribe(&a); };
-  channel.Preempt(1, 0, 10);  // A sees it (and drops out), B sees it.
-  channel.Preempt(1, 0, 20);  // Only B.
-  EXPECT_EQ(log, (std::vector<std::string>{"A@10", "B@10", "B@20"}));
-  EXPECT_TRUE(channel.has_subscribers());
-}
-
-TEST(InterferenceChannel, UnsubscribePeerDuringPublishSkipsCurrentEvent) {
-  InterferenceChannel channel;
-  std::vector<std::string> log;
-  HookSubscriber a("A", &log);
-  HookSubscriber b("B", &log);
-  channel.Subscribe(&a);
-  channel.Subscribe(&b);
-  // A removes B before B's slot is reached: B must not see the in-flight
-  // event, and the tombstone must not disturb later delivery.
-  a.hook = [&](const InterferenceEvent&) { channel.Unsubscribe(&b); };
-  channel.Preempt(1, 0, 10);
-  EXPECT_EQ(log, (std::vector<std::string>{"A@10"}));
-  a.hook = nullptr;
-  channel.Preempt(1, 0, 20);  // Compacted: A alone, no null slots.
-  EXPECT_EQ(log, (std::vector<std::string>{"A@10", "A@20"}));
-}
-
-TEST(InterferenceChannel, SubscribeDuringPublishMissesCurrentEvent) {
-  InterferenceChannel channel;
-  std::vector<std::string> log;
-  HookSubscriber a("A", &log);
-  HookSubscriber c("C", &log);
-  channel.Subscribe(&a);
-  // A adds C mid-publish: the fan-out bound is the subscriber count at
-  // entry, so C first hears the *next* event.
-  a.hook = [&](const InterferenceEvent&) { channel.Subscribe(&c); };
-  channel.Preempt(1, 0, 10);
-  EXPECT_EQ(log, (std::vector<std::string>{"A@10"}));
-  a.hook = nullptr;
-  channel.Preempt(1, 0, 20);
-  EXPECT_EQ(log, (std::vector<std::string>{"A@10", "A@20", "C@20"}));
-}
-
-TEST(InterferenceChannel, NestedMutationsCompactOnlyAtOutermostReturn) {
+// Subscribing and unsubscribing are setup-time calls: from inside a
+// callback, nested publishes included, both throw and change nothing.  A
+// nested publish reaches every subscriber, and once the outermost
+// publish returns both calls work again.
+TEST(InterferenceChannel, SubscriptionChangesDuringPublishThrow) {
   InterferenceChannel channel;
   std::vector<std::string> log;
   HookSubscriber a("A", &log);
@@ -177,28 +131,21 @@ TEST(InterferenceChannel, NestedMutationsCompactOnlyAtOutermostReturn) {
   HookSubscriber c("C", &log);
   channel.Subscribe(&a);
   channel.Subscribe(&b);
-  channel.Subscribe(&c);
-  // A's callback publishes a nested event and unsubscribes C from inside
-  // it; the outer fan-out must still skip C's tombstone cleanly.
   a.hook = [&](const InterferenceEvent& event) {
     if (event.now == 10) {
-      b.hook = [&](const InterferenceEvent& inner) {
-        if (inner.now == 15) {
-          channel.Unsubscribe(&c);
-        }
-      };
       channel.Preempt(2, 0, 15);
     }
+    EXPECT_THROW(channel.Subscribe(&c), std::logic_error);
+    EXPECT_THROW(channel.Unsubscribe(&b), std::logic_error);
   };
   channel.Preempt(1, 0, 10);
-  // Outer @10 reaches A; A nests @15 to A, B (B removes C), back out the
-  // outer @10 reaches B but no longer C.
   EXPECT_EQ(log, (std::vector<std::string>{"A@10", "A@15", "B@15", "B@10"}));
   a.hook = nullptr;
-  b.hook = nullptr;
-  channel.Preempt(1, 0, 30);
+  channel.Unsubscribe(&b);
+  channel.Subscribe(&c);
+  channel.Preempt(1, 0, 20);
   EXPECT_EQ(log, (std::vector<std::string>{"A@10", "A@15", "B@15", "B@10",
-                                           "A@30", "B@30"}));
+                                           "A@20", "C@20"}));
 }
 
 Task<void> BurnLoop(Kernel& k, int iterations, Cycles per_iter) {

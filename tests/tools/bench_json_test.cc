@@ -92,6 +92,16 @@ TEST_F(BenchJsonTest, EmptyDirEnvWritesToCwd) {
   std::remove("BENCH_unit_bench.json");
 }
 
+// BenchOutputPath places every bench output file: a directory given with
+// or without its trailing slash names the same file.
+TEST_F(BenchJsonTest, OutputPathJoinsTheDirectoryOnce) {
+  EXPECT_EQ(BenchOutputPath("BENCH_x.layers"), dir_ + "/BENCH_x.layers");
+  ::setenv("OSPROF_BENCH_JSON_DIR", (dir_ + "/").c_str(), 1);
+  EXPECT_EQ(BenchOutputPath("BENCH_x.layers"), dir_ + "/BENCH_x.layers");
+  ::unsetenv("OSPROF_BENCH_JSON_DIR");
+  EXPECT_EQ(BenchOutputPath("BENCH_x.layers"), "BENCH_x.layers");
+}
+
 TEST_F(BenchJsonTest, ChecksFailedCountsOnlyFailures) {
   JsonReport report("unit_bench");
   report.Check("a", true);

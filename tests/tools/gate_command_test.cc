@@ -13,6 +13,7 @@
 #include "src/core/layered.h"
 #include "src/core/profile.h"
 #include "src/runner/scenario.h"
+#include "src/tools/scenario_front_end.h"
 #include "tests/test_files.h"
 
 namespace ostools {
@@ -406,6 +407,20 @@ TEST_F(GateCommandTest, RacesVerdictCoversFixturesCleanRunsAndOptOut) {
   EXPECT_EQ(Run({kScenario, "--baseline=" + kGoldenDir + kScenario}), 0)
       << out_.str() << err_.str();
   EXPECT_NE(out_.str().find("[races] no data races"), std::string::npos);
+}
+
+// The routine behind the [bytes] verdict and the remote fixture test
+// names the first line the texts do not share, a text that ended early
+// included.
+TEST(FirstDifferingLine, NamesTheLineAndBothVersionsOfIt) {
+  const LineDifference edited = FirstDifferingLine("a\nbc\nd\n", "a\nbx\nd\n");
+  EXPECT_EQ(edited.line, 2u);
+  EXPECT_EQ(edited.want, "bc");
+  EXPECT_EQ(edited.got, "bx");
+  const LineDifference cut = FirstDifferingLine("a\nb\n", "a\n");
+  EXPECT_EQ(cut.line, 2u);
+  EXPECT_EQ(cut.want, "b");
+  EXPECT_EQ(cut.got, "(end of file)");
 }
 
 }  // namespace
